@@ -49,18 +49,3 @@ def prime_factors(n: int) -> list[int]:
         out.append(n)
     return out
 
-
-def largest_prime_factor(n: int) -> int:
-    """P+(n) by trial division; P+(1) = 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return 1
-    r = 1
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            r = d
-            n //= d
-        d += 1 if d == 2 else 2
-    return max(r, n) if n > 1 else r

@@ -69,15 +69,19 @@ def make_spec(y: float, b: int, *, source_log_t: float | None = None) -> Resonat
 
 
 def _log_scale(T: float | None, log_T: float | None) -> float:
-    """log T from exactly one of T, log_T.  A log T of inf or nan (T = inf,
-    or a log_T that overflowed) raises OutOfRegimeError: the derived y and b
-    would be inf or nan."""
+    """log T from exactly one of T, log_T, as a float.  A log T of inf or nan
+    (T = inf, or a log_T that overflowed) or an integer log_T beyond float
+    range raises OutOfRegimeError: the derived y and b would be inf or nan."""
     if (T is None) == (log_T is None):
         raise ValueError("pass exactly one of T, log_T")
     if T is not None:
         if not T > 1:
             raise OutOfRegimeError(f"need T > 1, got T={T}")
         log_T = math.log(T)
+    try:
+        log_T = float(log_T)
+    except OverflowError:
+        raise OutOfRegimeError("log T is too large for a float") from None
     if not math.isfinite(log_T):
         raise OutOfRegimeError(f"log T = {log_T} is not finite")
     return log_T

@@ -99,17 +99,25 @@ _spf_cache: dict = {"limit": 0, "table": None}
 def spf_sieve(limit: int, *, limit_cap: int = DEFAULT_SIEVE_LIMIT) -> np.ndarray:
     """Array a with a[n] = P+(n) for 2 <= n <= limit; a[1] = 1, a[0] = 0.
 
-    Ascending prime passes overwrite multiples, so the last write at each n
-    is its largest prime factor.
+    Two phases.  First, ascending slice passes for the primes p <= r =
+    isqrt(limit) overwrite the multiples of p, so the last write at each n
+    is its largest prime factor up to r.  Every n still zero is then a prime
+    P > r.  An n <= limit has at most one prime factor above r, and it is
+    the largest, so the second phase stores P at P*m for every such P and
+    every m <= limit // P, one multiplier m at a time, as the last write.
     """
     limit = int(limit)
     if limit < 2 or limit > limit_cap:
         raise ResourceLimitError(f"sieve limit {limit} outside [2, {limit_cap}]")
     table = np.zeros(limit + 1, dtype=np.int32)
     table[1] = 1
-    for p in range(2, limit + 1):
-        if table[p] == 0:
-            table[p::p] = p
+    r = math.isqrt(limit)
+    for p in sieve_primes(r):
+        table[p::p] = p
+    large = np.flatnonzero(table[r + 1:] == 0) + (r + 1)
+    for m in range(1, limit // (r + 1) + 1):
+        ps = large[: np.searchsorted(large, limit // m, side="right")]
+        table[ps * m] = ps
     return table
 
 

@@ -30,10 +30,6 @@ class NeumaierSum:
         self._s = s
         self._c += e
 
-    def extend(self, xs) -> None:
-        for x in xs:
-            self.add(x)
-
     @property
     def value(self) -> float:
         return self._s + self._c
@@ -52,22 +48,7 @@ class ComplexNeumaierSum:
         self._re.add(z.real)
         self._im.add(z.imag)
 
-    def extend(self, zs) -> None:
-        for z in zs:
-            self.add(z)
-
     @property
     def value(self) -> complex:
         return complex(self._re.value, self._im.value)
 
-
-def compensated_sum(xs) -> float:
-    acc = NeumaierSum()
-    acc.extend(xs)
-    return acc.value
-
-
-def compensated_complex_sum(zs) -> complex:
-    acc = ComplexNeumaierSum()
-    acc.extend(zs)
-    return acc.value

@@ -305,7 +305,7 @@ def scan_max(
 
     best_mod = -1.0
     best_t = t_lo
-    t_block = max(1, min(grid_size, int(2**24 // max(len(ns), 1)) + 1))
+    t_block = max(1, min(grid_size, int(2**20 // max(len(ns), 1)) + 1))
     base = 1.0 if ell == 0 else 0.0  # n = 1 term
     for lo in range(0, grid_size, t_block):
         hi = min(lo + t_block, grid_size)

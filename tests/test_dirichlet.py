@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -28,6 +29,42 @@ def test_build_table_validation():
         dirichlet.build_character_table(2)
     with pytest.raises(ValueError):
         dirichlet.build_character_table(10**7 + 19)
+
+
+def _dlog_loop_oracle(q: int, g: int) -> np.ndarray:
+    # the sequential power loop that the blockwise build replaced
+    dlog = np.empty(q, dtype=np.int64)
+    dlog[0] = -1
+    acc = 1
+    for e in range(q - 1):
+        dlog[acc] = e
+        acc = (acc * g) % q
+    return dlog
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 101, 10007, 99991])
+def test_dlog_matches_power_loop(q):
+    table = dirichlet.build_character_table(q)
+    assert np.array_equal(table.dlog, _dlog_loop_oracle(q, table.generator))
+
+
+def test_verify_table_rejects_swapped_logs():
+    # swapping two entries keeps the table a bijection; the exact successor
+    # check must still reject it, whatever the sampled pow checks draw
+    table = dirichlet.build_character_table(99991)
+    dlog = table.dlog.copy()
+    dlog[[2, 3]] = dlog[[3, 2]]
+    with pytest.raises(AssertionError, match=r"dlog\[a g\]"):
+        dirichlet._verify_table(dataclasses.replace(table, dlog=dlog))
+
+
+def test_verify_table_rejects_non_bijection():
+    table = dirichlet.build_character_table(101)
+    for bad in (table.dlog[3], -1, table.order):
+        dlog = table.dlog.copy()
+        dlog[2] = bad
+        with pytest.raises(AssertionError, match="bijection"):
+            dirichlet._verify_table(dataclasses.replace(table, dlog=dlog))
 
 
 def test_principal_character_is_one(chi5):

@@ -107,6 +107,9 @@ def test_spec_from_T_below_regime():
             resonator.spec_from_T(log_T=bad)
         with pytest.raises(OutOfRegimeError):
             resonator.spec_from_T(bad)
+    # an integer log T beyond float range
+    with pytest.raises(OutOfRegimeError):
+        resonator.spec_from_T(log_T=10**400)
 
 
 def test_spec_from_T_log_scale():
@@ -183,7 +186,7 @@ def test_bookkeeping_out_of_regime():
         resonator.proof_bookkeeping(0, dickman.build_rho_table(4, 1e-10), log_T=20.0)
     # non-finite scales, including log10 T = 1e308 whose log T overflows
     table = dickman.build_rho_table(4, 1e-10)
-    for bad in (1e308 * LOG10, math.inf, math.nan):
+    for bad in (1e308 * LOG10, math.inf, math.nan, 10**400):
         with pytest.raises(OutOfRegimeError):
             resonator.proof_bookkeeping(1, table, log_T=bad)
     with pytest.raises(OutOfRegimeError):

@@ -23,6 +23,30 @@ def _largest_prime_factor_oracle(n: int) -> int:
     return max(r, n) if n > 1 else r
 
 
+def _spf_loop_oracle(limit: int) -> np.ndarray:
+    # the per-n ascending sieve that the two-phase kernel replaced
+    table = np.zeros(limit + 1, dtype=np.int32)
+    table[1] = 1
+    for p in range(2, limit + 1):
+        if table[p] == 0:
+            table[p::p] = p
+    return table
+
+
+def test_spf_sieve_matches_trial_division_at_every_n():
+    # every small limit, and limits at p^2 - 1, p^2, p^2 + 1 where the
+    # split between slice passes and the large-prime pass moves
+    limits = list(range(2, 401)) + [p * p + d for p in (31, 37) for d in (-1, 0, 1)]
+    oracle = [0] + [_largest_prime_factor_oracle(n) for n in range(1, max(limits) + 1)]
+    for limit in limits:
+        assert smooth.spf_sieve(limit).tolist() == oracle[: limit + 1], limit
+
+
+def test_spf_sieve_matches_loop_sieve():
+    limit = 2 * 10**5
+    assert np.array_equal(smooth.spf_sieve(limit), _spf_loop_oracle(limit))
+
+
 def test_spf_sieve_small():
     s = smooth.spf_sieve(10)
     assert list(s[1:11]) == [1, 2, 3, 2, 5, 3, 7, 2, 3, 5]

@@ -152,6 +152,17 @@ def test_scan_matches_pointwise_evaluator():
     assert r.value_modulus == pytest.approx(direct, rel=1e-10)
 
 
+def test_scan_blocks_do_not_change_row_sums():
+    # 400 grid points of 9999 terms span several working blocks; each row's
+    # sum must not depend on which rows share its block
+    N = 10**4
+    r = zeta.scan_max(1, 10000.0, 10019.95, 0.05, N)
+    assert r.grid_size == 400
+    single = zeta.scan_max(1, r.t_star, r.t_star, 1.0, N)
+    assert single.grid_size == 1
+    assert single.value_modulus == r.value_modulus
+
+
 def test_scan_budget_guard():
     with pytest.raises(ResourceLimitError):
         zeta.scan_max(1, 1e4, 2e4, 0.05, 10**6)
