@@ -154,13 +154,11 @@ def _cmd_zeta_eval(args) -> None:
 
 
 def _cmd_zeta_scan(args) -> None:
-    if args.csv_out:
-        csv_text = zeta.scan_to_csv(args.ell, args.t_lo, args.t_hi, args.step, args.N,
-                                    budget=args.budget)
-        with open(args.csv_out, "w", encoding="utf-8") as f:
-            f.write(csv_text)
     r = zeta.scan_max(args.ell, args.t_lo, args.t_hi, args.step, args.N,
                       budget=args.budget)
+    if args.csv_out:
+        with open(args.csv_out, "w", encoding="utf-8") as f:
+            f.write(zeta.scan_result_to_csv(r))
     _emit_json({
         "t_star": r.t_star, "value_modulus": r.value_modulus, "ell": r.ell,
         "N": r.N, "window": [r.t_lo, r.t_hi], "step": r.step,
@@ -255,9 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=["json", "csv"], default="json")
     ap.add_argument("--precision-bits", dest="precision_bits", type=int, default=256,
                     help="extended-precision mantissa for factorized resonator ratios")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker count; evaluation is currently sequential "
-                         "(1 reproduces debugging behavior)")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("rho", help="evaluate the Dickman function")
@@ -381,9 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.threads < 1:
-        sys.stderr.write("error: --threads must be >= 1\n")
-        return 2
     try:
         args.func(args)
     except (ResourceLimitError, TailNotCertifiedError, PrecisionUnreachableError) as e:

@@ -27,11 +27,11 @@ import numpy as np
 
 from .errors import PrincipalCharacterError, ResourceLimitError
 from .primes import is_prime, prime_factors
+from .sums import chunks, compensated_sum
 
 _MAX_Q = 10**7
 _MAX_N = 10**8
 _QUOTIENT_MAX_Q = 10**5
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -153,6 +153,11 @@ def _pv_error_scale(q: int, ell: int, N: int) -> float:
     return math.sqrt(q) * math.log(q) * math.log(N) ** ell / N
 
 
+def _weights(ns: np.ndarray, ell: int) -> np.ndarray:
+    """(-log n)^ell / n, the coefficients of the truncated L-derivative sums."""
+    return (-1.0) ** ell * np.log(ns.astype(np.float64)) ** ell / ns
+
+
 def l_derivative_truncated(ell: int, table: CharacterTable, j: int, N: int) -> LSeriesValue:
     """sum_{k <= N} chi_j(k) (-log k)^ell / k with compensated accumulation.
 
@@ -173,20 +178,9 @@ def l_derivative_truncated(ell: int, table: CharacterTable, j: int, N: int) -> L
     if ell > math.log(N):
         raise ValueError(f"need ell <= log N, got ell={ell}, log N={math.log(N):.3f}")
 
-    from .sums import ComplexNeumaierSum
-
-    acc = ComplexNeumaierSum()
-    sign = (-1.0) ** ell
-    for lo in range(1, N + 1, _CHUNK):
-        hi = min(lo + _CHUNK, N + 1)
-        ns = np.arange(lo, hi, dtype=np.int64)
-        logs = np.log(ns.astype(np.float64))
-        if lo == 1:
-            logs[0] = 0.0
-        coeff = sign * logs**ell / ns if ell else 1.0 / ns
-        vals = table.chi_vector(j, ns) * coeff
-        acc.add(complex(np.sum(vals)))
-    return LSeriesValue(value=acc.value, ell=ell, q=table.q, j=j, N=int(N),
+    value = compensated_sum(table.chi_vector(j, ns) * _weights(ns, ell)
+                            for ns in chunks(1, N))
+    return LSeriesValue(value=value, ell=ell, q=table.q, j=j, N=int(N),
                         error_scale=_pv_error_scale(table.q, ell, N))
 
 
@@ -201,18 +195,11 @@ def _l_values_all_characters(ell: int, table: CharacterTable, N: int) -> np.ndar
         raise ResourceLimitError(f"N={N} exceeds budget {_MAX_N}")
     order = table.order
     class_sums = np.zeros(order, dtype=np.float64)
-    sign = (-1.0) ** ell
-    for lo in range(1, N + 1, _CHUNK):
-        hi = min(lo + _CHUNK, N + 1)
-        ns = np.arange(lo, hi, dtype=np.int64)
+    for ns in chunks(1, N):
         r = ns % table.q
         keep = r != 0
         ns, r = ns[keep], r[keep]
-        logs = np.log(ns.astype(np.float64))
-        if lo == 1:
-            logs[0] = 0.0
-        coeff = sign * logs**ell / ns if ell else 1.0 / ns
-        class_sums += np.bincount(table.dlog[r], weights=coeff, minlength=order)
+        class_sums += np.bincount(table.dlog[r], weights=_weights(ns, ell), minlength=order)
     # chi_j(k) = omega^{+j d}; fft gives sum_d A_d omega^{-jd}, so conjugate.
     return np.conj(np.fft.fft(class_sums))
 

@@ -6,10 +6,12 @@ selected automatically: a largest-prime-factor sieve scan for x within the
 sieve budget, and exponent-vector depth-first enumeration over the primes
 <= y when pi(y) is small, which also covers x far beyond any sieve.
 
-Complex sums run compensated: pure-Python paths through Neumaier
-accumulators, numpy paths chunked with compensated chunk combination, so
-1e8-term unit-modulus sums keep ~1 ulp accumulation error.  Chunks are
-combined in fixed ascending order, so results are bit-reproducible.
+Every twisted sum is a compensated sum of f over blocks of integers
+(`sums.compensated_sum`), so 1e8-term unit-modulus sums keep ~1 ulp
+accumulation error and results are bit-reproducible.  The enumeration route
+sorts the smooth numbers into an array and, within the sieve range, cuts it
+at the sieve route's block boundaries, so both routes sum identical arrays
+and agree bit for bit.
 
 The module-level sieve cache is built single-owner and only read
 afterwards; all sum operations are pure given their inputs.
@@ -17,27 +19,23 @@ afterwards; all sum operations are pure given their inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Union
 
 import numpy as np
 
-from .dickman import DickmanTable, build_rho_table, rho
+from .dickman import DickmanTable, build_rho_table, log_rho_asymptotic_main, rho
 from .dirichlet import CharacterTable
 from .errors import ResourceLimitError
 from .primes import sieve_primes
-from .sums import ComplexNeumaierSum
+from .sums import CHUNK, chunks, compensated_sum, phases
 
 DEFAULT_SIEVE_LIMIT = 10**8
 DEFAULT_FULL_SUM_LIMIT = 10**8
 _ENUM_PRIME_BOUND = 20  # exponent-vector enumeration engages when pi(y) <= 20
 _ENUM_NODE_BUDGET = 10**7
-_CHUNK = 1 << 20
-
-# Absolute phase above which unimodular phases t*log(n) move to extended
-# precision (argument-reduction error would dominate otherwise).
-_PHASE_EXTENDED_THRESHOLD = 1e8
 
 
 @dataclass(frozen=True)
@@ -211,7 +209,7 @@ def psi_count(
 
     u = math.log(x) / math.log(y)
     t = table if table is not None else _density_table()
-    rho_u = rho(u, t) if u <= t.max_u else math.exp(-u * (math.log(u) + math.log(math.log(u + 2)) - 1))
+    rho_u = rho(u, t) if u <= t.max_u else math.exp(log_rho_asymptotic_main(u))
     approx = x * rho_u
     rel = count / approx - 1.0 if approx > 0 else math.inf
     return SmoothCountResult(
@@ -221,20 +219,7 @@ def psi_count(
 
 
 # ---------------------------------------------------------------------------
-# twist evaluation helpers
-
-_TWO_PI_LD = np.longdouble("6.28318530717958647692528676655900576839433879875")
-
-
-def _phase_factors(ns: np.ndarray, t: float) -> np.ndarray:
-    """e^{-i t log n} for an int array; extended precision for huge phases."""
-    logs = np.log(ns.astype(np.float64))
-    if ns.size and abs(t) * float(logs[-1]) > _PHASE_EXTENDED_THRESHOLD:
-        logs_ld = np.log(ns.astype(np.longdouble))
-        phase = (np.longdouble(t) * logs_ld) % _TWO_PI_LD
-        return np.exp(-1j * phase.astype(np.float64))
-    return np.exp(-1j * (t * logs))
-
+# twisted sums
 
 def _twist_values(ns: np.ndarray, twist: TwistSpec) -> np.ndarray:
     if isinstance(twist, Trivial):
@@ -242,32 +227,31 @@ def _twist_values(ns: np.ndarray, twist: TwistSpec) -> np.ndarray:
     if isinstance(twist, Unimodular):
         if twist.t == 0.0:
             return np.ones(ns.shape, dtype=np.complex128)
-        return _phase_factors(ns, twist.t)
+        return np.exp(-1j * phases(ns, twist.t))
     if isinstance(twist, Character):
         return twist.table.chi_vector(twist.j, ns)
     raise TypeError(f"not a twist spec: {twist!r}")
 
 
-def _twist_scalar(n: int, twist: TwistSpec) -> complex:
-    if isinstance(twist, Trivial):
-        return 1.0 + 0.0j
-    if isinstance(twist, Unimodular):
-        if twist.t == 0.0 or n == 1:
-            return 1.0 + 0.0j
-        w = twist.t * math.log(n)
-        if abs(w) > _PHASE_EXTENDED_THRESHOLD:
-            import mpmath
-
-            with mpmath.workdps(40):
-                w = float(mpmath.fmod(mpmath.mpf(twist.t) * mpmath.log(n), 2 * mpmath.pi))
-        return complex(math.cos(w), -math.sin(w))
-    if isinstance(twist, Character):
-        return twist.table.chi_value(twist.j, n % twist.table.q)
-    raise TypeError(f"not a twist spec: {twist!r}")
+def _sieved_blocks(xi: int, keep) -> Iterator[np.ndarray]:
+    """The n in 2..xi with keep(P+(n)), one array per `chunks` block."""
+    spf = _shared_spf(xi)
+    for ns in chunks(2, xi):
+        # slice, not spf[ns]: a fancy-index gather costs more than the sum
+        yield ns[keep(spf[ns[0] : ns[-1] + 1])]
 
 
-# ---------------------------------------------------------------------------
-# twisted sums
+def _enumerated_blocks(x: float, y: float, xi: int, sieve_limit: int) -> list[np.ndarray]:
+    """The y-smooth n <= x, sorted and cut into blocks: [1], then the
+    sieve route's blocks when xi is within the sieve range, else CHUNK
+    entries each (value boundaries would mean ~x/CHUNK mostly empty cuts)."""
+    ns = np.sort(np.fromiter(iter_smooth(x, y), dtype=np.int64))
+    if xi <= sieve_limit:
+        cuts = np.searchsorted(ns, np.arange(2, xi + 1, CHUNK))
+    else:
+        cuts = np.arange(1, ns.size, CHUNK)
+    return np.split(ns, cuts)
+
 
 def smooth_twisted_sum(
     x: float,
@@ -287,28 +271,18 @@ def smooth_twisted_sum(
         # so full - smooth is exactly zero here
         return full_twisted_sum(x, twist)
 
+    blocks = None
     if len(sieve_primes(int(y))) <= _ENUM_PRIME_BOUND:
         try:
-            acc = ComplexNeumaierSum()
-            for n in iter_smooth(x, y):
-                acc.add(_twist_scalar(n, twist))
-            return acc.value
+            blocks = _enumerated_blocks(x, y, xi, sieve_limit)
         except ResourceLimitError:
             pass
-
-    if xi > sieve_limit:
-        raise ResourceLimitError(f"x={x} exceeds sieve budget {sieve_limit}")
-    acc = ComplexNeumaierSum()
-    acc.add(_twist_scalar(1, twist))
-    if xi >= 2:
-        spf = _shared_spf(xi)
-        for lo in range(2, xi + 1, _CHUNK):
-            hi = min(lo + _CHUNK, xi + 1)
-            ns = np.arange(lo, hi, dtype=np.int64)
-            ns = ns[spf[lo:hi] <= y]
-            if ns.size:
-                acc.add(complex(np.sum(_twist_values(ns, twist))))
-    return acc.value
+    if blocks is None:
+        if xi > sieve_limit:
+            raise ResourceLimitError(f"x={x} exceeds sieve budget {sieve_limit}")
+        one = np.ones(1, dtype=np.int64)
+        blocks = itertools.chain([one], _sieved_blocks(xi, lambda p: p <= y))
+    return compensated_sum(_twist_values(ns, twist) for ns in blocks)
 
 
 def full_twisted_sum(
@@ -338,12 +312,7 @@ def full_twisted_sum(
         return total
     if xi > limit:
         raise ResourceLimitError(f"x={x} exceeds full-sum budget {limit}")
-    acc = ComplexNeumaierSum()
-    for lo in range(1, xi + 1, _CHUNK):
-        hi = min(lo + _CHUNK, xi + 1)
-        ns = np.arange(lo, hi, dtype=np.int64)
-        acc.add(complex(np.sum(_twist_values(ns, twist))))
-    return acc.value
+    return compensated_sum(_twist_values(ns, twist) for ns in chunks(1, xi))
 
 
 def nonsmooth_twisted_sum(x: float, y: float, twist: TwistSpec) -> complex:
@@ -352,15 +321,8 @@ def nonsmooth_twisted_sum(x: float, y: float, twist: TwistSpec) -> complex:
     xi = math.floor(x)
     if xi < 2:
         return 0j
-    spf = _shared_spf(xi)
-    acc = ComplexNeumaierSum()
-    for lo in range(2, xi + 1, _CHUNK):
-        hi = min(lo + _CHUNK, xi + 1)
-        ns = np.arange(lo, hi, dtype=np.int64)
-        ns = ns[spf[lo:hi] > y]
-        if ns.size:
-            acc.add(complex(np.sum(_twist_values(ns, twist))))
-    return acc.value
+    return compensated_sum(_twist_values(ns, twist)
+                           for ns in _sieved_blocks(xi, lambda p: p > y))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Truncated Dirichlet-series evaluation of zeta derivatives on and right of
 the 1-line, an independent Euler-Maclaurin reference, and window scans.
 
+The pointwise evaluator and the scan share the coefficients (log n)^ell
+n^(-sigma) and the phase kernel `sums.phases`; the scan keeps the modulus at
+every grid point, and its CSV stream is written from that same array.
+
 Sign convention: both evaluators return the signed quantity
 
     value  =  (-1)^ell zeta^(ell)(sigma + i t)  ~  sum_{n<=N} (log n)^ell n^(-sigma-it),
@@ -30,18 +34,14 @@ import numpy as np
 
 from .constants import LEMMA_WINDOW_FACTOR
 from .errors import PrecisionUnreachableError, ResourceLimitError
-from .sums import ComplexNeumaierSum
+from .sums import TWO_PI_LD, chunks, compensated_sum, phases
 
-_CHUNK = 1 << 19
-_PHASE_EXTENDED_THRESHOLD = 1e8
 _EM_BERNOULLI_TERMS = 12
 _DEFAULT_SCAN_BUDGET = 2 * 10**9
+# scan_max keeps one float64 modulus per grid point (80 MB at this size)
+_MAX_SCAN_GRID = 10**7
 
 _MIN_SIGMA = 0.6
-
-# 2*pi to longdouble precision; reducing phases mod the float64 constant
-# would leak (wrap count) * 2.4e-16 of phase error.
-_TWO_PI_LD = np.longdouble("6.28318530717958647692528676655900576839433879875")
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,7 @@ class ScanResult:
     t_hi: float
     step: float
     in_paper_regime: bool
+    moduli: np.ndarray  # modulus at t_lo + step * i, i = 0 .. grid_size-1
 
 
 def zeta_derivative(result: EvalResult) -> complex:
@@ -85,15 +86,10 @@ def truncation_error_estimate(ell: int, sigma: float, N: int) -> float:
     return math.factorial(ell) / eps**ell * N ** (-sigma + eps)
 
 
-def _phases(ns: np.ndarray, t: float) -> np.ndarray:
-    """t * log n, reduced in extended precision when the phase is huge."""
-    if t == 0.0:
-        return np.zeros(ns.shape)
+def _coefficients(ns: np.ndarray, ell: int, sigma: float) -> np.ndarray:
+    """(log n)^ell n^(-sigma), shared by the pointwise evaluator and the scan."""
     logs = np.log(ns.astype(np.float64))
-    if abs(t) * float(logs[-1]) > _PHASE_EXTENDED_THRESHOLD:
-        w = (np.longdouble(t) * np.log(ns.astype(np.longdouble))) % _TWO_PI_LD
-        return w.astype(np.float64)
-    return t * logs
+    return logs**ell * np.exp(-sigma * logs)
 
 
 def zeta_derivative_truncated(ell: int, sigma: float, t: float, N: int) -> EvalResult:
@@ -111,20 +107,14 @@ def zeta_derivative_truncated(ell: int, sigma: float, t: float, N: int) -> EvalR
     if sigma == 1.0 and t == 0.0:
         raise ValueError("(sigma, t) = (1, 0) is the pole")
 
-    acc = ComplexNeumaierSum()
-    acc.add(1.0 + 0j if ell == 0 else 0j)  # n = 1 term
-    for lo in range(2, N + 1, _CHUNK):
-        hi = min(lo + _CHUNK, N + 1)
-        ns = np.arange(lo, hi, dtype=np.int64)
-        logs = np.log(ns.astype(np.float64))
-        coeff = logs**ell * np.exp(-sigma * logs) if ell else np.exp(-sigma * logs)
-        if t == 0.0:
-            acc.add(complex(float(np.sum(coeff)), 0.0))
-        else:
-            w = _phases(ns, t)
-            acc.add(complex(np.sum(coeff * np.exp(-1j * w))))
+    def terms(ns):
+        coeff = _coefficients(ns, ell, sigma)
+        return coeff if t == 0.0 else coeff * np.exp(-1j * phases(ns, t))
+
+    n1_term = 1.0 if ell == 0 else 0.0
+    value = compensated_sum(map(terms, chunks(2, N)), n1_term)
     return EvalResult(
-        value=acc.value, sigma=float(sigma), t=float(t), ell=int(ell),
+        value=value, sigma=float(sigma), t=float(t), ell=int(ell),
         truncation=int(N), error_estimate=truncation_error_estimate(ell, sigma, N),
     )
 
@@ -185,7 +175,7 @@ def _em_zeta_derivative(ell: int, s: complex, M: int) -> tuple[complex, float, f
     if t == 0.0:
         main = complex(float(np.sum(coeff.astype(np.float64))), 0.0)
     else:
-        w = (np.longdouble(t) * logs) % _TWO_PI_LD
+        w = (np.longdouble(t) * logs) % TWO_PI_LD
         terms = coeff * np.exp(np.longdouble(-1.0) * 1j * w)
         main = complex(np.sum(terms))
     if ell % 2 == 1:
@@ -279,10 +269,12 @@ def scan_max(
     budget: int = _DEFAULT_SCAN_BUDGET,
 ) -> ScanResult:
     """Grid argmax of |truncated value| over t = t_lo, t_lo+step, ..;
-    deterministic tie-break toward the smallest t.
+    deterministic tie-break toward the smallest t.  `moduli` holds the
+    modulus at every grid point, in grid order.
 
-    Work is grid_size * N term evaluations; exceeding `budget` raises
-    ResourceLimitError before any work is done.
+    Work is grid_size * N term evaluations; exceeding `budget`, or a grid
+    of more than 1e7 points, raises ResourceLimitError before any work is
+    done.
     """
     if not 0 < t_lo <= t_hi:
         raise ValueError(f"need 0 < t_lo <= t_hi, got [{t_lo}, {t_hi}]")
@@ -294,49 +286,40 @@ def scan_max(
         raise ValueError("N must be >= 2")
 
     grid_size = int(math.floor((t_hi - t_lo) / step + 1e-9)) + 1
+    if grid_size > _MAX_SCAN_GRID:
+        raise ResourceLimitError(f"grid_size = {grid_size} exceeds {_MAX_SCAN_GRID} points")
     if grid_size * N > budget:
         raise ResourceLimitError(
             f"grid_size*N = {grid_size}*{N} exceeds budget {budget}"
         )
 
     ns = np.arange(2, N + 1, dtype=np.int64)
-    logs = np.log(ns.astype(np.float64))
-    coeff = logs**ell / ns if ell else 1.0 / ns  # sigma = 1
-
-    best_mod = -1.0
-    best_t = t_lo
-    t_block = max(1, min(grid_size, int(2**20 // max(len(ns), 1)) + 1))
+    coeff = _coefficients(ns, ell, 1.0)
     base = 1.0 if ell == 0 else 0.0  # n = 1 term
+    moduli = np.empty(grid_size)
+    t_block = max(1, min(grid_size, int(2**20 // len(ns)) + 1))
     for lo in range(0, grid_size, t_block):
         hi = min(lo + t_block, grid_size)
         ts = t_lo + step * np.arange(lo, hi)
-        phases = np.outer(ts, logs)
-        vals = (np.exp(-1j * phases) * coeff).sum(axis=1) + base
-        mods = np.abs(vals)
-        i = int(np.argmax(mods))
-        if mods[i] > best_mod:
-            best_mod = float(mods[i])
-            best_t = float(ts[i])
+        vals = (np.exp(-1j * phases(ns, ts[:, None])) * coeff).sum(axis=1) + base
+        moduli[lo:hi] = np.abs(vals)
+    i = int(np.argmax(moduli))  # first occurrence = smallest t
     return ScanResult(
-        t_star=best_t, value_modulus=best_mod, grid_size=grid_size,
+        t_star=float(t_lo + step * i), value_modulus=float(moduli[i]), grid_size=grid_size,
         ell=ell, N=int(N), t_lo=float(t_lo), t_hi=float(t_hi), step=float(step),
-        in_paper_regime=bool(t_hi <= LEMMA_WINDOW_FACTOR * N and N <= t_lo),
+        in_paper_regime=bool(t_hi <= LEMMA_WINDOW_FACTOR * N and N <= t_lo), moduli=moduli,
     )
+
+
+def scan_result_to_csv(result: ScanResult) -> str:
+    """CSV stream `t,modulus` over the scan grid, from the scan's moduli."""
+    lines = ["t,modulus"]
+    for i, m in enumerate(result.moduli):
+        lines.append(f"{result.t_lo + result.step * i!r},{float(m)!r}")
+    return "\n".join(lines) + "\n"
 
 
 def scan_to_csv(ell: int, t_lo: float, t_hi: float, step: float, N: int,
                 *, budget: int = _DEFAULT_SCAN_BUDGET) -> str:
-    """CSV stream `t,modulus` over the scan grid (same evaluation path)."""
-    if not 0 < t_lo <= t_hi:
-        raise ValueError(f"need 0 < t_lo <= t_hi, got [{t_lo}, {t_hi}]")
-    if not step > 0:
-        raise ValueError("step must be positive")
-    grid_size = int(math.floor((t_hi - t_lo) / step + 1e-9)) + 1
-    if grid_size * N > budget:
-        raise ResourceLimitError(f"grid_size*N exceeds budget {budget}")
-    lines = ["t,modulus"]
-    for i in range(grid_size):
-        t = t_lo + step * i
-        r = zeta_derivative_truncated(ell, 1.0, t, N)
-        lines.append(f"{t!r},{abs(r.value)!r}")
-    return "\n".join(lines) + "\n"
+    """CSV stream `t,modulus` of scan_max over the same grid."""
+    return scan_result_to_csv(scan_max(ell, t_lo, t_hi, step, N, budget=budget))

@@ -1,6 +1,17 @@
+import tempfile
+
 import pytest
+from hypothesis import configuration, settings
 
 from zetamax import dickman, dirichlet
+
+# Fixed examples and no example database keep runs repeatable.  Hypothesis
+# still caches the constants it reads from local source files; that cache
+# goes to a temporary directory removed at exit, not to ./.hypothesis/.
+settings.register_profile("zetamax", derandomize=True, database=None, deadline=None)
+settings.load_profile("zetamax")
+_hypothesis_home = tempfile.TemporaryDirectory(prefix="zetamax-hypothesis-")
+configuration.set_hypothesis_home_dir(_hypothesis_home.name)
 
 
 @pytest.fixture(scope="session")

@@ -38,9 +38,11 @@ def test_rho_and_table_roundtrip(tmp_path):
 
 
 def test_unknown_flag_exits_2_without_output():
-    r = run_cli("moments", "--ell", "3", "--bogus")
-    assert r.returncode == 2
-    assert r.stdout == b""
+    for argv in (("moments", "--ell", "3", "--bogus"),
+                 ("--threads", "1", "moments", "--ell", "3")):
+        r = run_cli(*argv)
+        assert r.returncode == 2, argv
+        assert r.stdout == b"", argv
 
 
 def test_unknown_subcommand_exits_2():
@@ -122,6 +124,9 @@ def test_zeta_scan_csv_out(tmp_path):
         lines = f.read().strip().split("\n")
     assert lines[0] == "t,modulus"
     assert len(lines) == 4
+    # the CSV and the reported maximum come from one modulus array
+    best = max(float(line.split(",")[1]) for line in lines[1:])
+    assert best == json.loads(r.stdout)["value_modulus"]
 
 
 def test_l_max_prediction_field():

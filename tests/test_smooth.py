@@ -3,8 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from zetamax import smooth
+from zetamax import dirichlet, smooth
 from zetamax.errors import ResourceLimitError
 from zetamax.smooth import Character, Trivial, Unimodular
 
@@ -169,6 +171,34 @@ def test_triangle_identity_three_way(chi5):
         sm = smooth.smooth_twisted_sum(x, 13, twist)
         non = smooth.nonsmooth_twisted_sum(x, 13, twist)
         assert abs(full - (sm + non)) < 1e-8
+
+
+# trivial, character and unimodular twists; |t| log x passes 1e8 for t >= 8e6
+_twists = st.one_of(
+    st.just(Trivial()),
+    st.builds(lambda q, u: Character(dirichlet.shared_character_table(q), int(u * (q - 1))),
+              st.sampled_from([5, 7, 101, 10007]), st.floats(0.0, 1.0, exclude_max=True)),
+    st.builds(Unimodular, st.floats(-1e9, 1e9)),
+)
+_PRIMES_TO_71 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+
+
+@given(x=st.integers(3, 2 * 10**5), k=st.integers(1, 20), twist=_twists)
+def test_enumeration_and_sieve_routes_agree_bit_for_bit(x, k, twist):
+    y = _PRIMES_TO_71[k - 1]  # pi(y) = k <= 20, so enumeration runs by default
+    enum = smooth.smooth_twisted_sum(x, y, twist)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smooth, "_ENUM_PRIME_BOUND", 0)
+        sieved = smooth.smooth_twisted_sum(x, y, twist)
+    assert enum == sieved
+
+
+@given(x=st.integers(2, 2 * 10**5), y=st.floats(2.0, 1000.0), twist=_twists)
+def test_full_equals_smooth_plus_nonsmooth(x, y, twist):
+    full = smooth.full_twisted_sum(x, twist)
+    sm = smooth.smooth_twisted_sum(x, y, twist)
+    non = smooth.nonsmooth_twisted_sum(x, y, twist)
+    assert abs(full - (sm + non)) < 1e-8  # the bound of the triangle test
 
 
 def test_modulus_bounded_by_count(chi7):

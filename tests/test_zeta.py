@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from zetamax import zeta
 from zetamax.errors import PrecisionUnreachableError, ResourceLimitError
@@ -166,6 +168,8 @@ def test_scan_blocks_do_not_change_row_sums():
 def test_scan_budget_guard():
     with pytest.raises(ResourceLimitError):
         zeta.scan_max(1, 1e4, 2e4, 0.05, 10**6)
+    with pytest.raises(ResourceLimitError):  # 2e7 grid points, within the term budget
+        zeta.scan_max(0, 1.0, 2e7, 1.0, 2)
 
 
 def test_scan_validation():
@@ -182,3 +186,19 @@ def test_scan_csv_stream():
     lines = text.strip().split("\n")
     assert lines[0] == "t,modulus"
     assert len(lines) == 4
+    r = zeta.scan_max(0, 30.0, 31.0, 0.5, 64)
+    assert len(r.moduli) == r.grid_size
+    assert text == zeta.scan_result_to_csv(r)
+
+
+@given(ell=st.integers(0, 5), N=st.integers(2, 10**5),
+       t_lo=st.floats(1.0, 3e7), step=st.floats(1e-3, 10.0), rows=st.integers(1, 6))
+@example(ell=1, N=10**4, t_lo=1e8 / math.log(10**4) - 2.5, step=1.0, rows=6)
+def test_scan_rows_match_pointwise_evaluator(ell, N, t_lo, step, rows):
+    # t * log N passes 1e8 for a share of the draws, so both phase reductions
+    # are compared; the explicit example's rows straddle 1e8, and each row
+    # must pick its reduction as the pointwise evaluator does
+    r = zeta.scan_max(ell, t_lo, t_lo + step * (rows - 1), step, N)
+    for i, m in enumerate(r.moduli):
+        direct = abs(zeta.zeta_derivative_truncated(ell, 1.0, t_lo + step * i, N).value)
+        assert abs(m - direct) <= 4 * np.finfo(float).eps * direct, (i, m, direct)
