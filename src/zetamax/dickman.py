@@ -64,6 +64,36 @@ class DickmanTable:
     def end_error_bound(self) -> float:
         return self.interval_tols[-1]
 
+    def integrate(self, weight, a: float, b: float, panels: int = 1) -> float:
+        """int_a^b weight(u) rho(u) du for 0 <= a <= b <= max_u.
+
+        weight maps an array of u to an array of the same shape.  Each unit
+        interval [k, k+1] that [a, b] meets is cut into `panels` equal panels,
+        each integrated by 32-node Gauss-Legendre against the interval's
+        Chebyshev piece; the panel sums accumulate in float within an
+        interval and the interval sums are combined by math.fsum.  b may
+        exceed max_u by the same 1e-12 slack rho allows.
+        """
+        if not 0.0 <= a <= b <= self.max_u * (1 + 1e-12) + 1e-12:
+            raise OutOfDomainError(
+                f"integration range [{a}, {b}] outside table domain [0, {self.max_u}]"
+            )
+        b = min(b, self.max_u)
+        pieces = []
+        for k in range(math.floor(a), math.ceil(b)):
+            lo, hi = max(a, k), min(b, k + 1)
+            if hi <= lo:
+                continue
+            edges = [lo + (hi - lo) * j / panels for j in range(panels)] + [hi]
+            total = 0.0
+            for pa, pb in zip(edges, edges[1:]):
+                mid, half = 0.5 * (pa + pb), 0.5 * (pb - pa)
+                us = mid + half * _GL_NODES
+                vals = C.chebval(2.0 * (us - k) - 1.0, self.intervals[k]) * weight(us)
+                total += half * float(np.dot(_GL_WEIGHTS, vals))
+            pieces.append(total)
+        return math.fsum(pieces)
+
 
 def _interval_antiderivative(coeffs: np.ndarray) -> np.ndarray:
     # d/dx -> d/du scaling: unit interval has half-width 1/2.
@@ -184,26 +214,14 @@ def _tail_mass_bound(table: DickmanTable, from_u: float) -> float:
     return top * from_u / (from_u - 1.0)
 
 
-def _interval_quadrature(coeffs: np.ndarray, k: int, weight, panels: int = 1) -> float:
-    """Gauss-Legendre integral of weight(u)*p(u) over [k, k+1]."""
-    total = 0.0
-    for j in range(panels):
-        a = k + j / panels
-        b = k + (j + 1) / panels
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        us = mid + half * _GL_NODES
-        xs = 2.0 * (us - k) - 1.0
-        vals = C.chebval(xs, coeffs) * weight(us)
-        total += half * float(np.dot(_GL_WEIGHTS, vals))
-    return total
-
-
 def laplace_lhs(s: float, table: DickmanTable, tol: float) -> float:
-    """int_0^infty rho(u) e^{-u s} du by quadrature over the table plus a
-    certified truncation bound.
+    """int_0^infty rho(u) e^{-u s} du by table.integrate plus a certified
+    truncation bound.
 
-    Raises TailNotCertifiedError when the table domain cannot push the tail
-    below tol.
+    The integral stops at the first integer k >= 3 where the bound on
+    int_k^infty rho(u) e^{-us} du falls below tol/4 (at max_u if none
+    does), with ceil(s/4) panels per unit interval.  Raises TailNotCertifiedError when
+    the table domain cannot push the tail below tol.
     """
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
@@ -216,29 +234,13 @@ def laplace_lhs(s: float, table: DickmanTable, tol: float) -> float:
             f"tail bound {tail:.3e} at U={u_end} exceeds tol/2={tol / 2:.3e}"
         )
 
+    stop = next(
+        (k for k in range(3, math.floor(u_end) + 1)
+         if _tail_mass_bound(table, float(k)) * math.exp(-s * k) < tol / 4),
+        u_end,
+    )
     panels = max(1, math.ceil(s / 4.0))
-    pieces = []
-    n_int = len(table.intervals)
-    for k in range(n_int):
-        hi = min(k + 1.0, u_end)
-        if hi <= k:
-            break
-        if hi < k + 1.0:
-            # Final partial interval: integrate [k, hi] only.
-            mid, half = 0.5 * (k + hi), 0.5 * (hi - k)
-            us = mid + half * _GL_NODES
-            xs = 2.0 * (us - k) - 1.0
-            vals = C.chebval(xs, table.intervals[k]) * np.exp(-s * us)
-            pieces.append(half * float(np.dot(_GL_WEIGHTS, vals)))
-            break
-        pieces.append(
-            _interval_quadrature(table.intervals[k], k, lambda us: np.exp(-s * us), panels)
-        )
-        if k >= 2:
-            remaining = _tail_mass_bound(table, float(k + 1)) * math.exp(-s * (k + 1))
-            if remaining < tol / 4:
-                break
-    return math.fsum(pieces)
+    return table.integrate(lambda us: np.exp(-s * us), 0.0, stop, panels)
 
 
 def _ein_series_float(s: float) -> float:
@@ -318,13 +320,20 @@ def load_table(path: str) -> DickmanTable:
         doc = json.load(f)
     if doc.get("format") != "dickman-rho-table" or doc.get("schema_version") != 1:
         raise ValueError(f"unrecognized table file {path!r}")
-    intervals = [None] * len(doc["intervals"])
+    max_u = float(doc["max_u"])
+    if not 1.0 <= max_u <= 1e3:
+        raise ValueError(f"table file max_u must lie in [1, 1e3], got {max_u}")
+    n = math.ceil(max_u)
+    if len(doc["intervals"]) != n or len(doc["interval_tols"]) != n:
+        raise ValueError(f"table file needs {n} intervals and interval_tols for max_u={max_u}")
+    intervals = [None] * n
     for item in doc["intervals"]:
-        intervals[item["k"]] = np.array(item["coeffs"], dtype=float)
-    if any(c is None for c in intervals):
-        raise ValueError("table file has missing intervals")
+        k = item["k"]
+        if not (isinstance(k, int) and 0 <= k < n) or intervals[k] is not None:
+            raise ValueError(f"table file interval k={k!r} is out of range or repeated")
+        intervals[k] = np.array(item["coeffs"], dtype=float)
     return DickmanTable(
-        max_u=float(doc["max_u"]),
+        max_u=max_u,
         degree=int(doc["degree"]),
         tol=float(doc["tol"]),
         intervals=tuple(intervals),

@@ -8,8 +8,8 @@ independent ways:
     exponential Bell polynomial recurrence applied to (-1, 1/2, ..,
     (-1)^ell/ell) -- the ell-th derivative of the Laplace transform of rho
     at 0, unwound by Faa di Bruno;
-  * numerically, by quadrature of u^ell rho(u) over a table plus a
-    certified superfactorial tail bound.
+  * numerically, as DickmanTable.integrate of u^ell rho(u) over the whole
+    table plus a certified superfactorial tail bound.
 
 Bell coefficients grow factorially, so the recurrence runs in exact rational
 arithmetic (floats lose every digit near ell ~ 20).
@@ -21,11 +21,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-from numpy.polynomial import chebyshev as C
-
 from .constants import EXP_GAMMA
-from .dickman import _GL_NODES, _GL_WEIGHTS, DickmanTable, rho
+from .dickman import DickmanTable, rho
 from .errors import TailNotCertifiedError
 
 # Exact rational values are carried by fractions.Fraction: gcd-reduced,
@@ -85,7 +82,7 @@ def y_exact(ell: int) -> MomentValue:
 
 
 def y_quadrature(ell: int, table: DickmanTable, tol: float = 1e-10) -> MomentValue:
-    """Y_ell by Gauss-Legendre quadrature of u^ell rho(u) over the table.
+    """Y_ell as table.integrate of u^ell rho(u) over [0, table.max_u].
 
     The tail beyond U = table.max_u is bounded by the superfactorial decay
     rho(u) <= rho(u-1)/u; raises TailNotCertifiedError when that bound does
@@ -109,19 +106,8 @@ def y_quadrature(ell: int, table: DickmanTable, tol: float = 1e-10) -> MomentVal
             f"tail bound {tail:.3e} for ell={ell} at U={u_end} exceeds tol/2"
         )
 
-    pieces = []
-    for k, coeffs in enumerate(table.intervals):
-        hi = min(k + 1.0, u_end)
-        mid, half = 0.5 * (k + hi), 0.5 * (hi - k)
-        us = mid + half * _GL_NODES
-        xs = 2.0 * (us - k) - 1.0
-        vals = C.chebval(xs, coeffs) * us**ell
-        pieces.append(half * float(np.dot(_GL_WEIGHTS, vals)))
-        if hi < k + 1.0:
-            break
-    return MomentValue(
-        ell=ell, rational_part=None, float_value=math.fsum(pieces), method="quadrature"
-    )
+    value = table.integrate(lambda us: us**ell, 0.0, u_end)
+    return MomentValue(ell=ell, rational_part=None, float_value=value, method="quadrature")
 
 
 def bound_prediction(kind: str, ell: int, scale: float) -> float:

@@ -28,13 +28,10 @@ from dataclasses import dataclass
 import mpmath
 
 from .constants import EXP_GAMMA
-from .dickman import _GL_NODES, _GL_WEIGHTS, DickmanTable, rho
+from .dickman import DickmanTable, rho
 from .errors import OutOfRegimeError, PrecisionUnreachableError, ResourceLimitError
 from .moments import complete_bell, y_exact
 from .primes import sieve_primes
-
-import numpy as np
-from numpy.polynomial import chebyshev as C
 
 _DIRECT_BUDGET = 10**7
 _FACTORIZED_BUDGET = 10**7  # w * b guard
@@ -308,24 +305,6 @@ class BookkeepingResult:
     k1_inner_floor: float
 
 
-def _integral_u_power_rho(table: DickmanTable, ell: int, u_hi: float) -> float:
-    """int_1^{u_hi} u^ell rho(u) du over the table (tail beyond the table is
-    certifiably below the working tolerance)."""
-    hi = min(u_hi, table.max_u)
-    pieces = []
-    for k, coeffs in enumerate(table.intervals):
-        if k + 1 <= 1.0 or k >= hi:
-            continue
-        a = max(float(k), 1.0)
-        bnd = min(float(k + 1), hi)
-        mid, half = 0.5 * (a + bnd), 0.5 * (bnd - a)
-        us = mid + half * _GL_NODES
-        xs = 2.0 * (us - k) - 1.0
-        vals = C.chebval(xs, coeffs) * us**ell
-        pieces.append(half * float(np.dot(_GL_WEIGHTS, vals)))
-    return math.fsum(pieces)
-
-
 def proof_bookkeeping(
     ell: int,
     table: DickmanTable,
@@ -343,7 +322,9 @@ def proof_bookkeeping(
              - ell (log y)^ell     int_1^{u_R} u^(ell-1) rho du
              + (log y)^(ell+1)     int_1^{u_R} u^ell     rho du,
 
-    with R = exp(log_2 T * log_3 T), u_R = log R / log y.  K2_bound is the
+    with R = exp(log_2 T * log_3 T), u_R = log R / log y; both integrals
+    are table.integrate calls, so u_R beyond table.max_u raises
+    OutOfDomainError rather than truncating them.  K2_bound is the
     Rankin-trick estimate for the discarded high-multiplicity divisors with
     the Mertens constant made explicit:
 
@@ -370,11 +351,10 @@ def proof_bookkeeping(
     u_R = log_R / log_y
 
     s1 = log_power_sum(ell, y)
-    i_ell = _integral_u_power_rho(table, ell, u_R)
-    rho_uR = rho(u_R, table) if u_R <= table.max_u else 0.0
-    s2 = log_R**ell * rho_uR - log_y**ell + log_y ** (ell + 1) * i_ell
+    i_ell = table.integrate(lambda us: us**ell, 1.0, u_R)
+    s2 = log_R**ell * rho(u_R, table) - log_y**ell + log_y ** (ell + 1) * i_ell
     if ell > 0:
-        s2 -= ell * log_y**ell * _integral_u_power_rho(table, ell - 1, u_R)
+        s2 -= ell * log_y**ell * table.integrate(lambda us: us ** (ell - 1), 1.0, u_R)
 
     k2 = EXP_GAMMA**2 * l2 ** (ell - 1) * l3 ** (ell + 1)
     predicted = y_exact(ell).float_value * l2 ** (ell + 1)

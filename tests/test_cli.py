@@ -57,15 +57,33 @@ def test_validation_error_exits_2():
     assert b"invalid-argument" in r.stderr
 
 
-@pytest.mark.parametrize("log10_T", ["1e308", "inf", "nan"])
-def test_non_finite_scale_exits_2(log10_T):
-    # 1e308 * log(10) overflows to inf; none of these may end in a traceback
-    r = run_cli("proof-bookkeeping", "--ell", "1", "--log10-T", log10_T)
+def _assert_invalid_argument(r):
     assert r.returncode == 2
     assert r.stdout == b""
     lines = r.stderr.decode().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: invalid-argument: ")
+
+
+@pytest.mark.parametrize("log10_T", ["1e308", "inf", "nan"])
+def test_non_finite_scale_exits_2(log10_T):
+    # 1e308 * log(10) overflows to inf; none of these may end in a traceback
+    _assert_invalid_argument(run_cli("proof-bookkeeping", "--ell", "1", "--log10-T", log10_T))
+
+
+def test_bookkeeping_beyond_table_exits_2():
+    # u_R = 6.135 > max_u = 4: no S2 from an integral clipped at the table end
+    _assert_invalid_argument(run_cli("proof-bookkeeping", "--ell", "6", "--log10-T", "1e8",
+                                     "--max-u", "4"))
+
+
+def test_inconsistent_table_file_exits_2(tmp_path):
+    path = tmp_path / "table.json"
+    assert run_cli("rho", "--u", "2.0", "--max-u", "10", "--save-table", str(path)).returncode == 0
+    doc = json.loads(path.read_text())
+    doc["intervals"][-1]["k"] = 10
+    path.write_text(json.dumps(doc))
+    _assert_invalid_argument(run_cli("rho", "--u", "5", "--table", str(path)))
 
 
 def test_resource_limit_exits_3():

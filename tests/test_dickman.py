@@ -1,7 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as C
 
 from zetamax import dickman
 from zetamax.constants import EXP_GAMMA
@@ -106,6 +110,51 @@ def test_rho_domain_errors(table12):
         dickman.rho(-0.5, table12)
     with pytest.raises(OutOfDomainError):
         dickman.rho(12.5, table12)
+
+
+# ---------------------------------------------------------------------------
+# table integrator
+
+def _antiderivative_oracle(table, ell: int, a: float, b: float) -> tuple[float, float]:
+    """int_a^b u^ell rho(u) du from the exact Chebyshev antiderivative of
+    u^ell * (interval polynomial), with the scale |P(x_a)| + |P(x_b)| that
+    bounds the rounding of the endpoint differences."""
+    pieces, scale = [], []
+    for k in range(math.floor(a), math.ceil(b)):
+        lo, hi = max(a, k), min(b, k + 1)
+        if hi <= lo:
+            continue
+        power = C.chebpow([k + 0.5, 0.5], ell)  # u^ell in x = 2(u-k)-1
+        prim = C.chebint(C.chebmul(table.intervals[k], power), scl=0.5)
+        p_lo, p_hi = C.chebval(2.0 * (lo - k) - 1.0, prim), C.chebval(2.0 * (hi - k) - 1.0, prim)
+        pieces.append(p_hi - p_lo)
+        scale += [abs(p_lo), abs(p_hi)]
+    return math.fsum(pieces), math.fsum(scale)
+
+
+@given(ell=st.integers(0, 10), a=st.floats(0.0, 60.0), b=st.floats(0.0, 60.0),
+       panels=st.integers(1, 4))
+@example(ell=0, a=0.0, b=60.0, panels=1)
+@example(ell=6, a=1.0, b=6.135, panels=1)
+@example(ell=10, a=2.5, b=2.75, panels=3)
+def test_integrate_matches_chebyshev_antiderivative(table60, ell, a, b, panels):
+    a, b = min(a, b), max(a, b)
+    got = table60.integrate(lambda us: us**ell, a, b, panels)
+    want, scale = _antiderivative_oracle(table60, ell, a, b)
+    assert abs(got - want) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("a, b", [(-0.5, 2.0), (3.0, 2.0), (1.0, 60.5), (0.0, math.nan)])
+def test_integrate_domain_errors(table60, a, b):
+    with pytest.raises(OutOfDomainError):
+        table60.integrate(lambda us: us, a, b)
+
+
+def test_integrate_empty_range_and_slack(table60):
+    assert table60.integrate(lambda us: us, 7.5, 7.5) == 0.0
+    # the same 1e-12 slack as rho; the range is clipped to max_u
+    assert table60.integrate(np.ones_like, 1.0, 60.0 * (1 + 1e-13)) == (
+        table60.integrate(np.ones_like, 1.0, 60.0))
 
 
 # ---------------------------------------------------------------------------
@@ -214,3 +263,36 @@ def test_load_rejects_unknown_format(tmp_path):
     path.write_text('{"format": "other", "schema_version": 9}')
     with pytest.raises(ValueError):
         dickman.load_table(str(path))
+
+
+def _edited_table_file(tmp_path, edit):
+    path = tmp_path / "rho.json"
+    dickman.save_table(dickman.build_rho_table(10.0, 1e-12), str(path))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _set_max_u(doc):
+    doc["max_u"] = 100.0
+
+
+def _renumber_last_interval(doc):
+    doc["intervals"][-1]["k"] = 10
+
+
+def _repeat_interval(doc):
+    doc["intervals"][-1]["k"] = 3
+
+
+def _cut_interval_tols(doc):
+    doc["interval_tols"] = doc["interval_tols"][:3]
+
+
+@pytest.mark.parametrize("edit", [_set_max_u, _renumber_last_interval, _repeat_interval,
+                                  _cut_interval_tols])
+def test_load_rejects_inconsistent_table(tmp_path, edit):
+    # each edit leaves max_u, the interval keys and interval_tols inconsistent
+    with pytest.raises(ValueError):
+        dickman.load_table(_edited_table_file(tmp_path, edit))

@@ -5,7 +5,7 @@ import pytest
 
 from zetamax import dickman, resonator
 from zetamax.constants import EXP_GAMMA
-from zetamax.errors import OutOfRegimeError, ResourceLimitError
+from zetamax.errors import OutOfDomainError, OutOfRegimeError, ResourceLimitError
 
 LOG10 = math.log(10.0)
 
@@ -191,6 +191,13 @@ def test_bookkeeping_out_of_regime():
             resonator.proof_bookkeeping(1, table, log_T=bad)
     with pytest.raises(OutOfRegimeError):
         resonator.proof_bookkeeping(1, table, math.inf)
+
+
+def test_bookkeeping_rejects_u_R_beyond_table():
+    # u_R = 6.135 > max_u = 4: S2 needs rho and its integrals beyond the table
+    table = dickman.build_rho_table(4.0, 1e-12)
+    with pytest.raises(OutOfDomainError, match=r"6\.13\d*\].*\[0, 4\.0\]"):
+        resonator.proof_bookkeeping(6, table, log_T=1e8 * LOG10)
 
 
 def test_bookkeeping_trends(table60):
