@@ -174,8 +174,8 @@ def _cmd_resonator_ratio(args) -> None:
             value = resonator.ratio_direct(spec, args.ell)
             bits = None
         else:
-            value = resonator.ratio_factorized(spec, args.ell, args.precision_bits)
-            bits = args.precision_bits
+            value = resonator.ratio_factorized(spec, args.ell)
+            bits = resonator.PRECISION_BITS
         _emit_json({"y": spec.y, "b": spec.b, "w": spec.w, "ell": args.ell,
                     "method": method, "value": value, "precision_bits": bits})
 
@@ -251,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "truncated zeta/L-derivative evaluation.",
     )
     ap.add_argument("--format", choices=["json", "csv"], default="json")
-    ap.add_argument("--precision-bits", dest="precision_bits", type=int, default=256,
-                    help="extended-precision mantissa for factorized resonator ratios")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("rho", help="evaluate the Dickman function")

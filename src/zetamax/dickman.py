@@ -223,8 +223,8 @@ def laplace_lhs(s: float, table: DickmanTable, tol: float) -> float:
     does), with ceil(s/4) panels per unit interval.  Raises TailNotCertifiedError when
     the table domain cannot push the tail below tol.
     """
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
+    if not 0 <= s < math.inf:
+        raise ValueError(f"s must be finite and >= 0, got {s}")
     if not tol > 0:
         raise ValueError("tol must be positive")
     u_end = table.max_u
@@ -280,10 +280,8 @@ def laplace_rhs(s: float, tol: float = 1e-12) -> float:
     outgrows float64 near s ~ 12; larger s switches to mpmath with digits
     scaled to the cancellation.
     """
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
-    if s > 100:
-        raise ValueError(f"s must be <= 100, got {s}")
+    if not 0 <= s <= 100:
+        raise ValueError(f"s must lie in [0, 100], got {s}")
     if not tol > 0:
         raise ValueError("tol must be positive")
     if s == 0.0:
@@ -316,26 +314,31 @@ def save_table(table: DickmanTable, path: str) -> None:
 
 
 def load_table(path: str) -> DickmanTable:
+    """Table written by save_table.  A file with a missing, mistyped or
+    inconsistent entry raises ValueError."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    if doc.get("format") != "dickman-rho-table" or doc.get("schema_version") != 1:
-        raise ValueError(f"unrecognized table file {path!r}")
-    max_u = float(doc["max_u"])
-    if not 1.0 <= max_u <= 1e3:
-        raise ValueError(f"table file max_u must lie in [1, 1e3], got {max_u}")
-    n = math.ceil(max_u)
-    if len(doc["intervals"]) != n or len(doc["interval_tols"]) != n:
-        raise ValueError(f"table file needs {n} intervals and interval_tols for max_u={max_u}")
-    intervals = [None] * n
-    for item in doc["intervals"]:
-        k = item["k"]
-        if not (isinstance(k, int) and 0 <= k < n) or intervals[k] is not None:
-            raise ValueError(f"table file interval k={k!r} is out of range or repeated")
-        intervals[k] = np.array(item["coeffs"], dtype=float)
-    return DickmanTable(
-        max_u=max_u,
-        degree=int(doc["degree"]),
-        tol=float(doc["tol"]),
-        intervals=tuple(intervals),
-        interval_tols=tuple(float(t) for t in doc["interval_tols"]),
-    )
+    try:
+        if doc.get("format") != "dickman-rho-table" or doc.get("schema_version") != 1:
+            raise ValueError(f"unrecognized table file {path!r}")
+        max_u = float(doc["max_u"])
+        if not 1.0 <= max_u <= 1e3:
+            raise ValueError(f"table file max_u must lie in [1, 1e3], got {max_u}")
+        n = math.ceil(max_u)
+        if len(doc["intervals"]) != n or len(doc["interval_tols"]) != n:
+            raise ValueError(f"table file needs {n} intervals and interval_tols for max_u={max_u}")
+        intervals = [None] * n
+        for item in doc["intervals"]:
+            k = item["k"]
+            if not (isinstance(k, int) and 0 <= k < n) or intervals[k] is not None:
+                raise ValueError(f"table file interval k={k!r} is out of range or repeated")
+            intervals[k] = np.array(item["coeffs"], dtype=float)
+        return DickmanTable(
+            max_u=max_u,
+            degree=int(doc["degree"]),
+            tol=float(doc["tol"]),
+            intervals=tuple(intervals),
+            interval_tols=tuple(float(t) for t in doc["interval_tols"]),
+        )
+    except (AttributeError, KeyError, TypeError) as e:
+        raise ValueError(f"malformed table file {path!r}: {type(e).__name__}: {e}") from None

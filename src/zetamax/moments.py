@@ -46,8 +46,8 @@ def complete_bell(ell: int, x: list) -> object:
     """Complete exponential Bell polynomial B_ell(x_1, .., x_ell).
 
     Recurrence: B_0 = 1, B_{n+1} = sum_{k=0}^{n} C(n, k) B_{n-k} x_{k+1}.
-    Works over any commutative ring with Python ints (Fraction, mpf, float);
-    exact inputs stay exact.
+    Its caller, y_exact, passes Fractions, and exact inputs stay exact; the
+    recurrence alternates in sign there, so it is not meant for floats.
     """
     if ell < 0:
         raise ValueError("ell must be >= 0")

@@ -8,11 +8,14 @@ p^(b-1).  With r the characteristic function of M, the resonance ratio
 
 where k = prod p_i^alpha_i.  Two evaluators are provided: direct divisor
 enumeration (the oracle, feasible while b^w is small) and a factorized
-derivative method that reaches the regime where |M| = b^w is astronomical:
-the ratio equals (-1)^ell G^(ell)(1) for G(s) = prod_p g_p(s),
-g_p(s) = sum_{alpha < b} (1 - alpha/b) p^(-alpha s), computed by
-accumulating the cumulants c_j = sum_p (log g_p)^(j)(1) per prime and
-reconstructing the derivative with the complete Bell polynomial.
+moment method that reaches the regime where |M| = b^w is astronomical.
+The ratio equals (-1)^ell G^(ell)(1) for G(s) = prod_p g_p(s),
+g_p(s) = sum_{alpha < b} (1 - alpha/b) p^(-alpha s), and that is
+G(1) E[(sum_p X_p)^ell] for independent X_p with
+P(X_p = alpha log p) = (1 - alpha/b) p^(-alpha) / g_p(1).  The factorized
+method forms each prime's moments and folds them into those of the sum by
+binomial convolution; every term is non-negative, so nothing cancels and
+its error bound is known before it runs.
 
 Parameters derived from a scale T use y = log T / (3 (log log T)^3) and
 b = floor((log log T)^3); such T exceed floating-point range long before
@@ -29,13 +32,14 @@ import mpmath
 
 from .constants import EXP_GAMMA
 from .dickman import DickmanTable, rho
-from .errors import OutOfRegimeError, PrecisionUnreachableError, ResourceLimitError
-from .moments import complete_bell, y_exact
+from .errors import OutOfRegimeError, ResourceLimitError
+from .moments import y_exact
 from .primes import sieve_primes
 
 _DIRECT_BUDGET = 10**7
-_FACTORIZED_BUDGET = 10**7  # w * b guard
+_FACTORIZED_BUDGET = 10**7  # sum_p (A_p + 1)(ell + 1) alpha terms
 _MAX_ELL_FACTORIZED = 60
+PRECISION_BITS = 256  # working precision of ratio_factorized
 
 
 @dataclass(frozen=True)
@@ -173,83 +177,71 @@ def divisors_up_to(spec: ResonatorSpec, bound: float) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# factorized derivative method
+# factorized moment method
 
-def _log_derivatives_from_plain(g: list) -> list:
-    """Given [g(1), g'(1), .., g^(m)(1)], return [h'(1), .., h^(m)(1)] for
-    h = log g, via g^(m) = sum_{i} C(m-1, i) g^(m-1-i) h^(i+1)."""
-    m = len(g) - 1
-    h = [None] * (m + 1)  # h[j] = h^(j)(1), h[0] unused
-    for order in range(1, m + 1):
-        acc = g[order]
-        for i in range(0, order - 1):
-            acc -= math.comb(order - 1, i) * g[order - 1 - i] * h[i + 1]
-        h[order] = acc / g[0]
-    return h[1:]
+def _alpha_cutoffs(spec: ResonatorSpec, ell: int) -> list[int]:
+    """A_p for every prime: the last alpha that ratio_factorized keeps.
 
-
-def _ratio_factorized_at(spec: ResonatorSpec, ell: int) -> mpmath.mpf:
-    primes, b = spec.primes, spec.b
-    g0_log = mpmath.mpf(0)
-    cum = [mpmath.mpf(0)] * ell  # c_j = sum_p (log g_p)^(j)(1), j = 1..ell
-    eps = mpmath.mpf(2) ** (-mpmath.mp.prec - 20)
-    for p in primes:
-        lp = mpmath.log(p)
-        inv_p = mpmath.mpf(1) / p
-        g = [mpmath.mpf(0)] * (ell + 1)
-        pw = mpmath.mpf(1)  # p^(-alpha)
-        # remaining terms carry a factor up to (alpha log p)^ell, so the
-        # cutoff must absorb it before comparing against working precision
-        growth = max(mpmath.mpf(1), (b * lp) ** ell)
-        for alpha in range(0, b):
-            coef = (mpmath.mpf(b - alpha) / b) * pw
-            apow = mpmath.mpf(1)  # (alpha * log p)^j
-            g[0] += coef
-            for j in range(1, ell + 1):
-                apow *= alpha * lp
-                # g_p^(j)(1) = sum_alpha coef * (-alpha log p)^j
-                g[j] += coef * apow if j % 2 == 0 else -coef * apow
-            pw *= inv_p
-            if alpha > ell and pw * growth < eps:
-                break
-        g0_log += mpmath.log(g[0])
-        if ell:
-            h = _log_derivatives_from_plain(g)
-            for j in range(ell):
-                cum[j] += h[j]
-    g_total = mpmath.exp(g0_log)
-    if ell == 0:
-        return g_total
-    bell = complete_bell(ell, cum)
-    return (-1) ** ell * g_total * bell
+    A_p is the least alpha > ell with p^-(alpha+1) (b log p)^ell below
+    2^-(PRECISION_BITS+20), that is (alpha+1) log p > ell log(b log p) +
+    (PRECISION_BITS+20) log 2, capped at b - 1.
+    """
+    level = (PRECISION_BITS + 20) * math.log(2.0)
+    cutoffs = []
+    for p in spec.primes:
+        lp = math.log(p)
+        alpha = math.floor((level + ell * math.log(spec.b * lp)) / lp)
+        cutoffs.append(min(spec.b - 1, max(ell + 1, alpha)))
+    return cutoffs
 
 
-def ratio_factorized(spec: ResonatorSpec, ell: int, precision_bits: int = 256) -> float:
-    """Resonance ratio as (-1)^ell G^(ell)(1) via per-prime cumulants and
-    Bell reconstruction; identical value to ratio_direct but feasible for
-    astronomically large divisor sets.
+def ratio_factorized(spec: ResonatorSpec, ell: int) -> float:
+    """Resonance ratio as the moment sum G(1) E[(sum_p X_p)^ell]; the same
+    value as ratio_direct, but feasible for astronomically large divisor sets.
 
-    The result is recomputed at half precision; disagreement beyond
-    2^(-precision_bits/4) relative raises PrecisionUnreachableError.
+    Prime by prime, t_j = sum_{alpha <= A_p} (1 - alpha/b) p^-alpha
+    (alpha log p)^j is formed for j <= ell (the alpha sums exactly in
+    integers, then one scaling by (log p)^j at PRECISION_BITS), and folded
+    into the running sums by m_n <- sum_k C(n, k) m_k t_(n-k).  t_0 = g_p(1)
+    and t_j / t_0 = E[X_p^j], so the fold carries G(1) along and m_ell is
+    the ratio.  The cutoffs A_p (_alpha_cutoffs) are fixed before any work,
+    and sum_p (A_p + 1)(ell + 1) above the budget raises ResourceLimitError.
+
+    Every term is non-negative, so the relative error is bounded a priori:
+      * truncation lowers the result, by at most the sum over p of
+        4 p (log p)^-ell 2^-(PRECISION_BITS+20);
+      * rounding adds at most w (2 ell + 10) 2^-PRECISION_BITS.
+    For every spec within the budget both stay below 2^-220, so the float
+    returned is the exact ratio rounded to nearest unless the ratio lies
+    that close to a rounding boundary.
     """
     if ell < 0:
         raise ValueError("ell must be >= 0")
     if ell > _MAX_ELL_FACTORIZED:
         raise ValueError(f"ell > {_MAX_ELL_FACTORIZED} not supported")
-    if spec.w * spec.b > _FACTORIZED_BUDGET:
-        raise ResourceLimitError(f"w*b = {spec.w * spec.b} exceeds budget")
-    if precision_bits < 64:
-        raise ValueError("precision_bits must be >= 64")
-    with mpmath.workprec(precision_bits):
-        full = _ratio_factorized_at(spec, ell)
-    with mpmath.workprec(precision_bits // 2):
-        half = _ratio_factorized_at(spec, ell)
-        rel = abs(full - half) / (abs(full) + mpmath.mpf(1e-300))
-        if rel > mpmath.mpf(2) ** (-(precision_bits // 4)):
-            raise PrecisionUnreachableError(
-                f"half-precision check fails: relative drift {float(rel):.3e}"
-            )
-    return float(full)
+    cutoffs = _alpha_cutoffs(spec, ell)
+    units = (sum(cutoffs) + spec.w) * (ell + 1)
+    if units > _FACTORIZED_BUDGET:
+        raise ResourceLimitError(
+            f"sum_p (A_p + 1)(ell + 1) = {units} alpha terms exceeds budget "
+            f"{_FACTORIZED_BUDGET}"
+        )
+    b = spec.b
+    with mpmath.workprec(PRECISION_BITS):
+        m = [mpmath.mpf(1)] + [mpmath.mpf(0)] * ell
+        for p, top in zip(spec.primes, cutoffs):
+            # sums[j] = sum_alpha (b - alpha) alpha^j p^(top - alpha), exactly
+            terms = [(b - a) * p ** (top - a) for a in range(1, top + 1)]
+            sums = [b * p**top + sum(terms)]
+            for j in range(1, ell + 1):
+                terms = [t * a for a, t in enumerate(terms, 1)]
+                sums.append(sum(terms))
+            lp = mpmath.log(p)
+            scale = 1 / mpmath.mpf(b * p**top)
+            t = [mpmath.mpf(s) * scale * lp**j for j, s in enumerate(sums)]
+            m = [mpmath.fsum(math.comb(n, k) * m[k] * t[n - k] for k in range(n + 1))
+                 for n in range(ell + 1)]
+        return float(m[ell])
 
 
 # ---------------------------------------------------------------------------

@@ -100,8 +100,10 @@ def zeta_derivative_truncated(ell: int, sigma: float, t: float, N: int) -> EvalR
     """
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    if sigma < _MIN_SIGMA:
-        raise ValueError(f"sigma must be >= {_MIN_SIGMA}, got {sigma}")
+    if not _MIN_SIGMA <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= {_MIN_SIGMA}, got {sigma}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if not isinstance(N, (int, np.integer)) or N < 2:
         raise ValueError(f"N must be an integer >= 2, got {N!r}")
     if sigma == 1.0 and t == 0.0:

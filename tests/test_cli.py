@@ -39,7 +39,8 @@ def test_rho_and_table_roundtrip(tmp_path):
 
 def test_unknown_flag_exits_2_without_output():
     for argv in (("moments", "--ell", "3", "--bogus"),
-                 ("--threads", "1", "moments", "--ell", "3")):
+                 ("--threads", "1", "moments", "--ell", "3"),
+                 ("--precision-bits", "256", "moments", "--ell", "3")):
         r = run_cli(*argv)
         assert r.returncode == 2, argv
         assert r.stdout == b"", argv
@@ -71,6 +72,18 @@ def test_non_finite_scale_exits_2(log10_T):
     _assert_invalid_argument(run_cli("proof-bookkeeping", "--ell", "1", "--log10-T", log10_T))
 
 
+@pytest.mark.parametrize("argv", [
+    ("laplace-check", "--s", "nan", "--max-u", "25"),
+    ("laplace-check", "--s", "inf", "--max-u", "25"),
+    ("zeta-eval", "--ell", "1", "--sigma", "1", "--t", "nan", "--N", "100"),
+    ("zeta-eval", "--ell", "1", "--sigma", "1", "--t", "inf", "--N", "100"),
+    ("zeta-eval", "--ell", "1", "--sigma", "nan", "--t", "5", "--N", "100"),
+], ids=["s-nan", "s-inf", "t-nan", "t-inf", "sigma-nan"])
+def test_non_finite_argument_exits_2(argv):
+    # NaN passes a plain "s < 0" test; neither it nor inf may reach the output
+    _assert_invalid_argument(run_cli(*argv))
+
+
 def test_bookkeeping_beyond_table_exits_2():
     # u_R = 6.135 > max_u = 4: no S2 from an integral clipped at the table end
     _assert_invalid_argument(run_cli("proof-bookkeeping", "--ell", "6", "--log10-T", "1e8",
@@ -78,12 +91,24 @@ def test_bookkeeping_beyond_table_exits_2():
 
 
 def test_inconsistent_table_file_exits_2(tmp_path):
-    path = tmp_path / "table.json"
-    assert run_cli("rho", "--u", "2.0", "--max-u", "10", "--save-table", str(path)).returncode == 0
-    doc = json.loads(path.read_text())
-    doc["intervals"][-1]["k"] = 10
-    path.write_text(json.dumps(doc))
-    _assert_invalid_argument(run_cli("rho", "--u", "5", "--table", str(path)))
+    saved = tmp_path / "table.json"
+    assert run_cli("rho", "--u", "2.0", "--max-u", "10", "--save-table", str(saved)).returncode == 0
+
+    def renumber_last_interval(doc):
+        doc["intervals"][-1]["k"] = 10
+
+    def drop_coeffs(doc):
+        del doc["intervals"][3]["coeffs"]
+
+    def drop_tol(doc):
+        del doc["tol"]
+
+    for edit in (renumber_last_interval, drop_coeffs, drop_tol):
+        doc = json.loads(saved.read_text())
+        edit(doc)
+        path = tmp_path / f"{edit.__name__}.json"
+        path.write_text(json.dumps(doc))
+        _assert_invalid_argument(run_cli("rho", "--u", "5", "--table", str(path)))
 
 
 def test_resource_limit_exits_3():

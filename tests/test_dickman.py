@@ -221,6 +221,11 @@ def test_laplace_validation(table12):
         dickman.laplace_rhs(101.0)
     with pytest.raises(ValueError):
         dickman.laplace_lhs(-0.1, table12, 1e-8)
+    for s in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            dickman.laplace_lhs(s, table12, 1e-8)
+        with pytest.raises(ValueError):
+            dickman.laplace_rhs(s)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +295,23 @@ def _cut_interval_tols(doc):
     doc["interval_tols"] = doc["interval_tols"][:3]
 
 
+def _drop_coeffs(doc):
+    del doc["intervals"][3]["coeffs"]
+
+
+def _drop_tol(doc):
+    del doc["tol"]
+
+
+def _intervals_not_a_list(doc):
+    doc["intervals"] = 5
+
+
 @pytest.mark.parametrize("edit", [_set_max_u, _renumber_last_interval, _repeat_interval,
-                                  _cut_interval_tols])
+                                  _cut_interval_tols, _drop_coeffs, _drop_tol,
+                                  _intervals_not_a_list])
 def test_load_rejects_inconsistent_table(tmp_path, edit):
-    # each edit leaves max_u, the interval keys and interval_tols inconsistent
+    # each edit leaves max_u, the interval keys and interval_tols inconsistent,
+    # or removes or mistypes an entry
     with pytest.raises(ValueError):
         dickman.load_table(_edited_table_file(tmp_path, edit))

@@ -1,11 +1,13 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from zetamax import dickman, resonator
 from zetamax.constants import EXP_GAMMA
 from zetamax.errors import OutOfDomainError, OutOfRegimeError, ResourceLimitError
+from zetamax.moments import complete_bell
 
 LOG10 = math.log(10.0)
 
@@ -55,18 +57,27 @@ def test_ratio_ell0_exceeds_one():
         assert resonator.ratio_direct(resonator.make_spec(y, b), 0) > 1.0
 
 
+# specs whose cumulants sum_p (log g_p)^(j)(1) break the sign pattern (-1)^j
+# at some j <= 10, so a cumulant/Bell route cancels on them
+WRONG_SIGN_SPECS = [(2, 2), (3, 2), (7, 3), (13, 4), (13, 3), (5, 2), (2, 3)]
+
+
 def test_factorized_matches_direct_random_specs():
     rng = random.Random(1105)
-    cases = [(2, 2), (3, 2), (2, 3), (5, 2), (7, 3)]
-    cases += [(rng.choice([2, 3, 5, 7, 11, 13]), rng.randint(2, 5)) for _ in range(10)]
-    for (y, b) in cases:
+    cases = [((y, b), range(11)) for (y, b) in WRONG_SIGN_SPECS]
+    cases += [((rng.choice([2, 3, 5, 7, 11, 13]), rng.randint(2, 5)), (0, 1, 2, 3, 5))
+              for _ in range(10)]
+    for (y, b), ells in cases:
         sp = resonator.make_spec(y, b)
         if sp.b ** sp.w > 10**5:
             continue
-        for ell in (0, 1, 2, 3, 5):
+        for ell in ells:
             d = resonator.ratio_direct(sp, ell)
             f = resonator.ratio_factorized(sp, ell)
-            assert f == pytest.approx(d, abs=1e-10), (y, b, ell)
+            assert f == pytest.approx(d, rel=1e-13), (y, b, ell)
+            # beyond ell = 5 the ratio reaches 9e5, where one float step is 1.2e-10
+            if ell <= 5:
+                assert f == pytest.approx(d, abs=1e-10), (y, b, ell)
 
 
 def test_factorized_ell0_equals_closed_product():
@@ -142,9 +153,98 @@ def test_lower_bound_witness_trend(table60_unused=None):
 def test_precision_bits_validation():
     sp = resonator.make_spec(3, 2)
     with pytest.raises(ValueError):
-        resonator.ratio_factorized(sp, 1, precision_bits=16)
-    with pytest.raises(ValueError):
         resonator.ratio_factorized(sp, 65)
+
+
+# ---------------------------------------------------------------------------
+# the cumulant/Bell route that ratio_factorized replaced, kept as an oracle
+
+def _log_derivatives_from_plain(g: list) -> list:
+    """Given [g(1), g'(1), .., g^(m)(1)], return [h'(1), .., h^(m)(1)] for
+    h = log g, via g^(m) = sum_{i} C(m-1, i) g^(m-1-i) h^(i+1)."""
+    m = len(g) - 1
+    h = [None] * (m + 1)  # h[j] = h^(j)(1), h[0] unused
+    for order in range(1, m + 1):
+        acc = g[order]
+        for i in range(0, order - 1):
+            acc -= math.comb(order - 1, i) * g[order - 1 - i] * h[i + 1]
+        h[order] = acc / g[0]
+    return h[1:]
+
+
+def _ratio_factorized_at(spec: resonator.ResonatorSpec, ell: int) -> mpmath.mpf:
+    primes, b = spec.primes, spec.b
+    g0_log = mpmath.mpf(0)
+    cum = [mpmath.mpf(0)] * ell  # c_j = sum_p (log g_p)^(j)(1), j = 1..ell
+    eps = mpmath.mpf(2) ** (-mpmath.mp.prec - 20)
+    for p in primes:
+        lp = mpmath.log(p)
+        inv_p = mpmath.mpf(1) / p
+        g = [mpmath.mpf(0)] * (ell + 1)
+        pw = mpmath.mpf(1)  # p^(-alpha)
+        # remaining terms carry a factor up to (alpha log p)^ell, so the
+        # cutoff must absorb it before comparing against working precision
+        growth = max(mpmath.mpf(1), (b * lp) ** ell)
+        for alpha in range(0, b):
+            coef = (mpmath.mpf(b - alpha) / b) * pw
+            apow = mpmath.mpf(1)  # (alpha * log p)^j
+            g[0] += coef
+            for j in range(1, ell + 1):
+                apow *= alpha * lp
+                # g_p^(j)(1) = sum_alpha coef * (-alpha log p)^j
+                g[j] += coef * apow if j % 2 == 0 else -coef * apow
+            pw *= inv_p
+            if alpha > ell and pw * growth < eps:
+                break
+        g0_log += mpmath.log(g[0])
+        if ell:
+            h = _log_derivatives_from_plain(g)
+            for j in range(ell):
+                cum[j] += h[j]
+    g_total = mpmath.exp(g0_log)
+    if ell == 0:
+        return g_total
+    bell = complete_bell(ell, cum)
+    return (-1) ** ell * g_total * bell
+
+
+def test_factorized_matches_cumulant_bell_oracle():
+    for k in (4, 5, 6):
+        sp = resonator.spec_from_T(log_T=10**k)
+        for ell in (0, 1, 2, 6, 10):
+            with mpmath.workprec(256):
+                oracle = float(_ratio_factorized_at(sp, ell))
+            assert resonator.ratio_factorized(sp, ell) == pytest.approx(oracle, rel=1e-14), (k, ell)
+
+
+def test_factorized_budget_counts_alpha_terms():
+    # the budget counts the alpha terms kept, sum_p (A_p + 1)(ell + 1), not w b
+    def units(sp, ell):
+        return (sum(resonator._alpha_cutoffs(sp, ell)) + sp.w) * (ell + 1)
+
+    sp8 = resonator.spec_from_T(log_T=1e8)
+    assert units(sp8, 60) <= resonator._FACTORIZED_BUDGET
+    sp = resonator.spec_from_T(log_T=1e9)
+    assert sp.w * sp.b > resonator._FACTORIZED_BUDGET
+    assert units(sp, 6) < 10**6
+    # ell = 1 is G(1) sum_p E[X_p]: a float check with no convolution
+    coefs = [[(1 - a / sp.b) * float(p) ** -a for a in range(80)] for p in sp.primes]
+    g1 = math.prod(math.fsum(c) for c in coefs)
+    mean = math.fsum(math.fsum(a * math.log(p) * ca for a, ca in enumerate(c)) / math.fsum(c)
+                     for p, c in zip(sp.primes, coefs))
+    assert resonator.ratio_factorized(sp, 1) == pytest.approx(g1 * mean, rel=1e-12)
+
+
+def test_factorized_budget_guard_rejects_before_any_work(monkeypatch):
+    # A_p = b - 1 = 2 for every prime: 3 w (ell + 1) = 2.7e7 alpha terms
+    sp = resonator.make_spec(2 * 10**6, 3)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("alpha sums started before the budget check")
+
+    monkeypatch.setattr(resonator.mpmath, "workprec", no_work)
+    with pytest.raises(ResourceLimitError, match="exceeds budget"):
+        resonator.ratio_factorized(sp, 60)
 
 
 # ---------------------------------------------------------------------------

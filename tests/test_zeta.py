@@ -39,6 +39,9 @@ def test_truncated_validation():
         zeta.zeta_derivative_truncated(0, 2.0, 0.0, 1)
     with pytest.raises(ValueError):
         zeta.zeta_derivative_truncated(-1, 2.0, 0.0, 100)
+    for sigma, t in [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)]:
+        with pytest.raises(ValueError):
+            zeta.zeta_derivative_truncated(1, sigma, t, 100)
 
 
 def test_conjugate_symmetry_exact():
