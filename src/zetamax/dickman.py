@@ -27,12 +27,11 @@ import json
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 from numpy.polynomial import chebyshev as C
 from numpy.polynomial import legendre as L
 
-from .constants import EULER_GAMMA, GAMMA_LITERAL
+from .constants import EULER_GAMMA
 from .errors import OutOfDomainError, PrecisionUnreachableError, TailNotCertifiedError
 
 DEFAULT_DEGREE = 16
@@ -256,29 +255,35 @@ def _ein_series_float(s: float) -> float:
     return math.fsum(total)
 
 
-def _ein_series_mp(s: float, dps: int) -> mpmath.mpf:
-    with mpmath.workdps(dps):
-        ss = mpmath.mpf(s)
-        total = mpmath.mpf(0)
-        term = mpmath.mpf(1)
-        m = 1
-        while True:
-            term *= ss / m
-            contrib = term / m
-            total += contrib if m % 2 == 1 else -contrib
-            if m > s and abs(contrib) < mpmath.mpf(10) ** (-dps):
-                break
-            m += 1
-        return total
+def _e1_continued_fraction(s: float) -> float:
+    # E1(s) = e^-s / (s+1 - 1/(s+3 - 4/(s+5 - 9/(s+7 - ...)))) by the
+    # modified Lentz method, c starting at infinity for its 1/tiny.  For
+    # s > 8 every denominator stays above 1 and delta reaches exactly 1.0
+    # within 19 steps.
+    b = s + 1.0
+    c = math.inf
+    d = 1.0 / b
+    h = d
+    for i in range(1, 100):
+        a = -float(i * i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) <= 1e-17:
+            break
+    return h * math.exp(-s)
 
 
 def laplace_rhs(s: float, tol: float = 1e-12) -> float:
-    """Closed form exp(gamma + int_0^s (e^{-z}-1)/z dz), via the everywhere-
-    convergent series int_0^s (e^{-z}-1)/z dz = sum_{m>=1} (-s)^m/(m*m!).
+    """Closed form exp(gamma + int_0^s (e^{-z}-1)/z dz) = exp(gamma - Ein(s)).
 
-    The series alternates with terms up to ~e^s/s^{3/2}, so cancellation
-    outgrows float64 near s ~ 12; larger s switches to mpmath with digits
-    scaled to the cancellation.
+    For s <= 8, the everywhere-convergent series Ein(s) = sum_{m>=1}
+    (-1)^{m-1} s^m/(m*m!) in float64.  Its terms alternate and grow to
+    ~e^s/s^{3/2}, so cancellation outgrows float64 beyond; there
+    Ein(s) = gamma + log s + E1(s) gives exp(-E1(s))/s with no cancellation,
+    and E1 comes from its continued fraction.
     """
     if not 0 <= s <= 100:
         raise ValueError(f"s must lie in [0, 100], got {s}")
@@ -288,10 +293,7 @@ def laplace_rhs(s: float, tol: float = 1e-12) -> float:
         return math.exp(EULER_GAMMA)
     if s <= 8.0:
         return math.exp(EULER_GAMMA - _ein_series_float(s))
-    dps = int(25 + 0.45 * s)
-    with mpmath.workdps(dps):
-        val = mpmath.exp(mpmath.mpf(GAMMA_LITERAL) - _ein_series_mp(s, dps))
-        return float(val)
+    return math.exp(-_e1_continued_fraction(s)) / s
 
 
 def save_table(table: DickmanTable, path: str) -> None:

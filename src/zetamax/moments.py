@@ -120,8 +120,8 @@ def bound_prediction(kind: str, ell: int, scale: float) -> float:
     """
     if kind not in BOUND_KINDS:
         raise ValueError(f"kind must be one of {BOUND_KINDS}, got {kind!r}")
-    if not scale > math.e:
-        raise ValueError(f"scale must exceed e so log log scale > 0, got {scale}")
+    if not math.e < scale < math.inf:
+        raise ValueError(f"scale must be finite and exceed e so log log scale > 0, got {scale}")
     loglog = math.log(math.log(scale))
     y_ell = y_exact(ell).float_value
     c = 2.0 ** (ell + 1) * y_ell if kind == "rh-upper" else y_ell

@@ -1,17 +1,20 @@
 """Smooth-number counting and twisted sums.
 
 Psi(x, y) counts integers n <= x whose largest prime factor P+(n) is at most
-y; Psi(x, y; f) is the f-weighted version.  Two counting strategies are
-selected automatically: a largest-prime-factor sieve scan for x within the
-sieve budget, and exponent-vector depth-first enumeration over the primes
-<= y when pi(y) is small, which also covers x far beyond any sieve.
+y; Psi(x, y; f) is the f-weighted version.  One helper, `_enumerated`,
+chooses the route for both: when pi(y) <= 20 and the smooth numbers fit the
+node budget it returns them, found by exponent-vector depth-first
+enumeration over the primes <= y (any x); otherwise the caller scans the
+largest-prime-factor sieve, which covers x <= 1e8.  The route test sieves
+the primes only up to 73, the 21st prime, so a large y costs nothing
+before the sieve's own budget check.
 
 Every twisted sum is a compensated sum of f over blocks of integers
 (`sums.compensated_sum`), so 1e8-term unit-modulus sums keep ~1 ulp
-accumulation error and results are bit-reproducible.  The enumeration route
-sorts the smooth numbers into an array and, within the sieve range, cuts it
-at the sieve route's block boundaries, so both routes sum identical arrays
-and agree bit for bit.
+accumulation error and results are bit-reproducible.  Within the sieve
+range the enumeration route sorts its numbers and cuts them at the sieve
+route's block boundaries, so both routes sum identical arrays and agree
+bit for bit.
 
 The module-level sieve cache is built single-owner and only read
 afterwards; all sum operations are pure given their inputs.
@@ -32,9 +35,10 @@ from .errors import ResourceLimitError
 from .primes import sieve_primes
 from .sums import CHUNK, chunks, compensated_sum, phases
 
-DEFAULT_SIEVE_LIMIT = 10**8
-DEFAULT_FULL_SUM_LIMIT = 10**8
+_SIEVE_LIMIT = 10**8
+_FULL_SUM_LIMIT = 10**8
 _ENUM_PRIME_BOUND = 20  # exponent-vector enumeration engages when pi(y) <= 20
+_ENUM_Y_CAP = 73  # the 21st prime: pi(min(y, 73)) <= 20 exactly when pi(y) <= 20
 _ENUM_NODE_BUDGET = 10**7
 
 
@@ -94,7 +98,7 @@ class ProfileRecord:
 _spf_cache: dict = {"limit": 0, "table": None}
 
 
-def spf_sieve(limit: int, *, limit_cap: int = DEFAULT_SIEVE_LIMIT) -> np.ndarray:
+def spf_sieve(limit: int) -> np.ndarray:
     """Array a with a[n] = P+(n) for 2 <= n <= limit; a[1] = 1, a[0] = 0.
 
     Two phases.  First, ascending slice passes for the primes p <= r =
@@ -105,8 +109,8 @@ def spf_sieve(limit: int, *, limit_cap: int = DEFAULT_SIEVE_LIMIT) -> np.ndarray
     every m <= limit // P, one multiplier m at a time, as the last write.
     """
     limit = int(limit)
-    if limit < 2 or limit > limit_cap:
-        raise ResourceLimitError(f"sieve limit {limit} outside [2, {limit_cap}]")
+    if limit < 2 or limit > _SIEVE_LIMIT:
+        raise ResourceLimitError(f"sieve limit {limit} outside [2, {_SIEVE_LIMIT}]")
     table = np.zeros(limit + 1, dtype=np.int32)
     table[1] = 1
     r = math.isqrt(limit)
@@ -122,7 +126,7 @@ def spf_sieve(limit: int, *, limit_cap: int = DEFAULT_SIEVE_LIMIT) -> np.ndarray
 def _shared_spf(limit: int) -> np.ndarray:
     if _spf_cache["limit"] < limit:
         # grow geometrically so ascending-x call sequences amortize
-        target = max(limit, min(max(2 * _spf_cache["limit"], 4096), DEFAULT_SIEVE_LIMIT))
+        target = max(limit, min(max(2 * _spf_cache["limit"], 4096), _SIEVE_LIMIT))
         _spf_cache["table"] = spf_sieve(target)
         _spf_cache["limit"] = target
     return _spf_cache["table"]
@@ -136,9 +140,9 @@ def iter_smooth(x: float, y: float, *, node_budget: int = _ENUM_NODE_BUDGET) -> 
 
     Requires pi(y) <= 20; raises ResourceLimitError beyond node_budget.
     """
-    primes = sieve_primes(int(y))
+    primes = sieve_primes(min(int(y), _ENUM_Y_CAP))
     if len(primes) > _ENUM_PRIME_BOUND:
-        raise ResourceLimitError(f"pi({y}) = {len(primes)} > {_ENUM_PRIME_BOUND}")
+        raise ResourceLimitError(f"pi({y}) > {_ENUM_PRIME_BOUND}")
     budget = node_budget
     xi = math.floor(x)
 
@@ -158,6 +162,19 @@ def iter_smooth(x: float, y: float, *, node_budget: int = _ENUM_NODE_BUDGET) -> 
         yield from rec(0, 1)
 
 
+def _enumerated(x: float, y: float) -> np.ndarray | None:
+    """The y-smooth n <= x, unordered, or None when pi(y) > 20 or they
+    exceed the node budget; None sends the caller to the sieve."""
+    if len(sieve_primes(min(int(y), _ENUM_Y_CAP))) > _ENUM_PRIME_BOUND:
+        return None
+    # int64 holds every n <= x below 2^63; beyond it the ints stay Python ints
+    dtype = np.int64 if x < 2**63 else object
+    try:
+        return np.fromiter(iter_smooth(x, y), dtype=dtype)
+    except ResourceLimitError:
+        return None
+
+
 # ---------------------------------------------------------------------------
 # default Dickman table for the density comparison
 
@@ -173,42 +190,35 @@ def _density_table() -> DickmanTable:
 # ---------------------------------------------------------------------------
 # counting
 
-def psi_count(
-    x: float,
-    y: float,
-    *,
-    sieve_limit: int = DEFAULT_SIEVE_LIMIT,
-    table: DickmanTable | None = None,
-) -> SmoothCountResult:
+def _floor(x: float) -> int:
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
+    return math.floor(x)
+
+
+def psi_count(x: float, y: float) -> SmoothCountResult:
     """Exact Psi(x, y) together with the Dickman approximation x*rho(u).
 
-    Strategy: y >= x is trivial; else exponent-vector enumeration when
-    pi(y) <= 20 (any x), falling back to a sieve scan for x within budget.
+    y >= x counts every n <= x; otherwise the count is the size of the
+    enumerated set when `_enumerated` returns one, and a scan of the
+    largest-prime-factor sieve (x <= 1e8, else ResourceLimitError) when not.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    if y < 2:
+    if not y >= 2:
         raise ValueError(f"y must be >= 2, got {y}")
-    xi = math.floor(x)
+    xi = _floor(x)
     if y >= x:
         count = xi
     else:
-        count = None
-        if len(sieve_primes(int(y))) <= _ENUM_PRIME_BOUND:
-            try:
-                count = sum(1 for _ in iter_smooth(x, y))
-            except ResourceLimitError:
-                count = None
-        if count is None:
-            if xi > sieve_limit:
-                raise ResourceLimitError(
-                    f"x={x}: no counting strategy within budget (sieve_limit={sieve_limit})"
-                )
-            spf = _shared_spf(xi)
-            count = 1 + int(np.count_nonzero(spf[2 : xi + 1] <= y))
+        ns = _enumerated(x, y)
+        if ns is not None:
+            count = ns.size
+        else:
+            count = 1 + int(np.count_nonzero(_shared_spf(xi)[2 : xi + 1] <= y))
 
     u = math.log(x) / math.log(y)
-    t = table if table is not None else _density_table()
+    t = _density_table()
     rho_u = rho(u, t) if u <= t.max_u else math.exp(log_rho_asymptotic_main(u))
     approx = x * rho_u
     rel = count / approx - 1.0 if approx > 0 else math.inf
@@ -241,56 +251,36 @@ def _sieved_blocks(xi: int, keep) -> Iterator[np.ndarray]:
         yield ns[keep(spf[ns[0] : ns[-1] + 1])]
 
 
-def _enumerated_blocks(x: float, y: float, xi: int, sieve_limit: int) -> list[np.ndarray]:
-    """The y-smooth n <= x, sorted and cut into blocks: [1], then the
-    sieve route's blocks when xi is within the sieve range, else CHUNK
-    entries each (value boundaries would mean ~x/CHUNK mostly empty cuts)."""
-    ns = np.sort(np.fromiter(iter_smooth(x, y), dtype=np.int64))
-    if xi <= sieve_limit:
-        cuts = np.searchsorted(ns, np.arange(2, xi + 1, CHUNK))
-    else:
-        cuts = np.arange(1, ns.size, CHUNK)
-    return np.split(ns, cuts)
-
-
-def smooth_twisted_sum(
-    x: float,
-    y: float,
-    twist: TwistSpec,
-    *,
-    sieve_limit: int = DEFAULT_SIEVE_LIMIT,
-) -> complex:
-    """Exact Psi(x, y; f) = sum over y-smooth n <= x of f(n)."""
+def smooth_twisted_sum(x: float, y: float, twist: TwistSpec) -> complex:
+    """Exact Psi(x, y; f) = sum over y-smooth n <= x of f(n), by the route
+    psi_count takes for the same (x, y)."""
     if x < 1:
         return 0j
-    if y < 2:
+    if not y >= 2:
         raise ValueError(f"y must be >= 2, got {y}")
-    xi = math.floor(x)
+    xi = _floor(x)
     if y >= x:
         # every n <= x is y-smooth: identical value AND identical float path,
         # so full - smooth is exactly zero here
         return full_twisted_sum(x, twist)
 
-    blocks = None
-    if len(sieve_primes(int(y))) <= _ENUM_PRIME_BOUND:
-        try:
-            blocks = _enumerated_blocks(x, y, xi, sieve_limit)
-        except ResourceLimitError:
-            pass
-    if blocks is None:
-        if xi > sieve_limit:
-            raise ResourceLimitError(f"x={x} exceeds sieve budget {sieve_limit}")
+    ns = _enumerated(x, y)
+    if ns is None:
         one = np.ones(1, dtype=np.int64)
         blocks = itertools.chain([one], _sieved_blocks(xi, lambda p: p <= y))
-    return compensated_sum(_twist_values(ns, twist) for ns in blocks)
+    else:
+        ns.sort()
+        # [1], then the sieve route's blocks; beyond the sieve, CHUNK entries
+        # each (value boundaries would mean ~x/CHUNK mostly empty cuts)
+        if xi <= _SIEVE_LIMIT:
+            cuts = np.searchsorted(ns, np.arange(2, xi + 1, CHUNK))
+        else:
+            cuts = np.arange(1, ns.size, CHUNK)
+        blocks = np.split(ns, cuts)
+    return compensated_sum(_twist_values(b, twist) for b in blocks)
 
 
-def full_twisted_sum(
-    x: float,
-    twist: TwistSpec,
-    *,
-    limit: int = DEFAULT_FULL_SUM_LIMIT,
-) -> complex:
+def full_twisted_sum(x: float, twist: TwistSpec) -> complex:
     """Exact sum_{n <= x} f(n).
 
     Character twists reduce over full periods (the period sum is exact by
@@ -298,7 +288,7 @@ def full_twisted_sum(
     """
     if x < 1:
         return 0j
-    xi = math.floor(x)
+    xi = _floor(x)
     if isinstance(twist, Trivial):
         return complex(xi)
     if isinstance(twist, Character):
@@ -310,15 +300,15 @@ def full_twisted_sum(
         if rem:
             total += complex(prefix[rem - 1])
         return total
-    if xi > limit:
-        raise ResourceLimitError(f"x={x} exceeds full-sum budget {limit}")
+    if xi > _FULL_SUM_LIMIT:
+        raise ResourceLimitError(f"x={x} exceeds full-sum budget {_FULL_SUM_LIMIT}")
     return compensated_sum(_twist_values(ns, twist) for ns in chunks(1, xi))
 
 
 def nonsmooth_twisted_sum(x: float, y: float, twist: TwistSpec) -> complex:
     """sum over n <= x with P+(n) > y of f(n) -- the third, independent
     summation used to validate full = smooth + nonsmooth."""
-    xi = math.floor(x)
+    xi = _floor(x)
     if xi < 2:
         return 0j
     return compensated_sum(_twist_values(ns, twist)
@@ -328,26 +318,20 @@ def nonsmooth_twisted_sum(x: float, y: float, twist: TwistSpec) -> complex:
 # ---------------------------------------------------------------------------
 # approximation error profile
 
-def approximation_error_profile(
-    x: float,
-    twist: TwistSpec,
-    y_grid,
-    *,
-    sieve_limit: int = DEFAULT_SIEVE_LIMIT,
-) -> list[ProfileRecord]:
+def approximation_error_profile(x: float, twist: TwistSpec, y_grid) -> list[ProfileRecord]:
     """Measured discrepancy |full - smooth| normalized by Psi(x, y) for each
     y in the grid.  Pure measurement; no conditional approximation theorem
     is assumed anywhere.
     """
     ys = list(y_grid)
     for y in ys:
-        if y < 2:
+        if not y >= 2:
             raise ValueError(f"every y must be >= 2, got {y}")
     full = full_twisted_sum(x, twist)
     out = []
     for y in ys:
-        smooth_val = smooth_twisted_sum(x, y, twist, sieve_limit=sieve_limit)
-        psi = psi_count(x, y, sieve_limit=sieve_limit).exact_count
+        smooth_val = smooth_twisted_sum(x, y, twist)
+        psi = psi_count(x, y).exact_count
         disc = abs(full - smooth_val)
         out.append(ProfileRecord(y=float(y), discrepancy=disc, psi_xy=psi, ratio=disc / psi))
     return out

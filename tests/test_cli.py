@@ -78,7 +78,14 @@ def test_non_finite_scale_exits_2(log10_T):
     ("zeta-eval", "--ell", "1", "--sigma", "1", "--t", "nan", "--N", "100"),
     ("zeta-eval", "--ell", "1", "--sigma", "1", "--t", "inf", "--N", "100"),
     ("zeta-eval", "--ell", "1", "--sigma", "nan", "--t", "5", "--N", "100"),
-], ids=["s-nan", "s-inf", "t-nan", "t-inf", "sigma-nan"])
+    ("psi", "--x", "inf", "--y", "10"),
+    ("psi", "--x", "100", "--y", "nan"),
+    ("twisted-sum", "--x", "inf", "--twist", "trivial"),
+    ("twisted-sum", "--x", "inf", "--y", "10", "--twist", "unimodular", "--t", "1"),
+    ("error-profile", "--x", "inf", "--twist", "trivial", "--y-grid", "2"),
+    ("bound", "--kind", "lower", "--ell", "1", "--scale", "inf"),
+], ids=["s-nan", "s-inf", "t-nan", "t-inf", "sigma-nan", "psi-x-inf", "psi-y-nan",
+        "full-sum-x-inf", "smooth-sum-x-inf", "profile-x-inf", "bound-scale-inf"])
 def test_non_finite_argument_exits_2(argv):
     # NaN passes a plain "s < 0" test; neither it nor inf may reach the output
     _assert_invalid_argument(run_cli(*argv))
@@ -111,11 +118,20 @@ def test_inconsistent_table_file_exits_2(tmp_path):
         _assert_invalid_argument(run_cli("rho", "--u", "5", "--table", str(path)))
 
 
-def test_resource_limit_exits_3():
-    r = run_cli("zeta-scan", "--ell", "1", "--t-lo", "1e4", "--t-hi", "2e4",
-                "--step", "0.05", "--N", "1000000")
+@pytest.mark.parametrize("argv", [
+    ("zeta-scan", "--ell", "1", "--t-lo", "1e4", "--t-hi", "2e4", "--step", "0.05",
+     "--N", "1000000"),
+    # pi(y) > 20 and x beyond the sieve: no route, found before any sieve work
+    ("psi", "--x", "1e10", "--y", "1e9"),
+    ("twisted-sum", "--x", "1e10", "--y", "2e9", "--twist", "trivial"),
+], ids=["zeta-scan", "psi", "twisted-sum"])
+def test_resource_limit_exits_3(argv):
+    r = run_cli(*argv)
     assert r.returncode == 3
-    assert b"resource-limit" in r.stderr
+    assert r.stdout == b""
+    lines = r.stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: resource-limit: ")
 
 
 def test_composite_modulus_rejected():

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -199,6 +200,11 @@ def test_laplace_rhs_large_s_mpmath_path():
     assert v == pytest.approx(1.0 / 50.0, rel=1e-8)
     v = dickman.laplace_rhs(12.0)
     assert 0 < v < 1.0 / 11.0
+    # above s = 8 the closed form is e^(-E1(s))/s; 60-digit mpmath oracle
+    with mpmath.workdps(60):
+        for s in [math.nextafter(8.0, 9.0)] + [8.0 + 0.25 * k for k in range(1, 369)]:
+            oracle = float(mpmath.exp(-mpmath.e1(s)) / s)
+            assert abs(dickman.laplace_rhs(s) - oracle) <= 2 * math.ulp(oracle), s
 
 
 def test_laplace_identity(table60):

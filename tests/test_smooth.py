@@ -97,6 +97,8 @@ def test_psi_count_validation():
         smooth.psi_count(0.5, 10)
     with pytest.raises(ValueError):
         smooth.psi_count(10, 1.5)
+    with pytest.raises(ValueError, match="y must be"):
+        smooth.psi_count(100, math.nan)
 
 
 def test_enumeration_matches_sieve_everywhere():
@@ -106,6 +108,29 @@ def test_enumeration_matches_sieve_everywhere():
         enum = sorted(smooth.iter_smooth(limit, y))
         sieved = [1] + [n for n in range(2, limit + 1) if spf[n] <= y]
         assert enum == sieved
+
+
+def test_route_choice_sieves_no_primes_beyond_the_sieve(monkeypatch):
+    # isqrt(1e8) = 1e4 is the largest argument spf_sieve passes; the route
+    # test for a large y must not sieve up to y
+    expected = 1 + int(np.count_nonzero(smooth.spf_sieve(10**6)[2:] <= 5 * 10**5))
+    bounded = smooth.sieve_primes
+
+    def refuse_large(n):
+        assert n <= 10**4, f"sieve_primes({n})"
+        return bounded(n)
+
+    monkeypatch.setattr(smooth, "sieve_primes", refuse_large)
+    assert smooth.psi_count(1e6, 5e5).exact_count == expected
+    assert smooth.smooth_twisted_sum(1e6, 5e5, Trivial()) == expected
+
+
+def test_psi_count_beyond_int64():
+    # the enumeration route keeps exact Python ints above 2^63
+    x = 10**20
+    count = sum(1 for a in range(67) for b in range(42) if 2**a * 3**b <= x)
+    assert smooth.psi_count(1e20, 3).exact_count == count
+    assert smooth.smooth_twisted_sum(1e20, 3, Trivial()) == count
 
 
 def test_enumeration_budget():
