@@ -62,8 +62,9 @@ class CharacterTable:
         return cmath.exp(2j * math.pi * e / self.order)
 
     def chi_vector(self, j: int, ns: np.ndarray) -> np.ndarray:
-        """chi_j over an array of positive integers."""
-        r = ns % self.q
+        """chi_j over an array of positive integers (int64, or Python ints
+        beyond 2^63: their residues mod q fit int64)."""
+        r = (ns % self.q).astype(np.int64, copy=False)
         nonzero = r != 0
         e = (j * self.dlog[r]) % self.order
         vals = np.exp((2j * np.pi / self.order) * e)

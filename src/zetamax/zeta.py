@@ -21,7 +21,10 @@ boundary term M^(1-s)/(s-1), the M^(-s)/2 term, and the Bernoulli
 corrections B_2j/(2j)! * s(s+1)..(s+2j-2) * M^(1-2j-s) are differentiated
 by the Leibniz rule, with derivatives of the Pochhammer polynomial obtained
 from elementary symmetric functions of 1/(s+i) (stable for large |s|,
-unlike expanded polynomial coefficients).
+unlike expanded polynomial coefficients).  The main term is summed in
+longdouble over `sums.chunks` blocks and combined by `sums.compensated_sum`,
+so memory is O(CHUNK) whatever the cutoff; a doubling of the cutoff adds only
+the new range to the running sum.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ _EM_BERNOULLI_TERMS = 12
 _DEFAULT_SCAN_BUDGET = 2 * 10**9
 # scan_max keeps one float64 modulus per grid point (80 MB at this size)
 _MAX_SCAN_GRID = 10**7
+# the reference streams its main term, so this bounds work, not memory; every
+# first cutoff max(2|s|, 50) with |t| <= 1e8 fits
+_MAX_EM_CUTOFF = 2**28
 
 _MIN_SIGMA = 0.6
 
@@ -165,29 +171,78 @@ def _pochhammer_derivatives(s: complex, degree: int, max_order: int) -> list[com
     return [math.factorial(m) * e[m] * p0 for m in range(max_order + 1)]
 
 
-def _em_zeta_derivative(ell: int, s: complex, M: int) -> tuple[complex, float, float]:
+def _rounding_floor(t: float, M: int, mag: float) -> float:
+    """Rounding floor of the reference at cutoff M and magnitude sum mag:
+    float64 block sums plus longdouble phases (~1e-19 relative argument
+    error).  Non-decreasing in M and in mag."""
+    return 4e-16 * mag + abs(t) * math.log(M) * 2e-19 * mag
+
+
+class _MainTerm:
+    """Running main term sum_{2<=n<end} (log n)^ell n^(-s) (without the sign
+    (-1)^ell and the n = 1 term) and its magnitude sum
+    sum_{2<=n<end} (log n)^ell n^(-sigma).
+
+    `extend(M)` adds end <= n < M over `chunks` blocks in longdouble, so
+    memory stays at a few block-length arrays whatever M.  After each
+    block's magnitude is added it raises PrecisionUnreachableError once the
+    rounding floor of cutoff M on the magnitude so far exceeds tol: the
+    final error estimate is at least that floor, and every later block or
+    larger cutoff only raises it.
+    """
+
+    def __init__(self, ell: int, s: complex, tol: float = math.inf):
+        self.ell, self.s, self.tol = ell, s, tol
+        self.end, self.value, self.mag = 2, 0j, 0.0
+
+    def extend(self, M: int) -> None:
+        blocks = chunks(self.end, M - 1)
+        self.value = compensated_sum((self._terms(ns, M) for ns in blocks), self.value)
+        self.end = M
+
+    def _terms(self, ns: np.ndarray, M: int) -> np.ndarray:
+        sigma, t = self.s.real, self.s.imag
+        logs = np.log(ns.astype(np.longdouble))
+        coeff = np.exp(-sigma * logs)
+        if self.ell:
+            coeff *= logs**self.ell
+        self.mag += float(np.sum(coeff.astype(np.float64)))  # coeff > 0
+        floor = _rounding_floor(t, M, self.mag + 1.0)
+        if floor > self.tol:
+            raise PrecisionUnreachableError(
+                f"Euler-Maclaurin cannot reach tol={self.tol} at (ell={self.ell}, "
+                f"sigma={sigma}, t={t}): rounding floor {floor:.3g} at cutoff M={M}"
+            )
+        if t == 0.0:
+            return coeff.astype(np.float64)
+        # in place, each temporary dropped once used: a block holds at most
+        # coeff, w and one complex array at a time
+        w = np.longdouble(t) * logs
+        del logs
+        w %= TWO_PI_LD
+        terms = np.longdouble(-1.0) * 1j * w
+        del w
+        np.exp(terms, out=terms)
+        terms *= coeff
+        return terms
+
+
+def _em_zeta_derivative(ell: int, s: complex, M: int,
+                        main: _MainTerm) -> tuple[complex, float, float]:
     """(zeta^(ell)(s) by Euler-Maclaurin at cutoff M, remainder band,
-    magnitude sum for the rounding floor)."""
-    sigma, t = s.real, s.imag
+    magnitude sum for the rounding floor).  `main`, the main term summed to
+    a smaller cutoff (or a fresh one), is extended to M."""
+    sigma = s.real
     L = math.log(M)
 
-    ns = np.arange(2, M, dtype=np.int64)
-    logs = np.log(ns.astype(np.longdouble))
-    coeff = (logs**ell if ell else np.ones_like(logs)) * np.exp(-sigma * logs)
-    if t == 0.0:
-        main = complex(float(np.sum(coeff.astype(np.float64))), 0.0)
-    else:
-        w = (np.longdouble(t) * logs) % TWO_PI_LD
-        terms = coeff * np.exp(np.longdouble(-1.0) * 1j * w)
-        main = complex(np.sum(terms))
-    if ell % 2 == 1:
-        main = -main  # (-log n)^ell
+    main.extend(M)
+    total = -main.value if ell % 2 == 1 else main.value  # (-log n)^ell
     if ell == 0:
-        main += 1.0  # n = 1
-    mag = float(np.sum(np.abs(coeff).astype(np.float64))) + 1.0
+        total += 1.0  # n = 1
+    mag = main.mag + 1.0
 
     m_pow = M ** complex(-s.real, -s.imag)  # M^{-s}
-    total = main + (-L) ** ell * m_pow / 2.0
+    total += (-L) ** ell * m_pow / 2.0
 
     # d^ell [ M^{1-s}/(s-1) ]
     m1_pow = M * m_pow  # M^{1-s}
@@ -226,9 +281,16 @@ def _em_zeta_derivative(ell: int, s: complex, M: int) -> tuple[complex, float, f
 def zeta_derivative_reference(ell: int, sigma: float, t: float, tol: float = 1e-10) -> EvalResult:
     """Independent Euler-Maclaurin oracle for (-1)^ell zeta^(ell)(sigma+it).
 
-    Starts at cutoff M = max(2|s|, 50) and doubles M until the remainder
-    band plus the rounding floor is below tol; raises
-    PrecisionUnreachableError if that never happens.
+    Starts at cutoff M = max(2|s|, 50) and doubles M, at most 6 times, until
+    the remainder band plus the rounding floor
+    (4e-16 + |t| log M 2e-19) * magnitude sum is below tol.  The main term
+    streams over `sums.chunks` blocks, and a doubling sums only [M, 2M).
+
+    Raises PrecisionUnreachableError as soon as the rounding floor on the
+    magnitude summed so far exceeds tol, mid-pass if need be: that floor only
+    grows, so no later block or pass could succeed.  Also raised when the
+    doublings run out.  Raises ResourceLimitError before a pass whose cutoff
+    exceeds 2^28 (every first cutoff fits).
     """
     if not 0.6 <= sigma <= 4.0:
         raise ValueError(f"sigma must lie in [0.6, 4], got {sigma}")
@@ -243,11 +305,12 @@ def zeta_derivative_reference(ell: int, sigma: float, t: float, tol: float = 1e-
 
     s = complex(sigma, t)
     M = max(int(math.ceil(2 * abs(s))), 50)
+    main = _MainTerm(ell, s, tol)
     for _ in range(7):
-        value, band, mag = _em_zeta_derivative(ell, s, M)
-        # longdouble phases: ~1e-19 relative argument error
-        rounding = 4e-16 * mag + abs(t) * math.log(M) * 2e-19 * mag
-        err = band + rounding
+        if M > _MAX_EM_CUTOFF:
+            raise ResourceLimitError(f"Euler-Maclaurin cutoff M={M} exceeds {_MAX_EM_CUTOFF}")
+        value, band, mag = _em_zeta_derivative(ell, s, M, main)
+        err = band + _rounding_floor(t, M, mag)
         if err <= tol:
             signed = (-1) ** ell * value
             return EvalResult(value=signed, sigma=sigma, t=t, ell=ell,

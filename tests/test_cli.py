@@ -124,7 +124,9 @@ def test_inconsistent_table_file_exits_2(tmp_path):
     # pi(y) > 20 and x beyond the sieve: no route, found before any sieve work
     ("psi", "--x", "1e10", "--y", "1e9"),
     ("twisted-sum", "--x", "1e10", "--y", "2e9", "--twist", "trivial"),
-], ids=["zeta-scan", "psi", "twisted-sum"])
+    # the rounding floor at the first cutoff M = 2e7 + 1 exceeds --ref-tol
+    ("zeta-eval", "--ell", "3", "--sigma", "1", "--t", "1e7", "--N", "100", "--reference"),
+], ids=["zeta-scan", "psi", "twisted-sum", "zeta-eval-reference"])
 def test_resource_limit_exits_3(argv):
     r = run_cli(*argv)
     assert r.returncode == 3
@@ -132,6 +134,15 @@ def test_resource_limit_exits_3(argv):
     lines = r.stderr.decode().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: resource-limit: ")
+
+
+def test_character_twist_beyond_int64_exits_0():
+    # the enumeration keeps Python ints above 2^63; their residues mod q
+    # must still index the character table
+    r = run_cli("twisted-sum", "--x", "1e20", "--y", "3", "--twist", "character",
+                "--q", "7", "--j", "1")
+    assert r.returncode == 0, r.stderr.decode()
+    assert json.loads(r.stdout)["schema_version"] == 1
 
 
 def test_composite_modulus_rejected():

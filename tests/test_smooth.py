@@ -133,6 +133,17 @@ def test_psi_count_beyond_int64():
     assert smooth.smooth_twisted_sum(1e20, 3, Trivial()) == count
 
 
+def test_character_twist_beyond_int64(chi7):
+    # second route: chi_value on exact Python ints, summed by fsum; the two
+    # routes round each root of unity on their own, within 2 eps per term
+    x = 10**20
+    values = [chi7.chi_value(1, 2**a * 3**b)
+              for a in range(67) for b in range(42) if 2**a * 3**b <= x]
+    expected = complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+    got = smooth.smooth_twisted_sum(1e20, 3, Character(chi7, 1))
+    assert abs(got - expected) <= len(values) * 2 * np.finfo(float).eps
+
+
 def test_enumeration_budget():
     with pytest.raises(ResourceLimitError):
         list(smooth.iter_smooth(10**6, 70, node_budget=50))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from zetamax import zeta
+from zetamax import sums, zeta
 from zetamax.errors import PrecisionUnreachableError, ResourceLimitError
 
 # classical anchors (independent of both evaluators under test)
@@ -122,6 +123,141 @@ def test_oracle_agreement_in_window():
         ref = zeta.zeta_derivative_reference(ell, sigma, t, 1e-7)
         assert zeta.in_lemma_window(t, n)
         assert abs(tr.value - ref.value) <= tr.error_estimate + ref.error_estimate
+
+
+def _em_zeta_derivative_one_array(ell, s, M):
+    """The reference before it streamed, kept as the oracle of the streamed
+    main term: the whole of 2 <= n < M as one set of longdouble arrays."""
+    sigma, t = s.real, s.imag
+    L = math.log(M)
+
+    ns = np.arange(2, M, dtype=np.int64)
+    logs = np.log(ns.astype(np.longdouble))
+    coeff = (logs**ell if ell else np.ones_like(logs)) * np.exp(-sigma * logs)
+    if t == 0.0:
+        main = complex(float(np.sum(coeff.astype(np.float64))), 0.0)
+    else:
+        w = (np.longdouble(t) * logs) % sums.TWO_PI_LD
+        terms = coeff * np.exp(np.longdouble(-1.0) * 1j * w)
+        main = complex(np.sum(terms))
+    if ell % 2 == 1:
+        main = -main  # (-log n)^ell
+    if ell == 0:
+        main += 1.0  # n = 1
+    mag = float(np.sum(np.abs(coeff).astype(np.float64))) + 1.0
+
+    m_pow = M ** complex(-s.real, -s.imag)  # M^{-s}
+    total = main + (-L) ** ell * m_pow / 2.0
+
+    # d^ell [ M^{1-s}/(s-1) ]
+    m1_pow = M * m_pow  # M^{1-s}
+    boundary = 0j
+    for i in range(ell + 1):
+        boundary += (
+            math.comb(ell, i)
+            * (-L) ** i
+            * (-1.0) ** (ell - i)
+            * math.factorial(ell - i)
+            * (s - 1.0) ** (-(ell - i) - 1)
+        )
+    total += boundary * m1_pow
+    mag += abs(boundary * m1_pow) + abs(m_pow) * L**ell / 2.0
+
+    def bern_term(jj: int) -> complex:
+        c = float(zeta._B2J[jj - 1]) / math.factorial(2 * jj)
+        pd = zeta._pochhammer_derivatives(s, 2 * jj - 1, min(ell, 2 * jj - 1))
+        leib = 0j
+        for i in range(min(ell, 2 * jj - 1) + 1):
+            leib += math.comb(ell, i) * pd[i] * (-L) ** (ell - i)
+        return c * leib * m_pow * M ** (1 - 2 * jj)
+
+    for jj in range(1, zeta._EM_BERNOULLI_TERMS + 1):
+        term = bern_term(jj)
+        total += term
+        mag += abs(term)
+
+    nxt = bern_term(zeta._EM_BERNOULLI_TERMS + 1)
+    band = 2.0 * abs(nxt) * (abs(s) + 2 * zeta._EM_BERNOULLI_TERMS + 3) / (
+        sigma + 2 * zeta._EM_BERNOULLI_TERMS + 1
+    )
+    return total, band, mag
+
+
+SMALL_CHUNK = 2**14
+
+
+@pytest.mark.parametrize("ell, sigma, t", [(0, 2.0, 0.0), (1, 1.0, 3e4), (3, 0.6, 50.0)])
+def test_streamed_reference_matches_one_array_oracle(monkeypatch, ell, sigma, t):
+    # blocks start at n = 2, so CHUNK +- 1 is one block, CHUNK + 3 ends in a
+    # one-term block and 3 CHUNK in a partial one
+    monkeypatch.setattr(sums, "CHUNK", SMALL_CHUNK)
+    s = complex(sigma, t)
+    for M in (SMALL_CHUNK - 1, SMALL_CHUNK + 1, SMALL_CHUNK + 3, 3 * SMALL_CHUNK):
+        want, want_band, want_mag = _em_zeta_derivative_one_array(ell, s, M)
+        got, band, mag = zeta._em_zeta_derivative(ell, s, M, zeta._MainTerm(ell, s))
+        assert band == want_band
+        if M <= SMALL_CHUNK + 1:  # one block: the oracle's arithmetic exactly
+            assert (got, mag) == (want, want_mag), M
+        assert mag == pytest.approx(want_mag, rel=1e-14)
+        assert abs(got - want) <= 4e-16 * want_mag, M
+        # a doubling sums only [M, 2M) onto the running main term
+        main = zeta._MainTerm(ell, s)
+        main.extend(M)
+        got, band, mag = zeta._em_zeta_derivative(ell, s, 2 * M, main)
+        want, want_band, want_mag = _em_zeta_derivative_one_array(ell, s, 2 * M)
+        assert band == want_band
+        assert mag == pytest.approx(want_mag, rel=1e-14)
+        assert abs(got - want) <= 4e-16 * want_mag, 2 * M
+
+
+def test_reference_memory_is_flat_in_the_cutoff(monkeypatch):
+    monkeypatch.setattr(sums, "CHUNK", SMALL_CHUNK)
+    s = complex(1.0, 1e4)
+
+    def peak_bytes(M):
+        tracemalloc.start()
+        try:
+            zeta._em_zeta_derivative(2, s, M, zeta._MainTerm(2, s))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = peak_bytes(2 * SMALL_CHUNK)
+    large = peak_bytes(16 * SMALL_CHUNK)
+    assert large <= 1.2 * small, (small, large)
+
+
+@pytest.fixture
+def summed_blocks(monkeypatch):
+    """Sizes of the blocks the reference's main term takes from `chunks`."""
+    sizes = []
+
+    def counting(first, last):
+        for ns in sums.chunks(first, last):
+            sizes.append(ns.size)
+            yield ns
+
+    monkeypatch.setattr(zeta, "chunks", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("ell, sigma, t, tol", [(2, 1.0, 1e5, 1e-10), (5, 1.0, 2000.0, 1e-14)])
+def test_reference_fails_fast_on_the_rounding_floor(summed_blocks, ell, sigma, t, tol):
+    # the floor at the first cutoff already exceeds tol, and doubling only
+    # raises it: no block of a second pass may be summed
+    with pytest.raises(PrecisionUnreachableError):
+        zeta.zeta_derivative_reference(ell, sigma, t, tol)
+    first_cutoff = max(math.ceil(2 * abs(complex(sigma, t))), 50)
+    assert 0 < sum(summed_blocks) <= first_cutoff - 2
+
+
+def test_reference_cutoff_cap_raises_before_any_block(summed_blocks, monkeypatch):
+    # every first cutoff within the argument range fits the cap
+    assert math.ceil(2 * abs(complex(4.0, 1e8))) <= zeta._MAX_EM_CUTOFF
+    monkeypatch.setattr(zeta, "_MAX_EM_CUTOFF", 2000)
+    with pytest.raises(ResourceLimitError):
+        zeta.zeta_derivative_reference(1, 1.0, 1000.0)  # first cutoff 2001
+    assert summed_blocks == []
 
 
 # ---------------------------------------------------------------------------
