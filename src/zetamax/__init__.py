@@ -32,7 +32,6 @@ from .errors import (
     TailNotCertifiedError,
 )
 from .moments import (
-    ExactRational,
     MomentValue,
     bound_prediction,
     complete_bell,

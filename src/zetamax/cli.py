@@ -154,8 +154,7 @@ def _cmd_zeta_eval(args) -> None:
 
 
 def _cmd_zeta_scan(args) -> None:
-    r = zeta.scan_max(args.ell, args.t_lo, args.t_hi, args.step, args.N,
-                      budget=args.budget)
+    r = zeta.scan_max(args.ell, args.t_lo, args.t_hi, args.step, args.N)
     if args.csv_out:
         with open(args.csv_out, "w", encoding="utf-8") as f:
             f.write(zeta.scan_result_to_csv(r))
@@ -321,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-hi", dest="t_hi", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--budget", type=int, default=2 * 10**9)
     p.add_argument("--csv-out", dest="csv_out", type=str, default=None)
     p.set_defaults(func=_cmd_zeta_scan)
 

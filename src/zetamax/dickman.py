@@ -57,9 +57,6 @@ class DickmanTable:
     intervals: tuple
     interval_tols: tuple
 
-    def __call__(self, u: float) -> float:
-        return rho(u, self)
-
     def end_error_bound(self) -> float:
         return self.interval_tols[-1]
 

@@ -219,6 +219,8 @@ def max_over_characters(ell: int, q: int, N: int,
                         *, table: CharacterTable | None = None) -> MaxCharResult:
     """Family maximum of |sum_{k<=N} chi(k)(-log k)^ell/k| over the q-2
     non-principal characters; deterministic smallest-j tie-break."""
+    if ell < 0:
+        raise ValueError("ell must be >= 0")
     table = table if table is not None else shared_character_table(q)
     if N < 2:
         raise ValueError("N must be >= 2")

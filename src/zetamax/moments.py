@@ -25,10 +25,6 @@ from .constants import EXP_GAMMA
 from .dickman import DickmanTable, rho
 from .errors import TailNotCertifiedError
 
-# Exact rational values are carried by fractions.Fraction: gcd-reduced,
-# positive denominator, unbounded integers.
-ExactRational = Fraction
-
 _MAX_ELL = 200
 
 BOUND_KINDS = ("lower", "rh-upper", "conjectural-asymptotic")

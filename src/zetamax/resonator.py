@@ -39,6 +39,7 @@ from .primes import sieve_primes
 _DIRECT_BUDGET = 10**7
 _FACTORIZED_BUDGET = 10**7  # sum_p (A_p + 1)(ell + 1) alpha terms
 _MAX_ELL_FACTORIZED = 60
+_MAX_SPEC_Y = 10**8
 PRECISION_BITS = 256  # working precision of ratio_factorized
 
 
@@ -54,16 +55,21 @@ class ResonatorSpec:
     w: int
     source_log_t: float | None = None
 
-    @property
-    def log_divisor_count(self) -> float:
-        return self.w * math.log(self.b)
-
 
 def make_spec(y: float, b: int, *, source_log_t: float | None = None) -> ResonatorSpec:
+    """Spec of the primes p <= y.  y above 1e8 raises ResourceLimitError
+    before the sieve (y + 1 bytes): such a spec has more than
+    pi(1e8) = 5761455 primes, beyond every evaluator's budget
+    (ratio_factorized takes w <= 5e6, ratio_direct w <= 23, and
+    resonance_quotient y < q <= 1e5)."""
+    if not math.isfinite(y):
+        raise ValueError(f"y must be finite, got {y}")
     if y < 2:
         raise ValueError(f"y must be >= 2, got {y}")
     if b < 2:
         raise ValueError(f"b must be >= 2, got {b}")
+    if y > _MAX_SPEC_Y:
+        raise ResourceLimitError(f"y={y} exceeds the prime sieve budget {_MAX_SPEC_Y}")
     primes = tuple(sieve_primes(int(y)))
     return ResonatorSpec(y=float(y), b=int(b), primes=primes, w=len(primes),
                          source_log_t=source_log_t)

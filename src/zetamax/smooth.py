@@ -135,22 +135,23 @@ def _shared_spf(limit: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exponent-vector enumeration
 
-def iter_smooth(x: float, y: float, *, node_budget: int = _ENUM_NODE_BUDGET) -> Iterator[int]:
+def iter_smooth(x: float, y: float) -> Iterator[int]:
     """Yield every y-smooth integer <= x (unordered), one node per number.
 
-    Requires pi(y) <= 20; raises ResourceLimitError beyond node_budget.
+    Requires pi(y) <= 20; raises ResourceLimitError beyond _ENUM_NODE_BUDGET
+    nodes.
     """
     primes = sieve_primes(min(int(y), _ENUM_Y_CAP))
     if len(primes) > _ENUM_PRIME_BOUND:
         raise ResourceLimitError(f"pi({y}) > {_ENUM_PRIME_BOUND}")
-    budget = node_budget
+    budget = _ENUM_NODE_BUDGET
     xi = math.floor(x)
 
     def rec(i: int, prod: int) -> Iterator[int]:
         nonlocal budget
         budget -= 1
         if budget < 0:
-            raise ResourceLimitError(f"smooth enumeration exceeds {node_budget} nodes")
+            raise ResourceLimitError(f"smooth enumeration exceeds {_ENUM_NODE_BUDGET} nodes")
         yield prod
         for j in range(i, len(primes)):
             nxt = prod * primes[j]

@@ -23,8 +23,7 @@ by the Leibniz rule, with derivatives of the Pochhammer polynomial obtained
 from elementary symmetric functions of 1/(s+i) (stable for large |s|,
 unlike expanded polynomial coefficients).  The main term is summed in
 longdouble over `sums.chunks` blocks and combined by `sums.compensated_sum`,
-so memory is O(CHUNK) whatever the cutoff; a doubling of the cutoff adds only
-the new range to the running sum.
+so memory is O(CHUNK) whatever the cutoff.
 """
 
 from __future__ import annotations
@@ -40,12 +39,9 @@ from .errors import PrecisionUnreachableError, ResourceLimitError
 from .sums import TWO_PI_LD, chunks, compensated_sum, phases
 
 _EM_BERNOULLI_TERMS = 12
-_DEFAULT_SCAN_BUDGET = 2 * 10**9
+_SCAN_BUDGET = 2 * 10**9  # grid_size * N term evaluations
 # scan_max keeps one float64 modulus per grid point (80 MB at this size)
 _MAX_SCAN_GRID = 10**7
-# the reference streams its main term, so this bounds work, not memory; every
-# first cutoff max(2|s|, 50) with |t| <= 1e8 fits
-_MAX_EM_CUTOFF = 2**28
 
 _MIN_SIGMA = 0.6
 
@@ -178,39 +174,31 @@ def _rounding_floor(t: float, M: int, mag: float) -> float:
     return 4e-16 * mag + abs(t) * math.log(M) * 2e-19 * mag
 
 
-class _MainTerm:
-    """Running main term sum_{2<=n<end} (log n)^ell n^(-s) (without the sign
-    (-1)^ell and the n = 1 term) and its magnitude sum
-    sum_{2<=n<end} (log n)^ell n^(-sigma).
+def _main_term(ell: int, s: complex, M: int, tol: float) -> tuple[complex, float]:
+    """(sum_{2<=n<M} (log n)^ell n^(-s), sum_{2<=n<M} (log n)^ell n^(-sigma)):
+    the main term without the sign (-1)^ell and the n = 1 term, and its
+    magnitude sum.
 
-    `extend(M)` adds end <= n < M over `chunks` blocks in longdouble, so
-    memory stays at a few block-length arrays whatever M.  After each
-    block's magnitude is added it raises PrecisionUnreachableError once the
-    rounding floor of cutoff M on the magnitude so far exceeds tol: the
-    final error estimate is at least that floor, and every later block or
-    larger cutoff only raises it.
+    Summed over `chunks` blocks in longdouble, so memory stays at a few
+    block-length arrays whatever M.  After each block's magnitude is added it
+    raises PrecisionUnreachableError once the rounding floor of cutoff M on
+    the magnitude so far exceeds tol: the final error estimate is at least
+    that floor, and every later block only raises it.
     """
+    sigma, t = s.real, s.imag
+    mag = 0.0
 
-    def __init__(self, ell: int, s: complex, tol: float = math.inf):
-        self.ell, self.s, self.tol = ell, s, tol
-        self.end, self.value, self.mag = 2, 0j, 0.0
-
-    def extend(self, M: int) -> None:
-        blocks = chunks(self.end, M - 1)
-        self.value = compensated_sum((self._terms(ns, M) for ns in blocks), self.value)
-        self.end = M
-
-    def _terms(self, ns: np.ndarray, M: int) -> np.ndarray:
-        sigma, t = self.s.real, self.s.imag
+    def terms(ns: np.ndarray) -> np.ndarray:
+        nonlocal mag
         logs = np.log(ns.astype(np.longdouble))
         coeff = np.exp(-sigma * logs)
-        if self.ell:
-            coeff *= logs**self.ell
-        self.mag += float(np.sum(coeff.astype(np.float64)))  # coeff > 0
-        floor = _rounding_floor(t, M, self.mag + 1.0)
-        if floor > self.tol:
+        if ell:
+            coeff *= logs**ell
+        mag += float(np.sum(coeff.astype(np.float64)))  # coeff > 0
+        floor = _rounding_floor(t, M, mag + 1.0)
+        if floor > tol:
             raise PrecisionUnreachableError(
-                f"Euler-Maclaurin cannot reach tol={self.tol} at (ell={self.ell}, "
+                f"Euler-Maclaurin cannot reach tol={tol} at (ell={ell}, "
                 f"sigma={sigma}, t={t}): rounding floor {floor:.3g} at cutoff M={M}"
             )
         if t == 0.0:
@@ -220,26 +208,52 @@ class _MainTerm:
         w = np.longdouble(t) * logs
         del logs
         w %= TWO_PI_LD
-        terms = np.longdouble(-1.0) * 1j * w
+        out = np.longdouble(-1.0) * 1j * w
         del w
-        np.exp(terms, out=terms)
-        terms *= coeff
-        return terms
+        np.exp(out, out=out)
+        out *= coeff
+        return out
+
+    value = compensated_sum(map(terms, chunks(2, M - 1)))
+    return value, mag
+
+
+def _bernoulli_term(ell: int, s: complex, M: int, jj: int) -> complex:
+    """d^ell of the jj-th Bernoulli correction B_2j/(2j)! s(s+1)..(s+2j-2) M^(1-2j-s)."""
+    L = math.log(M)
+    c = float(_B2J[jj - 1]) / math.factorial(2 * jj)
+    pd = _pochhammer_derivatives(s, 2 * jj - 1, min(ell, 2 * jj - 1))
+    leib = 0j
+    for i in range(min(ell, 2 * jj - 1) + 1):
+        leib += math.comb(ell, i) * pd[i] * (-L) ** (ell - i)
+    return c * leib * M ** complex(-s.real, -s.imag) * M ** (1 - 2 * jj)
+
+
+def _remainder_band(ell: int, s: complex, M: int) -> float:
+    """Bound on the Euler-Maclaurin remainder at cutoff M after
+    _EM_BERNOULLI_TERMS corrections, from the next Bernoulli term; O(1)."""
+    nxt = _bernoulli_term(ell, s, M, _EM_BERNOULLI_TERMS + 1)
+    return 2.0 * abs(nxt) * (abs(s) + 2 * _EM_BERNOULLI_TERMS + 3) / (
+        s.real + 2 * _EM_BERNOULLI_TERMS + 1
+    )
+
+
+def _em_cutoff(s: complex) -> int:
+    """The Euler-Maclaurin cutoff M = max(ceil(2|s|), 50)."""
+    return max(int(math.ceil(2 * abs(s))), 50)
 
 
 def _em_zeta_derivative(ell: int, s: complex, M: int,
-                        main: _MainTerm) -> tuple[complex, float, float]:
+                        tol: float = math.inf) -> tuple[complex, float, float]:
     """(zeta^(ell)(s) by Euler-Maclaurin at cutoff M, remainder band,
-    magnitude sum for the rounding floor).  `main`, the main term summed to
-    a smaller cutoff (or a fresh one), is extended to M."""
-    sigma = s.real
+    magnitude sum for the rounding floor); the main term fails fast on tol."""
     L = math.log(M)
 
-    main.extend(M)
-    total = -main.value if ell % 2 == 1 else main.value  # (-log n)^ell
+    main, main_mag = _main_term(ell, s, M, tol)
+    total = -main if ell % 2 == 1 else main  # (-log n)^ell
     if ell == 0:
         total += 1.0  # n = 1
-    mag = main.mag + 1.0
+    mag = main_mag + 1.0
 
     m_pow = M ** complex(-s.real, -s.imag)  # M^{-s}
     total += (-L) ** ell * m_pow / 2.0
@@ -258,39 +272,26 @@ def _em_zeta_derivative(ell: int, s: complex, M: int,
     total += boundary * m1_pow
     mag += abs(boundary * m1_pow) + abs(m_pow) * L**ell / 2.0
 
-    def bern_term(jj: int) -> complex:
-        c = float(_B2J[jj - 1]) / math.factorial(2 * jj)
-        pd = _pochhammer_derivatives(s, 2 * jj - 1, min(ell, 2 * jj - 1))
-        leib = 0j
-        for i in range(min(ell, 2 * jj - 1) + 1):
-            leib += math.comb(ell, i) * pd[i] * (-L) ** (ell - i)
-        return c * leib * m_pow * M ** (1 - 2 * jj)
-
     for jj in range(1, _EM_BERNOULLI_TERMS + 1):
-        term = bern_term(jj)
+        term = _bernoulli_term(ell, s, M, jj)
         total += term
         mag += abs(term)
 
-    nxt = bern_term(_EM_BERNOULLI_TERMS + 1)
-    band = 2.0 * abs(nxt) * (abs(s) + 2 * _EM_BERNOULLI_TERMS + 3) / (
-        sigma + 2 * _EM_BERNOULLI_TERMS + 1
-    )
-    return total, band, mag
+    return total, _remainder_band(ell, s, M), mag
 
 
 def zeta_derivative_reference(ell: int, sigma: float, t: float, tol: float = 1e-10) -> EvalResult:
     """Independent Euler-Maclaurin oracle for (-1)^ell zeta^(ell)(sigma+it).
 
-    Starts at cutoff M = max(2|s|, 50) and doubles M, at most 6 times, until
-    the remainder band plus the rounding floor
-    (4e-16 + |t| log M 2e-19) * magnitude sum is below tol.  The main term
-    streams over `sums.chunks` blocks, and a doubling sums only [M, 2M).
+    One pass at cutoff M = max(2|s|, 50), at most 2e8 + 2 over the argument
+    range.  There the remainder band is below 1e-6 of the rounding floor
+    (4e-16 + |t| log M 2e-19) * magnitude sum (tests/test_zeta.py sweeps the
+    range), so a larger M cannot lower the error estimate by shrinking the
+    band.  The main term streams over `sums.chunks` blocks.
 
-    Raises PrecisionUnreachableError as soon as the rounding floor on the
-    magnitude summed so far exceeds tol, mid-pass if need be: that floor only
-    grows, so no later block or pass could succeed.  Also raised when the
-    doublings run out.  Raises ResourceLimitError before a pass whose cutoff
-    exceeds 2^28 (every first cutoff fits).
+    Raises PrecisionUnreachableError when band plus floor exceeds tol, and
+    as soon as the floor on the magnitude summed so far does, mid-pass if
+    need be: that floor only grows.
     """
     if not 0.6 <= sigma <= 4.0:
         raise ValueError(f"sigma must lie in [0.6, 4], got {sigma}")
@@ -304,21 +305,16 @@ def zeta_derivative_reference(ell: int, sigma: float, t: float, tol: float = 1e-
         raise ValueError("tol must be positive")
 
     s = complex(sigma, t)
-    M = max(int(math.ceil(2 * abs(s))), 50)
-    main = _MainTerm(ell, s, tol)
-    for _ in range(7):
-        if M > _MAX_EM_CUTOFF:
-            raise ResourceLimitError(f"Euler-Maclaurin cutoff M={M} exceeds {_MAX_EM_CUTOFF}")
-        value, band, mag = _em_zeta_derivative(ell, s, M, main)
-        err = band + _rounding_floor(t, M, mag)
-        if err <= tol:
-            signed = (-1) ** ell * value
-            return EvalResult(value=signed, sigma=sigma, t=t, ell=ell,
-                              truncation=M, error_estimate=err)
-        M *= 2
-    raise PrecisionUnreachableError(
-        f"Euler-Maclaurin cannot reach tol={tol} at (ell={ell}, sigma={sigma}, t={t})"
-    )
+    M = _em_cutoff(s)
+    value, band, mag = _em_zeta_derivative(ell, s, M, tol)
+    err = band + _rounding_floor(t, M, mag)
+    if err > tol:
+        raise PrecisionUnreachableError(
+            f"Euler-Maclaurin cannot reach tol={tol} at (ell={ell}, sigma={sigma}, t={t}): "
+            f"error estimate {err:.3g} at cutoff M={M}"
+        )
+    return EvalResult(value=(-1) ** ell * value, sigma=sigma, t=t, ell=ell,
+                      truncation=M, error_estimate=err)
 
 
 # ---------------------------------------------------------------------------
@@ -330,17 +326,17 @@ def scan_max(
     t_hi: float,
     step: float,
     N: int,
-    *,
-    budget: int = _DEFAULT_SCAN_BUDGET,
 ) -> ScanResult:
     """Grid argmax of |truncated value| over t = t_lo, t_lo+step, ..;
     deterministic tie-break toward the smallest t.  `moduli` holds the
     modulus at every grid point, in grid order.
 
-    Work is grid_size * N term evaluations; exceeding `budget`, or a grid
+    Work is grid_size * N term evaluations; more than 2e9 of them, or a grid
     of more than 1e7 points, raises ResourceLimitError before any work is
     done.
     """
+    if not all(map(math.isfinite, (t_lo, t_hi, step))):
+        raise ValueError(f"t_lo, t_hi and step must be finite, got {t_lo}, {t_hi}, {step}")
     if not 0 < t_lo <= t_hi:
         raise ValueError(f"need 0 < t_lo <= t_hi, got [{t_lo}, {t_hi}]")
     if not step > 0:
@@ -350,12 +346,13 @@ def scan_max(
     if N < 2:
         raise ValueError("N must be >= 2")
 
-    grid_size = int(math.floor((t_hi - t_lo) / step + 1e-9)) + 1
+    span = (t_hi - t_lo) / step  # inf when it overflows, hence the min
+    grid_size = int(math.floor(min(span, _MAX_SCAN_GRID) + 1e-9)) + 1
     if grid_size > _MAX_SCAN_GRID:
-        raise ResourceLimitError(f"grid_size = {grid_size} exceeds {_MAX_SCAN_GRID} points")
-    if grid_size * N > budget:
+        raise ResourceLimitError(f"grid of {span:.6g} steps exceeds {_MAX_SCAN_GRID} points")
+    if grid_size * N > _SCAN_BUDGET:
         raise ResourceLimitError(
-            f"grid_size*N = {grid_size}*{N} exceeds budget {budget}"
+            f"grid_size*N = {grid_size}*{N} exceeds budget {_SCAN_BUDGET}"
         )
 
     ns = np.arange(2, N + 1, dtype=np.int64)
@@ -384,7 +381,6 @@ def scan_result_to_csv(result: ScanResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def scan_to_csv(ell: int, t_lo: float, t_hi: float, step: float, N: int,
-                *, budget: int = _DEFAULT_SCAN_BUDGET) -> str:
+def scan_to_csv(ell: int, t_lo: float, t_hi: float, step: float, N: int) -> str:
     """CSV stream `t,modulus` of scan_max over the same grid."""
-    return scan_result_to_csv(scan_max(ell, t_lo, t_hi, step, N, budget=budget))
+    return scan_result_to_csv(scan_max(ell, t_lo, t_hi, step, N))

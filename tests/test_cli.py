@@ -1,8 +1,11 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
+
+from zetamax import cli
 
 CLI = [sys.executable, "-m", "zetamax.cli"]
 
@@ -40,7 +43,9 @@ def test_rho_and_table_roundtrip(tmp_path):
 def test_unknown_flag_exits_2_without_output():
     for argv in (("moments", "--ell", "3", "--bogus"),
                  ("--threads", "1", "moments", "--ell", "3"),
-                 ("--precision-bits", "256", "moments", "--ell", "3")):
+                 ("--precision-bits", "256", "moments", "--ell", "3"),
+                 ("zeta-scan", "--ell", "0", "--t-lo", "30", "--t-hi", "31", "--step", "0.5",
+                  "--N", "64", "--budget", "5")):
         r = run_cli(*argv)
         assert r.returncode == 2, argv
         assert r.stdout == b"", argv
@@ -203,3 +208,55 @@ def test_l_max_prediction_field():
     r = run_cli("l-max", "--q", "101", "--ell", "1", "--N", "300")
     doc = json.loads(r.stdout)
     assert {"q", "ell", "N", "j_star", "modulus", "y_ell_prediction"} <= set(doc)
+
+
+# one argv per subcommand with a float option (two for proof-bookkeeping's
+# exclusive scales); together they name every float option of the parser
+FLOAT_OPTION_BASES = [
+    ("rho", "--u", "2.5", "--max-u", "8", "--tol", "1e-10"),
+    ("laplace-check", "--s", "0.5", "--quad-tol", "1e-10", "--max-u", "25", "--tol", "1e-10"),
+    ("moments", "--ell", "2", "--method", "both", "--quad-tol", "1e-9", "--max-u", "30",
+     "--tol", "1e-10"),
+    ("bound", "--kind", "lower", "--ell", "1", "--scale", "1e9"),
+    ("psi", "--x", "1000", "--y", "7"),
+    ("twisted-sum", "--x", "300", "--y", "5", "--twist", "unimodular", "--t", "1.5"),
+    ("error-profile", "--x", "150", "--twist", "unimodular", "--t", "1.5", "--y-grid", "2,20"),
+    ("zeta-eval", "--ell", "1", "--sigma", "1", "--t", "70", "--N", "70", "--reference",
+     "--ref-tol", "1e-8"),
+    ("zeta-scan", "--ell", "0", "--t-lo", "40", "--t-hi", "41", "--step", "0.5", "--N", "64"),
+    ("resonator-ratio", "--y", "3", "--b", "2", "--ell", "1"),
+    ("proof-bookkeeping", "--ell", "1", "--log10-T", "1e4", "--max-u", "20", "--tol", "1e-10"),
+    ("proof-bookkeeping", "--ell", "1", "--T", "1e300", "--max-u", "20", "--tol", "1e-10"),
+    ("resonance-quotient", "--q", "101", "--ell", "0", "--y", "3", "--b", "2"),
+]
+
+
+def _float_options():
+    """(subcommand, option string) for every float option of the parser."""
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {(name, opt) for name, p in subs.choices.items()
+            for a in p._actions if a.type is float for opt in a.option_strings}
+
+
+def _non_finite_cases():
+    floats = _float_options()
+    for base in FLOAT_OPTION_BASES:
+        for i, tok in enumerate(base):
+            if (base[0], tok) in floats:
+                for value in ("inf", "-inf", "nan"):
+                    # --opt=value, so that argparse takes -inf as a value
+                    yield [*base[:i], f"{tok}={value}", *base[i + 2:]]
+
+
+def test_non_finite_cases_cover_every_float_option():
+    covered = {(argv[0], tok.split("=")[0]) for argv in _non_finite_cases()
+               for tok in argv if "=" in tok}
+    assert covered == _float_options()
+
+
+@pytest.mark.parametrize("argv", list(_non_finite_cases()), ids=" ".join)
+def test_non_finite_float_option_exits_cleanly(argv, capsys):
+    # 0 where the value is meaningful (tol=inf), 2 or 3 otherwise; never a
+    # traceback
+    assert cli.main(argv) in (0, 2, 3)

@@ -174,6 +174,16 @@ def test_max_over_characters(chi101):
     assert res.modulus > np.mean(res.all_moduli)
 
 
+def test_max_over_characters_rejects_negative_ell(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before ell was checked")
+
+    monkeypatch.setattr(dirichlet, "shared_character_table", no_work)
+    monkeypatch.setattr(dirichlet, "_l_values_all_characters", no_work)
+    with pytest.raises(ValueError):
+        dirichlet.max_over_characters(-1, 101, 300)
+
+
 def test_max_over_characters_contains_real_character_value(chi5):
     res = dirichlet.max_over_characters(0, 5, 10**4, table=chi5)
     real_val = abs(dirichlet.l_derivative_truncated(0, chi5, 2, 10**4).value)

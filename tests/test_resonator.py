@@ -44,11 +44,22 @@ def test_spec_fields():
     assert sp.primes == (2, 3, 5, 7, 11)
 
 
-def test_make_spec_validation():
+def test_make_spec_validation(monkeypatch):
+    def no_sieve(n):
+        raise AssertionError(f"sieve_primes({n}) called")
+
+    monkeypatch.setattr(resonator, "sieve_primes", no_sieve)
     with pytest.raises(ValueError):
         resonator.make_spec(1.5, 2)
     with pytest.raises(ValueError):
         resonator.make_spec(5, 1)
+    for y in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            resonator.make_spec(y, 2)
+    # beyond 1e8 the spec holds more primes than any evaluator's budget
+    for y in (1e8 + 1, 1e10):
+        with pytest.raises(ResourceLimitError):
+            resonator.make_spec(y, 2)
 
 
 def test_ratio_ell0_exceeds_one():

@@ -144,9 +144,10 @@ def test_character_twist_beyond_int64(chi7):
     assert abs(got - expected) <= len(values) * 2 * np.finfo(float).eps
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
+    monkeypatch.setattr(smooth, "_ENUM_NODE_BUDGET", 50)
     with pytest.raises(ResourceLimitError):
-        list(smooth.iter_smooth(10**6, 70, node_budget=50))
+        list(smooth.iter_smooth(10**6, 70))
 
 
 def test_twist_validation(chi5):

@@ -194,20 +194,12 @@ def test_streamed_reference_matches_one_array_oracle(monkeypatch, ell, sigma, t)
     s = complex(sigma, t)
     for M in (SMALL_CHUNK - 1, SMALL_CHUNK + 1, SMALL_CHUNK + 3, 3 * SMALL_CHUNK):
         want, want_band, want_mag = _em_zeta_derivative_one_array(ell, s, M)
-        got, band, mag = zeta._em_zeta_derivative(ell, s, M, zeta._MainTerm(ell, s))
+        got, band, mag = zeta._em_zeta_derivative(ell, s, M)
         assert band == want_band
         if M <= SMALL_CHUNK + 1:  # one block: the oracle's arithmetic exactly
             assert (got, mag) == (want, want_mag), M
         assert mag == pytest.approx(want_mag, rel=1e-14)
         assert abs(got - want) <= 4e-16 * want_mag, M
-        # a doubling sums only [M, 2M) onto the running main term
-        main = zeta._MainTerm(ell, s)
-        main.extend(M)
-        got, band, mag = zeta._em_zeta_derivative(ell, s, 2 * M, main)
-        want, want_band, want_mag = _em_zeta_derivative_one_array(ell, s, 2 * M)
-        assert band == want_band
-        assert mag == pytest.approx(want_mag, rel=1e-14)
-        assert abs(got - want) <= 4e-16 * want_mag, 2 * M
 
 
 def test_reference_memory_is_flat_in_the_cutoff(monkeypatch):
@@ -217,7 +209,7 @@ def test_reference_memory_is_flat_in_the_cutoff(monkeypatch):
     def peak_bytes(M):
         tracemalloc.start()
         try:
-            zeta._em_zeta_derivative(2, s, M, zeta._MainTerm(2, s))
+            zeta._em_zeta_derivative(2, s, M)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -242,22 +234,36 @@ def summed_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize("ell, sigma, t, tol", [(2, 1.0, 1e5, 1e-10), (5, 1.0, 2000.0, 1e-14)])
-def test_reference_fails_fast_on_the_rounding_floor(summed_blocks, ell, sigma, t, tol):
-    # the floor at the first cutoff already exceeds tol, and doubling only
-    # raises it: no block of a second pass may be summed
+def test_reference_fails_fast_on_the_rounding_floor(summed_blocks, monkeypatch, ell, sigma, t, tol):
+    # the floor on the magnitude summed so far passes tol before the last
+    # block, and later blocks only raise it: the pass stops there
+    monkeypatch.setattr(sums, "CHUNK", 1000)
     with pytest.raises(PrecisionUnreachableError):
         zeta.zeta_derivative_reference(ell, sigma, t, tol)
-    first_cutoff = max(math.ceil(2 * abs(complex(sigma, t))), 50)
-    assert 0 < sum(summed_blocks) <= first_cutoff - 2
+    assert 0 < sum(summed_blocks) < zeta._em_cutoff(complex(sigma, t)) - 2
 
 
-def test_reference_cutoff_cap_raises_before_any_block(summed_blocks, monkeypatch):
-    # every first cutoff within the argument range fits the cap
-    assert math.ceil(2 * abs(complex(4.0, 1e8))) <= zeta._MAX_EM_CUTOFF
-    monkeypatch.setattr(zeta, "_MAX_EM_CUTOFF", 2000)
-    with pytest.raises(ResourceLimitError):
-        zeta.zeta_derivative_reference(1, 1.0, 1000.0)  # first cutoff 2001
-    assert summed_blocks == []
+def _rounding_floor_lower_bound(ell, sigma, t, M):
+    # magnitude sum >= 1 + (M - 2) min_{2 <= n < M} f(n) for
+    # f(n) = (log n)^ell n^-sigma; f is unimodal, so the minimum lies at an end
+    def f(n):
+        return math.log(n) ** ell * n**-sigma
+    return zeta._rounding_floor(t, M, 1 + (M - 2) * min(f(2), f(M - 1)))
+
+
+def test_remainder_band_is_far_below_the_rounding_floor():
+    # over the whole argument range the band at the one cutoff M0 is a
+    # millionth of the floor: a larger cutoff could not lower the estimate by
+    # shrinking the band
+    ts = [0.0, *np.logspace(0, 8, 81)]
+    for ell in range(7):
+        for sigma in np.linspace(0.6, 4.0, 35):
+            for t in ts:
+                s = complex(sigma, t)
+                M = zeta._em_cutoff(s)
+                assert M <= 2e8 + 2
+                band = zeta._remainder_band(ell, s, M)
+                assert band <= 1e-6 * _rounding_floor_lower_bound(ell, sigma, t, M), (ell, sigma, t)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +315,8 @@ def test_scan_budget_guard():
         zeta.scan_max(1, 1e4, 2e4, 0.05, 10**6)
     with pytest.raises(ResourceLimitError):  # 2e7 grid points, within the term budget
         zeta.scan_max(0, 1.0, 2e7, 1.0, 2)
+    with pytest.raises(ResourceLimitError):  # (t_hi - t_lo)/step overflows to inf
+        zeta.scan_max(0, 1.0, 1e308, 1e-10, 2)
 
 
 def test_scan_validation():
@@ -318,6 +326,10 @@ def test_scan_validation():
         zeta.scan_max(0, 10.0, 5.0, 0.5, 64)
     with pytest.raises(ValueError):
         zeta.scan_max(0, 5.0, 10.0, 0.0, 64)
+    for t_lo, t_hi, step in [(5.0, math.inf, 0.5), (math.inf, math.inf, 0.5),
+                             (5.0, 10.0, math.inf), (5.0, math.nan, 0.5)]:
+        with pytest.raises(ValueError):
+            zeta.scan_max(0, t_lo, t_hi, step, 64)
 
 
 def test_scan_csv_stream():
