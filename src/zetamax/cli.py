@@ -136,20 +136,24 @@ def _cmd_error_profile(args) -> None:
 
 
 def _cmd_zeta_eval(args) -> None:
-    r = zeta.zeta_derivative_truncated(args.ell, args.sigma, args.t, args.N)
-    doc = {
-        "ell": r.ell, "sigma": r.sigma, "t": r.t, "N": r.truncation,
-        "error_estimate": r.error_estimate,
-        "in_paper_regime": zeta.in_lemma_window(r.t, r.truncation),
-        **_complex_fields(r.value),
-    }
+    zeta.check_truncated_args(args.ell, args.sigma, args.t, args.N)
+    doc = {}
     if args.reference:
+        # before the truncated sum, so that a reference which cannot reach
+        # --ref-tol fails fast
         ref = zeta.zeta_derivative_reference(args.ell, args.sigma, args.t, args.ref_tol)
         doc.update({
             "reference_re": ref.value.real, "reference_im": ref.value.imag,
             "reference_error_estimate": ref.error_estimate,
             "reference_cutoff": ref.truncation,
         })
+    r = zeta.zeta_derivative_truncated(args.ell, args.sigma, args.t, args.N)
+    doc.update({
+        "ell": r.ell, "sigma": r.sigma, "t": r.t, "N": r.truncation,
+        "error_estimate": r.error_estimate,
+        "in_paper_regime": zeta.in_lemma_window(r.t, r.truncation),
+        **_complex_fields(r.value),
+    })
     _emit_json(doc)
 
 
@@ -215,7 +219,7 @@ def _cmd_l_max(args) -> None:
     r = dirichlet.max_over_characters(args.ell, args.q, args.N)
     if args.csv_out:
         with open(args.csv_out, "w", encoding="utf-8") as f:
-            f.write(dirichlet.moduli_to_csv(r))
+            dirichlet.moduli_to_csv(r, f)
     _emit_json({
         "q": r.q, "ell": r.ell, "N": r.N, "j_star": r.j_star, "modulus": r.modulus,
         "y_ell_prediction": moments.bound_prediction("lower", r.ell, r.q),

@@ -13,8 +13,14 @@ truncated sums degenerate (chi kills every small-prime multiple) and the
 family maxima behave differently, so composites are rejected loudly.
 
 Family-wide evaluation of sum_k chi_j(k) c_k for all j at once groups the
-real coefficients c_k by discrete-log class and applies one length-(q-1)
-FFT, turning the naive q*N work into N + q log q.
+real coefficients c_k by discrete-log class and transforms the q - 1 class
+sums, turning the naive q*N work into N + q log q.  The class sums are real
+and q - 1 = 2h is even, so the transform is one length-h complex FFT of the
+packed pairs, untangled into half the spectrum, with the other half filled
+by exact conjugate symmetry; that FFT takes one Cooley-Tukey step at the
+largest prime factor P of h, so a large prime factor of q - 1 costs a
+Bluestein transform of length P, not of length q - 1.  `moduli_to_csv`
+streams its rows in blocks.
 """
 
 from __future__ import annotations
@@ -188,9 +194,10 @@ def l_derivative_truncated(ell: int, table: CharacterTable, j: int, N: int) -> L
 def _l_values_all_characters(ell: int, table: CharacterTable, N: int) -> np.ndarray:
     """sum_{k<=N} chi_j(k) (-log k)^ell / k for every j at once.
 
-    Groups coefficients by dlog class and applies one FFT; entry j equals
-    the direct sum for character j (exactly the same quantity, different
-    association order).
+    Groups coefficients by dlog class and applies `_family_transform` (a
+    half-length FFT with one Cooley-Tukey step); entry j equals the direct
+    sum for character j (exactly the same quantity, different association
+    order), and entry q-1-j is exactly its conjugate.
     """
     if N > _MAX_N:
         raise ResourceLimitError(f"N={N} exceeds budget {_MAX_N}")
@@ -201,8 +208,44 @@ def _l_values_all_characters(ell: int, table: CharacterTable, N: int) -> np.ndar
         keep = r != 0
         ns, r = ns[keep], r[keep]
         class_sums += np.bincount(table.dlog[r], weights=_weights(ns, ell), minlength=order)
-    # chi_j(k) = omega^{+j d}; fft gives sum_d A_d omega^{-jd}, so conjugate.
-    return np.conj(np.fft.fft(class_sums))
+    return _family_transform(class_sums)
+
+
+def _cis(theta: np.ndarray) -> np.ndarray:
+    """e^(i theta) through real cos and sin, about twice as fast as a complex exp."""
+    out = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
+def _family_transform(x: np.ndarray) -> np.ndarray:
+    """sum_d x_d omega^(+jd) for every j in [0, n), omega = e^(2 pi i/n), for
+    real x of even length n = q - 1 = 2h; this is conj(fft(x)).
+
+    The pairs pack into z_m = x_2m + i x_2m+1, whose length-h FFT Z is
+    untangled into F = fft(x) at k = 0..h with the twiddle e^(-2 pi i k/n);
+    the rest is filled by exact conjugate symmetry, F_(n-k) = conj(F_k).
+    Z takes one Cooley-Tukey step: h = n1 P with P the largest prime factor
+    of h, a length-n1 FFT down the columns of z.reshape(n1, P), twiddles
+    from the exact integer exponents m2 k1 mod h, then a length-P FFT along
+    the rows, so numpy's Bluestein fallback for a large prime runs at length
+    P, not at length q - 1.
+    """
+    h = x.size // 2
+    P = max(prime_factors(h), default=1)
+    n1 = h // P
+    y = np.fft.fft((x[0::2] + 1j * x[1::2]).reshape(n1, P), axis=0)
+    y *= _cis((-2 * np.pi / h) * (np.outer(np.arange(n1), np.arange(P)) % h))
+    Z = np.empty(h + 1, dtype=np.complex128)
+    Z[:h] = np.fft.fft(y, axis=1).T.ravel()  # row k1, column k2 holds Z_(k1 + n1 k2)
+    Z[h] = Z[0]
+    Zc = np.conj(Z[::-1])  # conj(Z_(h-k))
+    F = 0.5 * (Z + Zc) - 0.5j * _cis((-np.pi / h) * np.arange(h + 1)) * (Z - Zc)
+    out = np.empty(2 * h, dtype=np.complex128)
+    np.conj(F, out=out[: h + 1])
+    out[h + 1 :] = F[h - 1 : 0 : -1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -218,7 +261,9 @@ class MaxCharResult:
 def max_over_characters(ell: int, q: int, N: int,
                         *, table: CharacterTable | None = None) -> MaxCharResult:
     """Family maximum of |sum_{k<=N} chi(k)(-log k)^ell/k| over the q-2
-    non-principal characters; deterministic smallest-j tie-break."""
+    non-principal characters; deterministic smallest-j tie-break.  chi_j
+    and chi_(q-1-j) are conjugate, so the moduli for j <= (q-1)/2 are
+    mirrored onto the rest, exactly, and j_star <= (q-1)/2."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
     table = table if table is not None else shared_character_table(q)
@@ -227,17 +272,24 @@ def max_over_characters(ell: int, q: int, N: int,
     if ell > math.log(N):
         raise ValueError(f"need ell <= log N, got ell={ell}")
     values = _l_values_all_characters(ell, table, N)
-    all_moduli = np.abs(values[1 : table.order])  # j = 1 .. q-2
+    half = np.abs(values[1 : table.order // 2 + 1])  # j = 1 .. (q-1)/2
+    all_moduli = np.concatenate([half, half[-2::-1]])  # j = 1 .. q-2, mirrored
     j_star = 1 + int(np.argmax(all_moduli))  # first occurrence = smallest j
     return MaxCharResult(ell=ell, q=table.q, N=int(N), j_star=j_star,
                          modulus=float(all_moduli[j_star - 1]), all_moduli=all_moduli)
 
 
-def moduli_to_csv(result: MaxCharResult) -> str:
-    lines = ["j,modulus"]
-    for j, m in enumerate(result.all_moduli, start=1):
-        lines.append(f"{j},{float(m)!r}")
-    return "\n".join(lines) + "\n"
+_CSV_BLOCK = 1 << 16
+
+
+def moduli_to_csv(result: MaxCharResult, out) -> None:
+    """Write the `j,modulus` rows to the text stream `out`, one block of
+    rows at a time, so no string of the whole table is ever built."""
+    out.write("j,modulus\n")
+    moduli = result.all_moduli
+    for lo in range(0, moduli.size, _CSV_BLOCK):
+        rows = enumerate(moduli[lo : lo + _CSV_BLOCK].tolist(), start=lo + 1)
+        out.write("".join(f"{j},{m!r}\n" for j, m in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +339,11 @@ def resonance_quotient(ell: int, q: int, spec,
     support = divisors_up_to(spec, A)  # all < q, all coprime to q
     S = len(support)
 
-    # R_chi for every chi via one FFT over dlog classes of the support
+    # R_chi for every chi via the family transform over dlog classes of the support
     order = table.order
     counts = np.bincount(table.dlog[np.array(support, dtype=np.int64) % q],
                          minlength=order).astype(np.float64)
-    R = np.conj(np.fft.fft(counts))
+    R = _family_transform(counts)
     R2 = np.abs(R) ** 2
 
     ml = _l_values_all_characters(ell, table, N) * (-1.0) ** ell  # (-1)^ell L^(ell)(1,chi;N)

@@ -197,6 +197,11 @@ def _floor(x: float) -> int:
     return math.floor(x)
 
 
+def _check_y(y: float) -> None:
+    if not 2 <= y < math.inf:
+        raise ValueError(f"y must be finite and >= 2, got {y}")
+
+
 def psi_count(x: float, y: float) -> SmoothCountResult:
     """Exact Psi(x, y) together with the Dickman approximation x*rho(u).
 
@@ -206,8 +211,7 @@ def psi_count(x: float, y: float) -> SmoothCountResult:
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
-    if not y >= 2:
-        raise ValueError(f"y must be >= 2, got {y}")
+    _check_y(y)
     xi = _floor(x)
     if y >= x:
         count = xi
@@ -254,12 +258,11 @@ def _sieved_blocks(xi: int, keep) -> Iterator[np.ndarray]:
 
 def smooth_twisted_sum(x: float, y: float, twist: TwistSpec) -> complex:
     """Exact Psi(x, y; f) = sum over y-smooth n <= x of f(n), by the route
-    psi_count takes for the same (x, y)."""
-    if x < 1:
-        return 0j
-    if not y >= 2:
-        raise ValueError(f"y must be >= 2, got {y}")
+    psi_count takes for the same (x, y); a finite x < 1 gives the empty sum."""
     xi = _floor(x)
+    _check_y(y)
+    if xi < 1:
+        return 0j
     if y >= x:
         # every n <= x is y-smooth: identical value AND identical float path,
         # so full - smooth is exactly zero here
@@ -285,11 +288,12 @@ def full_twisted_sum(x: float, twist: TwistSpec) -> complex:
     """Exact sum_{n <= x} f(n).
 
     Character twists reduce over full periods (the period sum is exact by
-    orthogonality); unimodular twists run the compensated chunked sum.
+    orthogonality); unimodular twists run the compensated chunked sum.  A
+    finite x < 1 gives the empty sum.
     """
-    if x < 1:
-        return 0j
     xi = _floor(x)
+    if xi < 1:
+        return 0j
     if isinstance(twist, Trivial):
         return complex(xi)
     if isinstance(twist, Character):
@@ -326,8 +330,7 @@ def approximation_error_profile(x: float, twist: TwistSpec, y_grid) -> list[Prof
     """
     ys = list(y_grid)
     for y in ys:
-        if not y >= 2:
-            raise ValueError(f"every y must be >= 2, got {y}")
+        _check_y(y)
     full = full_twisted_sum(x, twist)
     out = []
     for y in ys:

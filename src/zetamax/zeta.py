@@ -94,12 +94,9 @@ def _coefficients(ns: np.ndarray, ell: int, sigma: float) -> np.ndarray:
     return logs**ell * np.exp(-sigma * logs)
 
 
-def zeta_derivative_truncated(ell: int, sigma: float, t: float, N: int) -> EvalResult:
-    """sum_{n <= N} (log n)^ell / n^(sigma + i t), compensated and chunked.
-
-    The attached error_estimate (ell!/eps^ell) N^(-sigma+eps) is meaningful
-    inside the window t in [N, 6.28 N]; outside it the sum is exploratory.
-    """
+def check_truncated_args(ell: int, sigma: float, t: float, N: int) -> None:
+    """ValueError unless `zeta_derivative_truncated` accepts (ell, sigma, t, N);
+    no work, so a caller can check before starting other work."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
     if not _MIN_SIGMA <= sigma < math.inf:
@@ -110,6 +107,15 @@ def zeta_derivative_truncated(ell: int, sigma: float, t: float, N: int) -> EvalR
         raise ValueError(f"N must be an integer >= 2, got {N!r}")
     if sigma == 1.0 and t == 0.0:
         raise ValueError("(sigma, t) = (1, 0) is the pole")
+
+
+def zeta_derivative_truncated(ell: int, sigma: float, t: float, N: int) -> EvalResult:
+    """sum_{n <= N} (log n)^ell / n^(sigma + i t), compensated and chunked.
+
+    The attached error_estimate (ell!/eps^ell) N^(-sigma+eps) is meaningful
+    inside the window t in [N, 6.28 N]; outside it the sum is exploratory.
+    """
+    check_truncated_args(ell, sigma, t, N)
 
     def terms(ns):
         coeff = _coefficients(ns, ell, sigma)
@@ -295,7 +301,7 @@ def zeta_derivative_reference(ell: int, sigma: float, t: float, tol: float = 1e-
     """
     if not 0.6 <= sigma <= 4.0:
         raise ValueError(f"sigma must lie in [0.6, 4], got {sigma}")
-    if abs(t) > 1e8:
+    if not abs(t) <= 1e8:
         raise ValueError(f"|t| must be <= 1e8, got {t}")
     if not 0 <= ell <= 6:
         raise ValueError(f"ell must lie in 0..6, got {ell}")

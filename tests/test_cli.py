@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from zetamax import cli
+from zetamax import cli, zeta
+from zetamax.errors import PrecisionUnreachableError
 
 CLI = [sys.executable, "-m", "zetamax.cli"]
 
@@ -89,8 +90,15 @@ def test_non_finite_scale_exits_2(log10_T):
     ("twisted-sum", "--x", "inf", "--y", "10", "--twist", "unimodular", "--t", "1"),
     ("error-profile", "--x", "inf", "--twist", "trivial", "--y-grid", "2"),
     ("bound", "--kind", "lower", "--ell", "1", "--scale", "inf"),
+    ("psi", "--x", "1000", "--y=inf"),
+    ("twisted-sum", "--x=-inf", "--y", "5", "--twist", "unimodular", "--t", "1.5"),
+    ("twisted-sum", "--x=-inf", "--twist", "trivial"),
+    ("twisted-sum", "--x", "300", "--y=inf", "--twist", "unimodular", "--t", "1.5"),
+    ("error-profile", "--x", "150", "--twist", "trivial", "--y-grid", "2,inf"),
 ], ids=["s-nan", "s-inf", "t-nan", "t-inf", "sigma-nan", "psi-x-inf", "psi-y-nan",
-        "full-sum-x-inf", "smooth-sum-x-inf", "profile-x-inf", "bound-scale-inf"])
+        "full-sum-x-inf", "smooth-sum-x-inf", "profile-x-inf", "bound-scale-inf",
+        "psi-y-inf", "smooth-sum-x-minus-inf", "full-sum-x-minus-inf", "smooth-sum-y-inf",
+        "profile-y-inf"])
 def test_non_finite_argument_exits_2(argv):
     # NaN passes a plain "s < 0" test; neither it nor inf may reach the output
     _assert_invalid_argument(run_cli(*argv))
@@ -258,5 +266,30 @@ def test_non_finite_cases_cover_every_float_option():
 @pytest.mark.parametrize("argv", list(_non_finite_cases()), ids=" ".join)
 def test_non_finite_float_option_exits_cleanly(argv, capsys):
     # 0 where the value is meaningful (tol=inf), 2 or 3 otherwise; never a
-    # traceback
-    assert cli.main(argv) in (0, 2, 3)
+    # traceback, and never an Infinity or NaN token in a successful output
+    code = cli.main(argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        for line in capsys.readouterr().out.splitlines():
+            json.loads(line, parse_constant=_reject_constant)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+def test_failing_reference_skips_truncated_sum(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("truncated sum started before the reference failed")
+
+    monkeypatch.setattr(zeta, "zeta_derivative_truncated", no_work)
+    argv = ["zeta-eval", "--ell", "3", "--sigma", "1", "--t", "1e7", "--N", "10000000",
+            "--reference"]
+    with pytest.raises(PrecisionUnreachableError):
+        zeta.zeta_derivative_reference(3, 1.0, 1e7, 1e-8)
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().out == ""
+    # an invalid truncation is still reported as one, before the reference
+    argv[argv.index("--N") + 1] = "1"
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out == ""

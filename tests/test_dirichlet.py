@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import math
 import random
 
@@ -168,10 +169,25 @@ def test_max_over_characters(chi101):
     assert len(res.all_moduli) == 99
     assert res.modulus == np.max(res.all_moduli)
     assert res.all_moduli[res.j_star - 1] == res.modulus
-    # conjugation symmetry: modulus[j] = modulus[q-1-j]
-    assert np.allclose(res.all_moduli, res.all_moduli[::-1], atol=1e-12)
+    # conjugation symmetry: modulus[j] = modulus[q-1-j], exactly
+    assert np.array_equal(res.all_moduli, res.all_moduli[::-1])
+    # the smaller index of the conjugate pair wins the tie
+    assert res.j_star <= (101 - 1) // 2
     # argmax exceeds the family mean
     assert res.modulus > np.mean(res.all_moduli)
+
+
+@pytest.mark.parametrize("q", [3, 5, 101, 1019, 10007, 1000003])
+def test_family_transform_matches_numpy_fft(q):
+    # h = (q-1)/2 = 1, smooth, a safe prime (1019, 10007: one row, n1 = 1),
+    # and 2 * 3 * 166667, where numpy's full-length FFT runs Bluestein
+    x = np.random.default_rng(q).standard_normal(q - 1)
+    want = np.conj(np.fft.fft(x))
+    got = dirichlet._family_transform(x)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    h = (q - 1) // 2
+    assert np.array_equal(got[:h:-1], np.conj(got[1:h]))  # entry q-1-j is conj(entry j)
 
 
 def test_max_over_characters_rejects_negative_ell(monkeypatch):
@@ -195,15 +211,29 @@ def test_max_over_characters_desk_scale():
     # q = 10007 with a million-term truncation: argmax beats the family mean
     res = dirichlet.max_over_characters(1, 10007, 10**6)
     assert len(res.all_moduli) == 10005
+    assert res.j_star <= (10007 - 1) // 2
     assert res.modulus > float(np.mean(res.all_moduli))
+
+
+def _moduli_csv_text(res) -> str:
+    out = io.StringIO()
+    dirichlet.moduli_to_csv(res, out)
+    return out.getvalue()
 
 
 def test_moduli_csv(chi5):
     res = dirichlet.max_over_characters(0, 5, 100, table=chi5)
-    text = dirichlet.moduli_to_csv(res)
-    lines = text.strip().split("\n")
+    lines = _moduli_csv_text(res).strip().split("\n")
     assert lines[0] == "j,modulus"
     assert len(lines) == 4
+
+
+def test_moduli_csv_stream_matches_row_join():
+    # 100001 rows: more than one block of the stream
+    res = dirichlet.max_over_characters(1, 100003, 200000)
+    assert res.all_moduli.size > dirichlet._CSV_BLOCK
+    rows = ["j,modulus"] + [f"{j},{float(m)!r}" for j, m in enumerate(res.all_moduli, start=1)]
+    assert _moduli_csv_text(res) == "\n".join(rows) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,24 @@ def test_psi_count_validation():
         smooth.psi_count(10, 1.5)
     with pytest.raises(ValueError, match="y must be"):
         smooth.psi_count(100, math.nan)
+    with pytest.raises(ValueError, match="y must be"):
+        smooth.psi_count(100, math.inf)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_twisted_sums_reject_non_finite_x(x):
+    with pytest.raises(ValueError, match="x must be finite"):
+        smooth.smooth_twisted_sum(x, 5, Trivial())
+    with pytest.raises(ValueError, match="x must be finite"):
+        smooth.full_twisted_sum(x, Trivial())
+
+
+def test_twisted_sums_below_one_are_empty():
+    assert smooth.smooth_twisted_sum(0.5, 5, Unimodular(1.5)) == 0j
+    assert smooth.full_twisted_sum(-3.0, Unimodular(1.5)) == 0j
+    for y in (math.inf, math.nan, 1.5):
+        with pytest.raises(ValueError, match="y must be"):
+            smooth.smooth_twisted_sum(300, y, Unimodular(1.5))
 
 
 def test_enumeration_matches_sieve_everywhere():
