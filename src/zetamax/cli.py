@@ -4,6 +4,9 @@ One subcommand per operation family, machine-readable output (JSON objects
 with a schema_version field, or CSV with a header row), deterministic bytes
 for identical inputs.  Exit codes: 0 success, 2 validation error, 3
 resource/precision budget exceeded.  Plot emission is data-only CSV.
+
+Each handler imports the modules it runs, so a call loads only what its
+subcommand needs, and building the parser (or `--help`) loads no numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import math
 import sys
 
-from . import dickman, dirichlet, moments, resonator, smooth, zeta
+from .constants import BOUND_KINDS
 from .errors import (
     PrecisionUnreachableError,
     ResourceLimitError,
@@ -32,13 +35,17 @@ def _complex_fields(z: complex, prefix: str = "value") -> dict:
     return {f"{prefix}_re": z.real, f"{prefix}_im": z.imag, f"{prefix}_abs": abs(z)}
 
 
-def _build_table(args) -> dickman.DickmanTable:
+def _build_table(args):
+    from . import dickman
+
     if getattr(args, "table", None):
         return dickman.load_table(args.table)
     return dickman.build_rho_table(args.max_u, args.tol)
 
 
-def _twist_from_args(args) -> smooth.TwistSpec:
+def _twist_from_args(args):
+    from . import dirichlet, smooth
+
     if args.twist == "trivial":
         return smooth.Trivial()
     if args.twist == "unimodular":
@@ -56,6 +63,8 @@ def _twist_from_args(args) -> smooth.TwistSpec:
 # subcommand handlers
 
 def _cmd_rho(args) -> None:
+    from . import dickman
+
     table = _build_table(args)
     if args.save_table:
         dickman.save_table(table, args.save_table)
@@ -72,6 +81,8 @@ def _cmd_rho(args) -> None:
 
 
 def _cmd_laplace_check(args) -> None:
+    from . import dickman
+
     table = _build_table(args)
     for s in args.s:
         lhs = dickman.laplace_lhs(s, table, args.quad_tol)
@@ -79,7 +90,7 @@ def _cmd_laplace_check(args) -> None:
         _emit_json({"s": s, "lhs": lhs, "rhs": rhs, "abs_diff": abs(lhs - rhs)})
 
 
-def _moment_doc(mv: moments.MomentValue) -> dict:
+def _moment_doc(mv) -> dict:
     return {
         "ell": mv.ell,
         "numerator": mv.rational_part.numerator if mv.rational_part is not None else None,
@@ -90,6 +101,8 @@ def _moment_doc(mv: moments.MomentValue) -> dict:
 
 
 def _cmd_moments(args) -> None:
+    from . import moments
+
     if args.method in ("bell", "both"):
         _emit_json(_moment_doc(moments.y_exact(args.ell)))
     if args.method in ("quadrature", "both"):
@@ -98,11 +111,15 @@ def _cmd_moments(args) -> None:
 
 
 def _cmd_bound(args) -> None:
+    from . import moments
+
     value = moments.bound_prediction(args.kind, args.ell, args.scale)
     _emit_json({"kind": args.kind, "ell": args.ell, "scale": args.scale, "value": value})
 
 
 def _cmd_psi(args) -> None:
+    from . import smooth
+
     r = smooth.psi_count(args.x, args.y)
     _emit_json({
         "x": r.x, "y": r.y, "exact_count": r.exact_count,
@@ -112,6 +129,8 @@ def _cmd_psi(args) -> None:
 
 
 def _cmd_twisted_sum(args) -> None:
+    from . import smooth
+
     twist = _twist_from_args(args)
     if args.y is None:
         value = smooth.full_twisted_sum(args.x, twist)
@@ -124,6 +143,8 @@ def _cmd_twisted_sum(args) -> None:
 
 
 def _cmd_error_profile(args) -> None:
+    from . import smooth
+
     twist = _twist_from_args(args)
     grid = [float(v) for v in args.y_grid.split(",")]
     records = smooth.approximation_error_profile(args.x, twist, grid)
@@ -136,6 +157,8 @@ def _cmd_error_profile(args) -> None:
 
 
 def _cmd_zeta_eval(args) -> None:
+    from . import zeta
+
     zeta.check_truncated_args(args.ell, args.sigma, args.t, args.N)
     doc = {}
     if args.reference:
@@ -158,6 +181,8 @@ def _cmd_zeta_eval(args) -> None:
 
 
 def _cmd_zeta_scan(args) -> None:
+    from . import zeta
+
     r = zeta.scan_max(args.ell, args.t_lo, args.t_hi, args.step, args.N)
     if args.csv_out:
         with open(args.csv_out, "w", encoding="utf-8") as f:
@@ -170,6 +195,8 @@ def _cmd_zeta_scan(args) -> None:
 
 
 def _cmd_resonator_ratio(args) -> None:
+    from . import resonator
+
     spec = resonator.make_spec(args.y, args.b)
     methods = ["direct", "factorized"] if args.method == "both" else [args.method]
     for method in methods:
@@ -184,6 +211,8 @@ def _cmd_resonator_ratio(args) -> None:
 
 
 def _cmd_proof_bookkeeping(args) -> None:
+    from . import resonator
+
     table = _build_table(args)
     if args.log10_T is not None:
         log_T = args.log10_T * math.log(10.0)
@@ -202,6 +231,8 @@ def _cmd_proof_bookkeeping(args) -> None:
 
 
 def _cmd_char_table(args) -> None:
+    from . import dirichlet
+
     table = dirichlet.build_character_table(args.q)
     sample = [{"a": a, "dlog": int(table.dlog[a])} for a in range(1, min(args.sample, table.q))]
     _emit_json({"q": table.q, "generator": table.generator, "order": table.order,
@@ -209,6 +240,8 @@ def _cmd_char_table(args) -> None:
 
 
 def _cmd_l_eval(args) -> None:
+    from . import dirichlet
+
     table = dirichlet.shared_character_table(args.q)
     r = dirichlet.l_derivative_truncated(args.ell, table, args.j, args.N)
     _emit_json({"q": r.q, "j": r.j, "ell": r.ell, "N": r.N,
@@ -216,6 +249,8 @@ def _cmd_l_eval(args) -> None:
 
 
 def _cmd_l_max(args) -> None:
+    from . import dirichlet, moments
+
     r = dirichlet.max_over_characters(args.ell, args.q, args.N)
     if args.csv_out:
         with open(args.csv_out, "w", encoding="utf-8") as f:
@@ -227,6 +262,8 @@ def _cmd_l_max(args) -> None:
 
 
 def _cmd_resonance_quotient(args) -> None:
+    from . import dirichlet, resonator
+
     spec = resonator.make_spec(args.y, args.b)
     r = dirichlet.resonance_quotient(args.ell, args.q, spec)
     _emit_json({
@@ -276,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("bound", help="theorem-level bound constants")
-    p.add_argument("--kind", choices=list(moments.BOUND_KINDS), required=True)
+    p.add_argument("--kind", choices=list(BOUND_KINDS), required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--scale", type=float, required=True)
     p.set_defaults(func=_cmd_bound)

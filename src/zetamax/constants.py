@@ -18,3 +18,7 @@ EXP_GAMMA = math.exp(EULER_GAMMA)
 # Truncated-series window factor of the unconditional approximation for
 # zeta derivatives: t in [N, 6.28*N] (any constant below 2*pi works).
 LEMMA_WINDOW_FACTOR = 6.28
+
+# The three bound constants `moments.bound_prediction` evaluates; the CLI
+# parser lists them without importing the numerical modules.
+BOUND_KINDS = ("lower", "rh-upper", "conjectural-asymptotic")

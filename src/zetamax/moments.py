@@ -21,13 +21,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constants import EXP_GAMMA
+from .constants import BOUND_KINDS, EXP_GAMMA
 from .dickman import DickmanTable, rho
 from .errors import TailNotCertifiedError
 
 _MAX_ELL = 200
-
-BOUND_KINDS = ("lower", "rh-upper", "conjectural-asymptotic")
 
 
 @dataclass(frozen=True)

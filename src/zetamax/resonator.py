@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
-
 from .constants import EXP_GAMMA
 from .dickman import DickmanTable, rho
 from .errors import OutOfRegimeError, ResourceLimitError
@@ -232,6 +230,8 @@ def ratio_factorized(spec: ResonatorSpec, ell: int) -> float:
             f"sum_p (A_p + 1)(ell + 1) = {units} alpha terms exceeds budget "
             f"{_FACTORIZED_BUDGET}"
         )
+    import mpmath
+
     b = spec.b
     with mpmath.workprec(PRECISION_BITS):
         m = [mpmath.mpf(1)] + [mpmath.mpf(0)] * ell
@@ -277,6 +277,8 @@ def log_power_sum(ell: int, y: float | None = None, *, log_y: float | None = Non
                 return math.fsum(1.0 / k for k in range(1, n + 1))
             return math.fsum(math.log(k) ** ell / k for k in range(2, n + 1))
         log_y = math.log(y)
+    import mpmath
+
     gamma_ell = float(mpmath.stieltjes(ell))
     return log_y ** (ell + 1) / (ell + 1) + gamma_ell
 

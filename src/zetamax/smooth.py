@@ -33,7 +33,7 @@ from .dickman import DickmanTable, build_rho_table, log_rho_asymptotic_main, rho
 from .dirichlet import CharacterTable
 from .errors import ResourceLimitError
 from .primes import sieve_primes
-from .sums import CHUNK, chunks, compensated_sum, phases
+from .sums import CHUNK, chunks, cis, compensated_sum, phases
 
 _SIEVE_LIMIT = 10**8
 _FULL_SUM_LIMIT = 10**8
@@ -242,7 +242,7 @@ def _twist_values(ns: np.ndarray, twist: TwistSpec) -> np.ndarray:
     if isinstance(twist, Unimodular):
         if twist.t == 0.0:
             return np.ones(ns.shape, dtype=np.complex128)
-        return np.exp(-1j * phases(ns, twist.t))
+        return cis(-phases(ns, twist.t))
     if isinstance(twist, Character):
         return twist.table.chi_vector(twist.j, ns)
     raise TypeError(f"not a twist spec: {twist!r}")

@@ -1,5 +1,6 @@
-"""Phase reduction and compensated chunked summation, the kernels of every
-Dirichlet-type sum in the package (zeta^(ell), L^(ell)(1, chi), Psi(x, y; f)).
+"""Phase reduction, unit phases and compensated chunked summation, the
+kernels of every Dirichlet-type sum in the package (zeta^(ell),
+L^(ell)(1, chi), Psi(x, y; f)).
 
 `chunks` cuts a summation range into blocks of CHUNK integers, the caller
 turns each block into an array of terms, and `compensated_sum` combines the
@@ -69,6 +70,15 @@ def compensated_sum(parts: Iterable[np.ndarray], start: complex = 0j) -> complex
         re.add(z.real)
         im.add(z.imag)
     return complex(re.value, im.value)
+
+
+def cis(theta: np.ndarray) -> np.ndarray:
+    """e^(i theta) through real cos and sin: no complex temporary, and about
+    twice as fast as a complex exp."""
+    out = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
 
 def phases(ns: np.ndarray, t) -> np.ndarray:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .constants import LEMMA_WINDOW_FACTOR
 from .errors import PrecisionUnreachableError, ResourceLimitError
-from .sums import TWO_PI_LD, chunks, compensated_sum, phases
+from .sums import TWO_PI_LD, chunks, cis, compensated_sum, phases
 
 _EM_BERNOULLI_TERMS = 12
 _SCAN_BUDGET = 2 * 10**9  # grid_size * N term evaluations
@@ -119,7 +119,7 @@ def zeta_derivative_truncated(ell: int, sigma: float, t: float, N: int) -> EvalR
 
     def terms(ns):
         coeff = _coefficients(ns, ell, sigma)
-        return coeff if t == 0.0 else coeff * np.exp(-1j * phases(ns, t))
+        return coeff if t == 0.0 else coeff * cis(-phases(ns, t))
 
     n1_term = 1.0 if ell == 0 else 0.0
     value = compensated_sum(map(terms, chunks(2, N)), n1_term)
@@ -369,7 +369,7 @@ def scan_max(
     for lo in range(0, grid_size, t_block):
         hi = min(lo + t_block, grid_size)
         ts = t_lo + step * np.arange(lo, hi)
-        vals = (np.exp(-1j * phases(ns, ts[:, None])) * coeff).sum(axis=1) + base
+        vals = (cis(-phases(ns, ts[:, None])) * coeff).sum(axis=1) + base
         moduli[lo:hi] = np.abs(vals)
     i = int(np.argmax(moduli))  # first occurrence = smallest t
     return ScanResult(

@@ -236,6 +236,14 @@ def test_moduli_csv_stream_matches_row_join():
     assert _moduli_csv_text(res) == "\n".join(rows) + "\n"
 
 
+def test_moduli_csv_rejects_moduli_that_are_not_mirrored():
+    # the writer formats one half and reuses it for the mirror rows
+    res = dirichlet.MaxCharResult(ell=0, q=7, N=10, j_star=1, modulus=3.0,
+                                  all_moduli=np.array([3.0, 1.0, 2.0, 1.0, 2.0]))
+    with pytest.raises(ValueError, match="mirror"):
+        _moduli_csv_text(res)
+
+
 # ---------------------------------------------------------------------------
 # resonance quotient
 

@@ -253,7 +253,7 @@ def test_factorized_budget_guard_rejects_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("alpha sums started before the budget check")
 
-    monkeypatch.setattr(resonator.mpmath, "workprec", no_work)
+    monkeypatch.setattr(mpmath, "workprec", no_work)
     with pytest.raises(ResourceLimitError, match="exceeds budget"):
         resonator.ratio_factorized(sp, 60)
 

@@ -24,6 +24,14 @@ def test_truncated_classical_values():
     assert r.value.real > 0  # signed convention: (-1) zeta'(2) is positive
 
 
+def test_cis_matches_complex_exp():
+    # the unit-phase kernel under every e^(-i t log n), on both phase branches
+    rng = np.random.default_rng(11)
+    theta = np.concatenate([rng.uniform(-1e3, 1e3, 10**5),
+                            sums.phases(np.arange(2, 10**4), 1e9)])
+    np.testing.assert_allclose(sums.cis(-theta), np.exp(-1j * theta), rtol=0, atol=2**-52)
+
+
 def test_sign_unwrap_helper():
     r = zeta.zeta_derivative_truncated(1, 2.0, 0.0, 10**5)
     assert zeta.zeta_derivative(r) == -r.value
