@@ -284,7 +284,7 @@ def moduli_to_csv(result: MaxCharResult, out) -> None:
     if not np.array_equal(moduli[:half], moduli[::-1][:half]):
         raise ValueError("all_moduli is not mirror-symmetric")
     texts = [repr(m) for m in moduli[:half].tolist()]
-    texts += texts[moduli.size - half - 1 :: -1]
+    texts += texts[: moduli.size - half][::-1]
     out.write("j,modulus\n")
     for lo in range(0, len(texts), _CSV_BLOCK):
         rows = enumerate(texts[lo : lo + _CSV_BLOCK], start=lo + 1)

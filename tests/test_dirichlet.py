@@ -229,11 +229,14 @@ def test_moduli_csv(chi5):
 
 
 def test_moduli_csv_stream_matches_row_join():
-    # 100001 rows: more than one block of the stream
-    res = dirichlet.max_over_characters(1, 100003, 200000)
+    # q = 3 and 5: one and three rows, the smallest mirrors; q = 100003:
+    # 100001 rows, more than one block of the stream
+    for ell, q, N in [(0, 3, 10), (0, 5, 10), (1, 100003, 200000)]:
+        res = dirichlet.max_over_characters(ell, q, N)
+        assert res.all_moduli.size == q - 2
+        rows = ["j,modulus"] + [f"{j},{float(m)!r}" for j, m in enumerate(res.all_moduli, start=1)]
+        assert _moduli_csv_text(res) == "\n".join(rows) + "\n"
     assert res.all_moduli.size > dirichlet._CSV_BLOCK
-    rows = ["j,modulus"] + [f"{j},{float(m)!r}" for j, m in enumerate(res.all_moduli, start=1)]
-    assert _moduli_csv_text(res) == "\n".join(rows) + "\n"
 
 
 def test_moduli_csv_rejects_moduli_that_are_not_mirrored():
