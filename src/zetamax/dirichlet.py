@@ -197,7 +197,9 @@ def _l_values_all_characters(ell: int, table: CharacterTable, N: int) -> np.ndar
     Groups coefficients by dlog class and applies `_family_transform` (a
     half-length FFT with one Cooley-Tukey step); entry j equals the direct
     sum for character j (exactly the same quantity, different association
-    order), and entry q-1-j is exactly its conjugate.
+    order), and entry q-1-j is exactly its conjugate.  `np.add.at` adds each
+    class's terms one at a time in ascending k, so the class sums do not
+    depend on the block size, and a block costs O(CHUNK), not O(q).
     """
     if N > _MAX_N:
         raise ResourceLimitError(f"N={N} exceeds budget {_MAX_N}")
@@ -207,7 +209,7 @@ def _l_values_all_characters(ell: int, table: CharacterTable, N: int) -> np.ndar
         r = ns % table.q
         keep = r != 0
         ns, r = ns[keep], r[keep]
-        class_sums += np.bincount(table.dlog[r], weights=_weights(ns, ell), minlength=order)
+        np.add.at(class_sums, table.dlog[r], _weights(ns, ell))
     return _family_transform(class_sums)
 
 
@@ -229,14 +231,27 @@ def _family_transform(x: np.ndarray) -> np.ndarray:
     n1 = h // P
     y = np.fft.fft((x[0::2] + 1j * x[1::2]).reshape(n1, P), axis=0)
     y *= cis((-2 * np.pi / h) * (np.outer(np.arange(n1), np.arange(P)) % h))
+    np.fft.fft(y, axis=1, out=y)
     Z = np.empty(h + 1, dtype=np.complex128)
-    Z[:h] = np.fft.fft(y, axis=1).T.ravel()  # row k1, column k2 holds Z_(k1 + n1 k2)
+    Z[:h].reshape(P, n1)[...] = y.T  # row k1, column k2 of y holds Z_(k1 + n1 k2)
+    del y
     Z[h] = Z[0]
-    Zc = np.conj(Z[::-1])  # conj(Z_(h-k))
-    F = 0.5 * (Z + Zc) - 0.5j * cis((-np.pi / h) * np.arange(h + 1)) * (Z - Zc)
+    # F = 0.5 (Z + Zc) - 0.5i w (Z - Zc), built in out[:h+1]; at most two
+    # length-h temporaries live at once (Z and Zc, then Zc and w)
     out = np.empty(2 * h, dtype=np.complex128)
-    np.conj(F, out=out[: h + 1])
+    F = out[: h + 1]
+    Zc = np.conj(Z[::-1])  # conj(Z_(h-k))
+    np.subtract(Z, Zc, out=F)
+    np.add(Z, Zc, out=Zc)
+    del Z
+    Zc *= 0.5
+    w = cis((-np.pi / h) * np.arange(h + 1))
+    w *= 0.5j
+    np.multiply(w, F, out=F)
+    del w
+    np.subtract(Zc, F, out=F)
     out[h + 1 :] = F[h - 1 : 0 : -1]
+    np.conj(F, out=F)
     return out
 
 
@@ -277,18 +292,30 @@ _CSV_BLOCK = 1 << 16
 def moduli_to_csv(result: MaxCharResult, out) -> None:
     """Write the `j,modulus` rows to the text stream `out`, one block of
     rows at a time, so no string of the whole table is ever built.  The
-    moduli are mirror-symmetric, so each distinct value is formatted once
-    and its text reused for the mirror row."""
+    moduli are mirror-symmetric, so each distinct value is formatted once;
+    a block's texts are kept as one newline-joined string, not one object
+    per row, and split again, reversed, for the mirror rows."""
     moduli = result.all_moduli
     half = (moduli.size + 1) // 2
     if not np.array_equal(moduli[:half], moduli[::-1][:half]):
         raise ValueError("all_moduli is not mirror-symmetric")
-    texts = [repr(m) for m in moduli[:half].tolist()]
-    texts += texts[: moduli.size - half][::-1]
+
+    def write_rows(first: int, texts: list[str]) -> None:
+        out.write("".join(f"{j},{m}\n" for j, m in enumerate(texts, start=first)))
+
     out.write("j,modulus\n")
-    for lo in range(0, len(texts), _CSV_BLOCK):
-        rows = enumerate(texts[lo : lo + _CSV_BLOCK], start=lo + 1)
-        out.write("".join(f"{j},{m}\n" for j, m in rows))
+    packed = []
+    for lo in range(0, half, _CSV_BLOCK):
+        texts = [repr(m) for m in moduli[lo : min(lo + _CSV_BLOCK, half)].tolist()]
+        write_rows(lo + 1, texts)
+        packed.append("\n".join(texts))
+    # rows half+1 .. size mirror rows size-half .. 1: the middle row of an
+    # odd size has no mirror
+    j, skip = half + 1, 2 * half - moduli.size
+    for block in reversed(packed):
+        texts = block.split("\n")[::-1][skip:]
+        write_rows(j, texts)
+        j, skip = j + len(texts), 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 kernels of every Dirichlet-type sum in the package (zeta^(ell),
 L^(ell)(1, chi), Psi(x, y; f)).
 
-`chunks` cuts a summation range into blocks of CHUNK integers, the caller
-turns each block into an array of terms, and `compensated_sum` combines the
-block sums.  Long sums of unit-modulus complex terms (up to 1e8 of them) lose
-digits under naive accumulation; the Neumaier variant of the two-sum
-error-free transformation keeps the running error O(1) ulp, and the fixed
-block order makes results bit-reproducible.
+`chunks` cuts a summation range into blocks of CHUNK = 2^16 integers, the
+caller turns each block into an array of terms, and `compensated_sum`
+combines the block sums.  At that size a complex128 temporary of a block
+takes 1 MB and a clongdouble one (the Euler-Maclaurin main term) 2 MB, so a
+sum holds a few MB however long it is; at 2^20 each took 16-32 MB.  Long
+sums of unit-modulus complex terms (up to 1e8 of them) lose digits under
+naive accumulation; the Neumaier variant of the two-sum error-free
+transformation keeps the running error O(1) ulp, and the fixed block order
+makes results bit-reproducible.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-CHUNK = 1 << 20
+CHUNK = 1 << 16
 
 # 2*pi to longdouble precision; reducing phases mod the float64 constant
 # would leak (wrap count) * 2.4e-16 of phase error.

@@ -45,6 +45,9 @@ _MAX_SCAN_GRID = 10**7
 
 _MIN_SIGMA = 0.6
 
+# Terms per scan_max row block; not sums.CHUNK, as 2^16 slows a fresh-process scan ~20%.
+_SCAN_BLOCK_TERMS = 1 << 20
+
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -365,7 +368,7 @@ def scan_max(
     coeff = _coefficients(ns, ell, 1.0)
     base = 1.0 if ell == 0 else 0.0  # n = 1 term
     moduli = np.empty(grid_size)
-    t_block = max(1, min(grid_size, int(2**20 // len(ns)) + 1))
+    t_block = max(1, min(grid_size, _SCAN_BLOCK_TERMS // len(ns) + 1))
     for lo in range(0, grid_size, t_block):
         hi = min(lo + t_block, grid_size)
         ts = t_lo + step * np.arange(lo, hi)

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from zetamax import dirichlet, resonator
+from zetamax import dirichlet, resonator, sums
 from zetamax.errors import PrincipalCharacterError, ResourceLimitError
 
 # L(1, chi) for the quadratic character mod 5 equals 2 log((1+sqrt5)/2)/sqrt5
@@ -177,6 +177,17 @@ def test_max_over_characters(chi101):
     assert res.modulus > np.mean(res.all_moduli)
 
 
+def test_family_moduli_do_not_depend_on_the_block_size(monkeypatch):
+    # each class sum adds its terms one at a time in ascending k, so where
+    # the blocks are cut cannot move a bit (10**5 spans 100, 2 and 1 blocks)
+    moduli = []
+    for chunk in (1000, 2**16, 2**20):
+        monkeypatch.setattr(sums, "CHUNK", chunk)
+        moduli.append(dirichlet.max_over_characters(1, 10007, 10**5).all_moduli)
+    assert np.array_equal(moduli[0], moduli[1])
+    assert np.array_equal(moduli[0], moduli[2])
+
+
 @pytest.mark.parametrize("q", [3, 5, 101, 1019, 10007, 1000003])
 def test_family_transform_matches_numpy_fft(q):
     # h = (q-1)/2 = 1, smooth, a safe prime (1019, 10007: one row, n1 = 1),
@@ -237,6 +248,16 @@ def test_moduli_csv_stream_matches_row_join():
         rows = ["j,modulus"] + [f"{j},{float(m)!r}" for j, m in enumerate(res.all_moduli, start=1)]
         assert _moduli_csv_text(res) == "\n".join(rows) + "\n"
     assert res.all_moduli.size > dirichlet._CSV_BLOCK
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 508, 509])
+def test_moduli_csv_does_not_depend_on_the_block(monkeypatch, block):
+    # q = 1019: 509 distinct moduli, so the mirror rows come from one to 509
+    # blocks, and the middle row may end a block of its own
+    res = dirichlet.max_over_characters(1, 1019, 5000)
+    rows = ["j,modulus"] + [f"{j},{float(m)!r}" for j, m in enumerate(res.all_moduli, start=1)]
+    monkeypatch.setattr(dirichlet, "_CSV_BLOCK", block)
+    assert _moduli_csv_text(res) == "\n".join(rows) + "\n"
 
 
 def test_moduli_csv_rejects_moduli_that_are_not_mirrored():

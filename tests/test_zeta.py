@@ -227,6 +227,22 @@ def test_reference_memory_is_flat_in_the_cutoff(monkeypatch):
     assert large <= 1.2 * small, (small, large)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: zeta._em_zeta_derivative(2, complex(1, 1e6), 2_000_001),
+    lambda: zeta.zeta_derivative_truncated(1, 1.0, 1e7, 2 * 10**6),
+], ids=["reference-main-term", "truncated"])
+def test_default_blocks_keep_long_sums_small(call):
+    # 2e6 terms at the default CHUNK: a few block-length temporaries, where
+    # 2^20-term blocks traced ~98 MB for the reference
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak
+
+
 @pytest.fixture
 def summed_blocks(monkeypatch):
     """Sizes of the blocks the reference's main term takes from `chunks`."""
