@@ -3,11 +3,11 @@
 Psi(x, y) counts integers n <= x whose largest prime factor P+(n) is at most
 y; Psi(x, y; f) is the f-weighted version.  One helper, `_enumerated`,
 chooses the route for both: when pi(y) <= 20 and the smooth numbers fit the
-node budget it returns them, found by exponent-vector depth-first
-enumeration over the primes <= y (any x); otherwise the caller scans the
-largest-prime-factor sieve, which covers x <= 1e8.  The route test sieves
-the primes only up to 73, the 21st prime, so a large y costs nothing
-before the sieve's own budget check.
+node budget it returns them, built level by level in numpy, one prime
+<= y at a time (any x); otherwise the caller scans the largest-prime-factor
+sieve, which covers x <= 1e8.  The route test sieves the primes only up to
+73, the 21st prime, so a large y costs nothing before the sieve's own
+budget check.
 
 Every twisted sum is a compensated sum of f over blocks of integers
 (`sums.compensated_sum`), so 1e8-term unit-modulus sums keep ~1 ulp
@@ -37,7 +37,7 @@ from .sums import CHUNK, chunks, cis, compensated_sum, phases
 
 _SIEVE_LIMIT = 10**8
 _FULL_SUM_LIMIT = 10**8
-_ENUM_PRIME_BOUND = 20  # exponent-vector enumeration engages when pi(y) <= 20
+_ENUM_PRIME_BOUND = 20  # the enumeration engages when pi(y) <= 20
 _ENUM_Y_CAP = 73  # the 21st prime: pi(min(y, 73)) <= 20 exactly when pi(y) <= 20
 _ENUM_NODE_BUDGET = 10**7
 
@@ -133,34 +133,55 @@ def _shared_spf(limit: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exponent-vector enumeration
+# level-by-level enumeration
 
 def iter_smooth(x: float, y: float) -> Iterator[int]:
     """Yield every y-smooth integer <= x (unordered), one node per number.
 
-    Requires pi(y) <= 20; raises ResourceLimitError beyond _ENUM_NODE_BUDGET
-    nodes.
+    The numbers are built level by level in one numpy array: for each prime
+    p <= y, every m * p^(k-1) of the previous power with m * p^k <= x is
+    appended times p, for k = 1, 2, ...  Each power's survivors are counted
+    before the array grows, so a request beyond _ENUM_NODE_BUDGET numbers
+    raises ResourceLimitError on the first next().  The array grows and
+    shrinks in place (`ndarray.resize`) and is yielded from its top in
+    CHUNK-sized blocks, each cut off once yielded, so it frees memory about
+    as fast as the consumer's copy takes it.  Requires pi(y) <= 20.
     """
     primes = sieve_primes(min(int(y), _ENUM_Y_CAP))
     if len(primes) > _ENUM_PRIME_BOUND:
         raise ResourceLimitError(f"pi({y}) > {_ENUM_PRIME_BOUND}")
-    budget = _ENUM_NODE_BUDGET
     xi = math.floor(x)
-
-    def rec(i: int, prod: int) -> Iterator[int]:
-        nonlocal budget
-        budget -= 1
-        if budget < 0:
-            raise ResourceLimitError(f"smooth enumeration exceeds {_ENUM_NODE_BUDGET} nodes")
-        yield prod
-        for j in range(i, len(primes)):
-            nxt = prod * primes[j]
-            if nxt > xi:
+    if xi < 1:
+        return
+    # m <= xi // p before each multiply keeps every product <= xi: int64
+    # below 2^63, exact Python ints above.  No view of `level` is alive at
+    # a resize.
+    level = np.ones(1, dtype=np.int64 if xi < 2**63 else object)
+    for p in primes:
+        bound = xi // p
+        lo, hi = 0, level.size  # the numbers with the current power of p
+        while True:
+            survivors = int(np.count_nonzero(level[lo:hi] <= bound))
+            if not survivors:
                 break
-            yield from rec(j, nxt)
-
-    if xi >= 1:
-        yield from rec(0, 1)
+            if hi + survivors > _ENUM_NODE_BUDGET:
+                raise ResourceLimitError(
+                    f"smooth enumeration exceeds {_ENUM_NODE_BUDGET} nodes")
+            level.resize(hi + survivors, refcheck=False)
+            end = hi
+            for start in range(lo, hi, CHUNK):
+                block = level[start : min(start + CHUNK, hi)]
+                block = block[block <= bound]
+                level[end : end + block.size] = block * p
+                end += block.size
+            lo, hi = hi, end
+    n = level.size
+    while n:
+        lo = max(n - CHUNK, 0)
+        block = level[lo:n].tolist()
+        level.resize(lo, refcheck=False)
+        n = lo
+        yield from block
 
 
 def _enumerated(x: float, y: float) -> np.ndarray | None:
@@ -287,9 +308,10 @@ def smooth_twisted_sum(x: float, y: float, twist: TwistSpec) -> complex:
 def full_twisted_sum(x: float, twist: TwistSpec) -> complex:
     """Exact sum_{n <= x} f(n).
 
-    Character twists reduce over full periods (the period sum is exact by
-    orthogonality); unimodular twists run the compensated chunked sum.  A
-    finite x < 1 gives the empty sum.
+    Character twists reduce over full periods: by orthogonality a period
+    sums to q - 1 for the principal character and to 0 for any other, so
+    only the partial period is summed in floats.  Unimodular twists run the
+    compensated chunked sum.  A finite x < 1 gives the empty sum.
     """
     xi = _floor(x)
     if xi < 1:
@@ -301,7 +323,8 @@ def full_twisted_sum(x: float, twist: TwistSpec) -> complex:
         period = twist.table.chi_vector(twist.j, np.arange(1, q + 1, dtype=np.int64))
         prefix = np.cumsum(period)
         full, rem = divmod(xi, q)
-        total = full * complex(prefix[-1])
+        # a non-principal period sums to a rounding residue, not to 0 exactly
+        total = full * complex(prefix[-1]) if twist.j == 0 else 0j
         if rem:
             total += complex(prefix[rem - 1])
         return total

@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from zetamax import dirichlet, smooth
@@ -168,6 +170,65 @@ def test_enumeration_budget(monkeypatch):
         list(smooth.iter_smooth(10**6, 70))
 
 
+def _recursive_smooth_oracle(x: int, primes: list[int]):
+    # the exponent-vector depth-first generator that the level-by-level
+    # build replaced: each node extends its product by a prime >= its last
+    def rec(i, prod):
+        yield prod
+        for j in range(i, len(primes)):
+            nxt = prod * primes[j]
+            if nxt > x:
+                break
+            yield from rec(j, nxt)
+
+    return rec(0, 1)
+
+
+_ORACLE_CAP = 2 * 10**5
+
+
+@given(e=st.floats(0.0, 9.0), k=st.integers(1, 20))
+def test_enumeration_matches_recursive_oracle(e, k):
+    x = int(10**e)
+    primes = _PRIMES_TO_71[:k]
+    expected = list(itertools.islice(_recursive_smooth_oracle(x, primes), _ORACLE_CAP + 1))
+    assume(len(expected) <= _ORACLE_CAP)
+    assert sorted(smooth.iter_smooth(x, primes[-1])) == sorted(expected)
+
+
+def test_psi_5_smooth_at_1e12_by_exponent_loop():
+    # beyond the sieve (1e8) and the old tests: every 2^a 3^b 5^c <= 1e12
+    x = 10**12
+    count = sum(1 for a in range(40) for b in range(26) for c in range(18)
+                if 2**a * 3**b * 5**c <= x)
+    assert smooth.psi_count(1e12, 5).exact_count == count
+    assert sum(1 for _ in smooth.iter_smooth(1e12, 5)) == count
+
+
+def test_enumeration_budget_edge(monkeypatch):
+    x, y = 10**5, 13
+    psi = 1 + int(np.count_nonzero(smooth.spf_sieve(x)[2:] <= y))
+    monkeypatch.setattr(smooth, "_ENUM_NODE_BUDGET", psi)
+    assert sorted(smooth.iter_smooth(x, y)) == [
+        n for n in range(1, x + 1) if _largest_prime_factor_oracle(n) <= y]
+    monkeypatch.setattr(smooth, "_ENUM_NODE_BUDGET", psi - 1)
+    with pytest.raises(ResourceLimitError):
+        next(smooth.iter_smooth(x, y))  # on the first next(), before any number
+
+
+def test_over_budget_enumeration_raises_in_small_memory(monkeypatch):
+    # Psi(1e15, 71) is ~3.5e8; the budget is checked before each level grows
+    monkeypatch.setattr(smooth, "_ENUM_NODE_BUDGET", 10**5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            next(smooth.iter_smooth(1e15, 71))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_twist_validation(chi5):
     with pytest.raises(ValueError):
         Unimodular(math.inf)
@@ -207,6 +268,25 @@ def test_full_twisted_sum_character_periods(chi7):
     # principal character counts coprime residues
     v = smooth.full_twisted_sum(14, Character(chi7, 0))
     assert v.real == pytest.approx(12.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("q", [7, 101])
+def test_full_character_sum_reduces_over_full_periods(q, chi7, chi101):
+    # orthogonality: a period sums to 0 off the principal row, so only the
+    # partial period is left, at any number of full periods
+    table = {7: chi7, 101: chi101}[q]
+    ks = (1, 2, 3, 10**6, 10**13, 14 * 10**13)
+    for j in range(1, q - 1):
+        twist = Character(table, j)
+        for r in (0, 1, q // 2, q - 1):
+            partial = smooth.full_twisted_sum(r, twist)
+            for k in ks:
+                assert smooth.full_twisted_sum(k * q + r, twist) == partial, (j, k, r)
+    # the principal row counts the n coprime to q, exactly below 2^53
+    principal = Character(table, 0)
+    for r in (0, 1, q - 1):
+        for k in ks[:-1]:
+            assert smooth.full_twisted_sum(k * q + r, principal) == k * (q - 1) + r
 
 
 def test_full_unimodular_against_direct_fsum():
