@@ -86,7 +86,7 @@ def _cmd_laplace_check(args) -> None:
     table = _build_table(args)
     for s in args.s:
         lhs = dickman.laplace_lhs(s, table, args.quad_tol)
-        rhs = dickman.laplace_rhs(s, args.quad_tol)
+        rhs = dickman.laplace_rhs(s)
         _emit_json({"s": s, "lhs": lhs, "rhs": rhs, "abs_diff": abs(lhs - rhs)})
 
 
@@ -301,7 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("laplace-check", help="both sides of the Laplace identity")
     p.add_argument("--s", type=float, nargs="+", required=True)
-    p.add_argument("--quad-tol", dest="quad_tol", type=float, default=1e-10)
+    p.add_argument("--quad-tol", dest="quad_tol", type=float, default=1e-10,
+                   help="tolerance of the left-side quadrature; the right side "
+                        "is a float64 closed form")
     _add_table_opts(p, 40.0)
     p.set_defaults(func=_cmd_laplace_check)
 

@@ -281,6 +281,10 @@ def laplace_rhs(s: float, tol: float = 1e-12) -> float:
     ~e^s/s^{3/2}, so cancellation outgrows float64 beyond; there
     Ein(s) = gamma + log s + E1(s) gives exp(-E1(s))/s with no cancellation,
     and E1 comes from its continued fraction.
+
+    The value is that float64 closed form whatever `tol` is: `tol` is
+    validated but read by no branch, and a caller's quadrature tolerance
+    applies to the left side (`laplace_lhs`) only.
     """
     if not 0 <= s <= 100:
         raise ValueError(f"s must lie in [0, 100], got {s}")

@@ -12,22 +12,31 @@ moduli are accepted: for moduli divisible by many small primes the
 truncated sums degenerate (chi kills every small-prime multiple) and the
 family maxima behave differently, so composites are rejected loudly.
 
+Character values: `chi_vector` splits the exponent e into its high and low
+bits and multiplies one entry of each of two root tables, omega^(e_hi 2^k)
+and omega^(e_lo), built with the discrete logs; each holds about sqrt(q)
+entries (32 KB together at q = 10^6 + 3), so a value costs two gathers from
+cache and one complex product, with no cos or sin.  A table of all q - 1
+roots would hold 16 MB at that q.  `chi_value` evaluates one value through
+`cmath.exp`, the independent route the tests compare against.
+
 Family-wide evaluation of sum_k chi_j(k) c_k for all j at once groups the
 real coefficients c_k by discrete-log class and transforms the q - 1 class
 sums, turning the naive q*N work into N + q log q.  The class sums are real
 and q - 1 = 2h is even, so the transform is one length-h complex FFT of the
-packed pairs, untangled into half the spectrum, with the other half filled
-by exact conjugate symmetry; that FFT takes one Cooley-Tukey step at the
-largest prime factor P of h, so a large prime factor of q - 1 costs a
-Bluestein transform of length P, not of length q - 1.  `moduli_to_csv`
-streams its rows in blocks.
+packed pairs, untangled into the characters j = 0..h; the others are their
+exact conjugates, which `max_over_characters` mirrors as moduli and
+`resonance_quotient` fills in as values.  That FFT takes one Cooley-Tukey
+step at the largest prime factor P of h, so a large prime factor of q - 1
+costs a Bluestein transform of length P, not of length q - 1.
+`moduli_to_csv` streams its rows in blocks.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,13 +55,27 @@ class CharacterTable:
 
     dlog[a] is the discrete log of a (base `generator`), so
     chi_j(a) = omega^(j * dlog[a]) with omega = e^(2 pi i/(q-1)).
-    Immutable after construction.
+    roots_lo[i] = omega^i for i < 2^split_bits and roots_hi[i] =
+    omega^(i 2^split_bits), with 4^split_bits >= q - 1, so omega^e =
+    roots_hi[e >> split_bits] * roots_lo[e mod 2^split_bits] for every
+    exponent e; together O(sqrt q) entries.  Immutable after construction.
     """
 
     q: int
     generator: int
     dlog: np.ndarray
     order: int
+    split_bits: int = field(init=False, repr=False)
+    roots_lo: np.ndarray = field(init=False, repr=False)
+    roots_hi: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        k = ((self.order - 1).bit_length() + 1) // 2
+        step = 2 * np.pi / self.order
+        object.__setattr__(self, "split_bits", k)
+        object.__setattr__(self, "roots_lo", cis(step * np.arange(1 << k)))
+        object.__setattr__(self, "roots_hi",
+                           cis(step * (np.arange(((self.order - 1) >> k) + 1) << k)))
 
     def chi_exponent(self, j: int, a: int) -> int | None:
         """Exact exponent e with chi_j(a) = omega^e, or None when q | a."""
@@ -69,13 +92,27 @@ class CharacterTable:
 
     def chi_vector(self, j: int, ns: np.ndarray) -> np.ndarray:
         """chi_j over an array of positive integers (int64, or Python ints
-        beyond 2^63: their residues mod q fit int64)."""
-        r = (ns % self.q).astype(np.int64, copy=False)
-        nonzero = r != 0
-        e = (j * self.dlog[r]) % self.order
-        vals = cis((2 * np.pi / self.order) * e)
-        vals[~nonzero] = 0.0
+        beyond 2^63: their residues mod q fit int64).
+
+        The exact exponent e = j dlog[n mod q] mod q-1 picks one entry of
+        each root table, so a value costs two gathers and one complex
+        product, with no cos or sin."""
+        r = _mod(ns, self.q).astype(np.int64, copy=False)
+        e = _mod(j * self.dlog[r], self.order)
+        vals = self.roots_hi[e >> self.split_bits]
+        vals *= self.roots_lo[e & ((1 << self.split_bits) - 1)]
+        vals[r == 0] = 0.0
         return vals
+
+
+def _mod(x: np.ndarray, m: int) -> np.ndarray:
+    """x mod m in [0, m), as x % m.  numpy divides an integer array by a
+    scalar through a precomputed reciprocal, but its remainder does not, so
+    x - (x // m) m takes less than half the time of x % m on int64."""
+    out = x // m
+    out *= m
+    np.subtract(x, out, out=out)
+    return out
 
 
 def _verify_table(table: CharacterTable, checks: int = 100) -> None:
@@ -162,6 +199,8 @@ def _pv_error_scale(q: int, ell: int, N: int) -> float:
 
 def _weights(ns: np.ndarray, ell: int) -> np.ndarray:
     """(-log n)^ell / n, the coefficients of the truncated L-derivative sums."""
+    if ell == 0:
+        return 1.0 / ns  # the general form's log(n)^0 is exactly 1.0: same bits
     return (-1.0) ** ell * np.log(ns.astype(np.float64)) ** ell / ns
 
 
@@ -192,21 +231,22 @@ def l_derivative_truncated(ell: int, table: CharacterTable, j: int, N: int) -> L
 
 
 def _l_values_all_characters(ell: int, table: CharacterTable, N: int) -> np.ndarray:
-    """sum_{k<=N} chi_j(k) (-log k)^ell / k for every j at once.
+    """sum_{k<=N} chi_j(k) (-log k)^ell / k for j = 0..(q-1)/2 at once;
+    character q-1-j is the conjugate of character j.
 
     Groups coefficients by dlog class and applies `_family_transform` (a
     half-length FFT with one Cooley-Tukey step); entry j equals the direct
     sum for character j (exactly the same quantity, different association
-    order), and entry q-1-j is exactly its conjugate.  `np.add.at` adds each
-    class's terms one at a time in ascending k, so the class sums do not
-    depend on the block size, and a block costs O(CHUNK), not O(q).
+    order).  `np.add.at` adds each class's terms one at a time in ascending
+    k, so the class sums do not depend on the block size, and a block costs
+    O(CHUNK), not O(q).
     """
     if N > _MAX_N:
         raise ResourceLimitError(f"N={N} exceeds budget {_MAX_N}")
     order = table.order
     class_sums = np.zeros(order, dtype=np.float64)
     for ns in chunks(1, N):
-        r = ns % table.q
+        r = _mod(ns, table.q)
         keep = r != 0
         ns, r = ns[keep], r[keep]
         np.add.at(class_sums, table.dlog[r], _weights(ns, ell))
@@ -214,12 +254,12 @@ def _l_values_all_characters(ell: int, table: CharacterTable, N: int) -> np.ndar
 
 
 def _family_transform(x: np.ndarray) -> np.ndarray:
-    """sum_d x_d omega^(+jd) for every j in [0, n), omega = e^(2 pi i/n), for
-    real x of even length n = q - 1 = 2h; this is conj(fft(x)).
+    """sum_d x_d omega^(+jd) for j = 0..h, omega = e^(2 pi i/n), for real x
+    of even length n = q - 1 = 2h; this is conj(fft(x))[:h+1], and entry
+    n-j of the full spectrum is the conjugate of entry j (`_mirrored`).
 
     The pairs pack into z_m = x_2m + i x_2m+1, whose length-h FFT Z is
-    untangled into F = fft(x) at k = 0..h with the twiddle e^(-2 pi i k/n);
-    the rest is filled by exact conjugate symmetry, F_(n-k) = conj(F_k).
+    untangled into F = fft(x) at k = 0..h with the twiddle e^(-2 pi i k/n).
     Z takes one Cooley-Tukey step: h = n1 P with P the largest prime factor
     of h, a length-n1 FFT down the columns of z.reshape(n1, P), twiddles
     from the exact integer exponents m2 k1 mod h, then a length-P FFT along
@@ -236,10 +276,9 @@ def _family_transform(x: np.ndarray) -> np.ndarray:
     Z[:h].reshape(P, n1)[...] = y.T  # row k1, column k2 of y holds Z_(k1 + n1 k2)
     del y
     Z[h] = Z[0]
-    # F = 0.5 (Z + Zc) - 0.5i w (Z - Zc), built in out[:h+1]; at most two
-    # length-h temporaries live at once (Z and Zc, then Zc and w)
-    out = np.empty(2 * h, dtype=np.complex128)
-    F = out[: h + 1]
+    # F = 0.5 (Z + Zc) - 0.5i w (Z - Zc); at most two length-h temporaries
+    # live at once (Z and Zc, then Zc and w)
+    F = np.empty(h + 1, dtype=np.complex128)
     Zc = np.conj(Z[::-1])  # conj(Z_(h-k))
     np.subtract(Z, Zc, out=F)
     np.add(Z, Zc, out=Zc)
@@ -250,9 +289,14 @@ def _family_transform(x: np.ndarray) -> np.ndarray:
     np.multiply(w, F, out=F)
     del w
     np.subtract(Zc, F, out=F)
-    out[h + 1 :] = F[h - 1 : 0 : -1]
     np.conj(F, out=F)
-    return out
+    return F
+
+
+def _mirrored(F: np.ndarray) -> np.ndarray:
+    """The full length-2h spectrum from entries 0..h of a real sequence's
+    transform: entry 2h-j is exactly conj(entry j)."""
+    return np.concatenate([F, np.conj(F[-2:0:-1])])
 
 
 @dataclass(frozen=True)
@@ -278,8 +322,7 @@ def max_over_characters(ell: int, q: int, N: int,
         raise ValueError("N must be >= 2")
     if ell > math.log(N):
         raise ValueError(f"need ell <= log N, got ell={ell}")
-    values = _l_values_all_characters(ell, table, N)
-    half = np.abs(values[1 : table.order // 2 + 1])  # j = 1 .. (q-1)/2
+    half = np.abs(_l_values_all_characters(ell, table, N)[1:])  # j = 1 .. (q-1)/2
     all_moduli = np.concatenate([half, half[-2::-1]])  # j = 1 .. q-2, mirrored
     j_star = 1 + int(np.argmax(all_moduli))  # first occurrence = smallest j
     return MaxCharResult(ell=ell, q=table.q, N=int(N), j_star=j_star,
@@ -369,10 +412,10 @@ def resonance_quotient(ell: int, q: int, spec,
     order = table.order
     counts = np.bincount(table.dlog[np.array(support, dtype=np.int64) % q],
                          minlength=order).astype(np.float64)
-    R = _family_transform(counts)
-    R2 = np.abs(R) ** 2
+    R2 = np.abs(_mirrored(_family_transform(counts))) ** 2
 
-    ml = _l_values_all_characters(ell, table, N) * (-1.0) ** ell  # (-1)^ell L^(ell)(1,chi;N)
+    # (-1)^ell L^(ell)(1,chi;N) for every chi
+    ml = _mirrored(_l_values_all_characters(ell, table, N)) * (-1.0) ** ell
     v1 = float(np.sum(R2[1:]))
     v2 = complex(np.sum(ml[1:] * R2[1:]))
 

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,80 @@ def test_chi_vector_matches_scalar(chi7):
             assert vec[i] == pytest.approx(chi7.chi_value(j, int(n)), abs=1e-12)
 
 
+# unit roundoff; every route below rounds e^(2 pi i e/(q-1)) with |.| = 1
+U = 2.0**-53
+# the phase 2 pi e/(q-1) from np.pi (or math.pi), one division and one
+# product carries relative error 3U on a phase below 2 pi, and a libm cos or
+# sin of a value in [-1, 1] errs by at most U
+ARGUMENT_ERR = 3 * U * 2 * math.pi
+CHI_VALUE_ERR = ARGUMENT_ERR + math.sqrt(2) * U
+# chi_vector: the phase split over two table entries (the two argument errors
+# add up to the bound on one phase), two rounded unit values, and one complex
+# product, which errs by at most sqrt(5) U (Brent, Percival and Zimmermann)
+CHI_VECTOR_ERR = ARGUMENT_ERR + 2 * math.sqrt(2) * U + math.sqrt(5) * U
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 101, 1019, 99991, 1000003])
+def test_chi_vector_accuracy(q):
+    table = dirichlet.shared_character_table(q)
+    rng = np.random.default_rng(q)
+    ns = np.concatenate([np.arange(1, min(2 * q + 1, 5000) + 1),
+                         rng.integers(1, 10**15, 5000), q * rng.integers(1, 10**9, 50)])
+    multiple = ns % q == 0
+    js = {0, 1, q - 2, (q - 1) // 2, *(int(j) for j in rng.integers(0, q - 1, 4))}
+    for j in sorted(js):
+        got = table.chi_vector(j, ns)
+        assert np.all(got[multiple] == 0)
+        e = (j * table.dlog[ns[~multiple] % q]) % table.order
+        theta = sums.TWO_PI_LD * e.astype(np.longdouble) / table.order
+        exact_re, exact_im = np.cos(theta), np.sin(theta)
+        vals = got[~multiple]
+        err = np.hypot((vals.real - exact_re).astype(np.float64),
+                       (vals.imag - exact_im).astype(np.float64))
+        assert err.max() <= CHI_VECTOR_ERR, (j, err.max() / U)
+        for i in rng.integers(0, vals.size, 20):
+            n = int(ns[~multiple][i])
+            scalar = table.chi_value(j, n)
+            want = complex(exact_re[i], exact_im[i])
+            assert abs(scalar - want) <= CHI_VALUE_ERR, (j, n)
+            assert abs(vals[i] - scalar) <= CHI_VECTOR_ERR + CHI_VALUE_ERR, (j, n)
+
+
+@pytest.mark.parametrize("q", [3, 101, 1000003])
+def test_chi_vector_exact_values(q):
+    table = dirichlet.shared_character_table(q)
+    ns = np.arange(1, min(3 * q, 10**5) + 1, dtype=np.int64)
+    assert np.all(table.chi_vector(0, ns)[ns % q != 0] == 1 + 0j)
+    for j in (0, 1, q - 2):
+        assert np.all(table.chi_vector(j, ns)[ns % q == 0] == 0)
+    # n >= 2^63 as Python ints in an object array: the same exact exponents,
+    # so the same values as their residues
+    big = np.array([2**63 + k for k in range(min(3 * q, 10**4))] + [q * 2**70], dtype=object)
+    small = np.array([int(n) % q for n in big], dtype=np.int64)
+    for j in (0, 1, (q - 1) // 2, q - 2):
+        assert np.array_equal(table.chi_vector(j, big), table.chi_vector(j, small))
+    assert table.chi_vector(1, big)[-1] == 0
+
+
+def test_chi_vector_memory_is_independent_of_q():
+    # a table of all q - 1 roots of unity would hold 16 MB at q = 10^6 + 3,
+    # beside the 8 MB discrete-log table
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = dirichlet.build_character_table(10**6 + 3)
+        kept = tracemalloc.get_traced_memory()[0] - before
+        ns = np.arange(1, sums.CHUNK + 1, dtype=np.int64)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        table.chi_vector(12345, ns)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= table.dlog.nbytes + 2 * 2**20, kept
+    assert peak <= 6 * 2**20, peak  # a few block-length temporaries
+
+
 # ---------------------------------------------------------------------------
 # truncated L-derivative sums
 
@@ -158,7 +233,8 @@ def test_l_eval_validation(chi5):
 
 
 def test_fft_family_matches_direct(chi101):
-    vals = dirichlet._l_values_all_characters(1, chi101, 3000)
+    # entries j = 0..50, and through the conjugate mirror j = 51..99
+    vals = dirichlet._mirrored(dirichlet._l_values_all_characters(1, chi101, 3000))
     for j in (1, 2, 17, 50, 99):
         direct = dirichlet.l_derivative_truncated(1, chi101, j, 3000).value
         assert vals[j] == pytest.approx(direct, abs=1e-10)
@@ -193,12 +269,16 @@ def test_family_transform_matches_numpy_fft(q):
     # h = (q-1)/2 = 1, smooth, a safe prime (1019, 10007: one row, n1 = 1),
     # and 2 * 3 * 166667, where numpy's full-length FFT runs Bluestein
     x = np.random.default_rng(q).standard_normal(q - 1)
-    want = np.conj(np.fft.fft(x))
+    h = (q - 1) // 2
+    full = np.conj(np.fft.fft(x))
+    want = full[: h + 1]
     got = dirichlet._family_transform(x)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    h = (q - 1) // 2
-    assert np.array_equal(got[:h:-1], np.conj(got[1:h]))  # entry q-1-j is conj(entry j)
+    mirrored = dirichlet._mirrored(got)
+    assert mirrored.shape == full.shape
+    assert np.array_equal(mirrored[: h + 1], got)
+    assert np.array_equal(mirrored[:h:-1], np.conj(mirrored[1:h]))  # entry q-1-j is conj(entry j)
 
 
 def test_max_over_characters_rejects_negative_ell(monkeypatch):
