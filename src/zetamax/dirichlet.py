@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import PrincipalCharacterError, ResourceLimitError
 from .primes import is_prime, prime_factors
-from .sums import chunks, cis, compensated_sum
+from .sums import chunks, cis, compensated_sum, ordered_map
 
 _MAX_Q = 10**7
 _MAX_N = 10**8
@@ -58,7 +58,9 @@ class CharacterTable:
     roots_lo[i] = omega^i for i < 2^split_bits and roots_hi[i] =
     omega^(i 2^split_bits), with 4^split_bits >= q - 1, so omega^e =
     roots_hi[e >> split_bits] * roots_lo[e mod 2^split_bits] for every
-    exponent e; together O(sqrt q) entries.  Immutable after construction.
+    exponent e; together O(sqrt q) entries.  Immutable after construction:
+    dlog and the root tables are read-only arrays, so the block workers of a
+    sum can share them.
     """
 
     q: int
@@ -76,6 +78,8 @@ class CharacterTable:
         object.__setattr__(self, "roots_lo", cis(step * np.arange(1 << k)))
         object.__setattr__(self, "roots_hi",
                            cis(step * (np.arange(((self.order - 1) >> k) + 1) << k)))
+        for shared in (self.dlog, self.roots_lo, self.roots_hi):
+            shared.flags.writeable = False
 
     def chi_exponent(self, j: int, a: int) -> int | None:
         """Exact exponent e with chi_j(a) = omega^e, or None when q | a."""
@@ -201,7 +205,13 @@ def _weights(ns: np.ndarray, ell: int) -> np.ndarray:
     """(-log n)^ell / n, the coefficients of the truncated L-derivative sums."""
     if ell == 0:
         return 1.0 / ns  # the general form's log(n)^0 is exactly 1.0: same bits
-    return (-1.0) ** ell * np.log(ns.astype(np.float64)) ** ell / ns
+    # in place, in the order of (-1.0)**ell * log(n)**ell / n: one temporary
+    w = ns.astype(np.float64)
+    np.log(w, out=w)
+    w **= ell
+    w *= (-1.0) ** ell
+    w /= ns
+    return w
 
 
 def l_derivative_truncated(ell: int, table: CharacterTable, j: int, N: int) -> LSeriesValue:
@@ -224,8 +234,12 @@ def l_derivative_truncated(ell: int, table: CharacterTable, j: int, N: int) -> L
     if ell > math.log(N):
         raise ValueError(f"need ell <= log N, got ell={ell}, log N={math.log(N):.3f}")
 
-    value = compensated_sum(table.chi_vector(j, ns) * _weights(ns, ell)
-                            for ns in chunks(1, N))
+    def block_sum(ns):
+        terms = table.chi_vector(j, ns)
+        terms *= _weights(ns, ell)
+        return np.sum(terms)
+
+    value = compensated_sum(ordered_map(block_sum, chunks(1, N)))
     return LSeriesValue(value=value, ell=ell, q=table.q, j=j, N=int(N),
                         error_scale=_pv_error_scale(table.q, ell, N))
 
@@ -237,19 +251,22 @@ def _l_values_all_characters(ell: int, table: CharacterTable, N: int) -> np.ndar
     Groups coefficients by dlog class and applies `_family_transform` (a
     half-length FFT with one Cooley-Tukey step); entry j equals the direct
     sum for character j (exactly the same quantity, different association
-    order).  `np.add.at` adds each class's terms one at a time in ascending
-    k, so the class sums do not depend on the block size, and a block costs
-    O(CHUNK), not O(q).
+    order).  The blocks' classes and weights are found two blocks at a time
+    (`sums.ordered_map`), and `np.add.at` adds each class's terms one at a
+    time in ascending k, in the calling thread, so the class sums do not
+    depend on the block size, and a block costs O(CHUNK), not O(q).
     """
     if N > _MAX_N:
         raise ResourceLimitError(f"N={N} exceeds budget {_MAX_N}")
-    order = table.order
-    class_sums = np.zeros(order, dtype=np.float64)
-    for ns in chunks(1, N):
+
+    def classes(ns):
         r = _mod(ns, table.q)
         keep = r != 0
-        ns, r = ns[keep], r[keep]
-        np.add.at(class_sums, table.dlog[r], _weights(ns, ell))
+        return table.dlog[r[keep]], _weights(ns[keep], ell)
+
+    class_sums = np.zeros(table.order, dtype=np.float64)
+    for dlogs, weights in ordered_map(classes, chunks(1, N)):
+        np.add.at(class_sums, dlogs, weights)
     return _family_transform(class_sums)
 
 

@@ -16,8 +16,11 @@ range the enumeration route sorts its numbers and cuts them at the sieve
 route's block boundaries, so both routes sum identical arrays and agree
 bit for bit.
 
-The module-level sieve cache is built single-owner and only read
-afterwards; all sum operations are pure given their inputs.
+The module-level sieve cache is built single-owner and read-only
+afterwards; all sum operations are pure given their inputs.  Long sums
+evaluate two blocks at a time (`sums.ordered_map`): the blocks are drawn,
+and the sieve read, in the calling thread, and the block sums are combined
+in block order, so the bits do not depend on the threads.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .dickman import DickmanTable, build_rho_table, log_rho_asymptotic_main, rho
 from .dirichlet import CharacterTable
 from .errors import ResourceLimitError
 from .primes import sieve_primes
-from .sums import CHUNK, chunks, cis, compensated_sum, phases
+from .sums import CHUNK, chunks, compensated_sum, ordered_map, unit_powers
 
 _SIEVE_LIMIT = 10**8
 _FULL_SUM_LIMIT = 10**8
@@ -128,6 +131,7 @@ def _shared_spf(limit: int) -> np.ndarray:
         # grow geometrically so ascending-x call sequences amortize
         target = max(limit, min(max(2 * _spf_cache["limit"], 4096), _SIEVE_LIMIT))
         _spf_cache["table"] = spf_sieve(target)
+        _spf_cache["table"].flags.writeable = False  # shared with the block workers
         _spf_cache["limit"] = target
     return _spf_cache["table"]
 
@@ -263,10 +267,15 @@ def _twist_values(ns: np.ndarray, twist: TwistSpec) -> np.ndarray:
     if isinstance(twist, Unimodular):
         if twist.t == 0.0:
             return np.ones(ns.shape, dtype=np.complex128)
-        return cis(-phases(ns, twist.t))
+        return unit_powers(ns, twist.t)
     if isinstance(twist, Character):
         return twist.table.chi_vector(twist.j, ns)
     raise TypeError(f"not a twist spec: {twist!r}")
+
+
+def _twisted_block_sum(blocks, twist: TwistSpec) -> complex:
+    """Compensated sum of f over the blocks, two blocks at a time."""
+    return compensated_sum(ordered_map(lambda ns: np.sum(_twist_values(ns, twist)), blocks))
 
 
 def _sieved_blocks(xi: int, keep) -> Iterator[np.ndarray]:
@@ -302,7 +311,7 @@ def smooth_twisted_sum(x: float, y: float, twist: TwistSpec) -> complex:
         else:
             cuts = np.arange(1, ns.size, CHUNK)
         blocks = np.split(ns, cuts)
-    return compensated_sum(_twist_values(b, twist) for b in blocks)
+    return _twisted_block_sum(blocks, twist)
 
 
 def full_twisted_sum(x: float, twist: TwistSpec) -> complex:
@@ -310,8 +319,11 @@ def full_twisted_sum(x: float, twist: TwistSpec) -> complex:
 
     Character twists reduce over full periods: by orthogonality a period
     sums to q - 1 for the principal character and to 0 for any other, so
-    only the partial period is summed in floats.  Unimodular twists run the
-    compensated chunked sum.  A finite x < 1 gives the empty sum.
+    only the partial period is summed in floats, as a running prefix sum
+    over `chunks` blocks, each block's cumsum starting from the carry of the
+    one before (the additions of one cumsum over the period, in the same
+    order).  Unimodular twists run the compensated chunked sum.  A finite
+    x < 1 gives the empty sum.
     """
     xi = _floor(x)
     if xi < 1:
@@ -320,17 +332,23 @@ def full_twisted_sum(x: float, twist: TwistSpec) -> complex:
         return complex(xi)
     if isinstance(twist, Character):
         q = twist.table.q
-        period = twist.table.chi_vector(twist.j, np.arange(1, q + 1, dtype=np.int64))
-        prefix = np.cumsum(period)
         full, rem = divmod(xi, q)
-        # a non-principal period sums to a rounding residue, not to 0 exactly
-        total = full * complex(prefix[-1]) if twist.j == 0 else 0j
-        if rem:
-            total += complex(prefix[rem - 1])
-        return total
+        # a non-principal period sums to a rounding residue, not to 0 exactly,
+        # so only the principal character needs the whole period
+        last = q if twist.j == 0 and full else rem
+        carry, partial = 0j, 0j
+        for ns in chunks(1, last):
+            prefix = twist.table.chi_vector(twist.j, ns)
+            prefix[0] += carry
+            np.cumsum(prefix, out=prefix)
+            if ns[0] <= rem <= ns[-1]:
+                partial = complex(prefix[rem - ns[0]])
+            carry = prefix[-1]
+        total = full * complex(carry) if last == q else 0j
+        return total + partial if rem else total
     if xi > _FULL_SUM_LIMIT:
         raise ResourceLimitError(f"x={x} exceeds full-sum budget {_FULL_SUM_LIMIT}")
-    return compensated_sum(_twist_values(ns, twist) for ns in chunks(1, xi))
+    return _twisted_block_sum(chunks(1, xi), twist)
 
 
 def nonsmooth_twisted_sum(x: float, y: float, twist: TwistSpec) -> complex:
@@ -339,8 +357,7 @@ def nonsmooth_twisted_sum(x: float, y: float, twist: TwistSpec) -> complex:
     xi = _floor(x)
     if xi < 2:
         return 0j
-    return compensated_sum(_twist_values(ns, twist)
-                           for ns in _sieved_blocks(xi, lambda p: p > y))
+    return _twisted_block_sum(_sieved_blocks(xi, lambda p: p > y), twist)
 
 
 # ---------------------------------------------------------------------------

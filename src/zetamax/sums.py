@@ -3,20 +3,28 @@ kernels of every Dirichlet-type sum in the package (zeta^(ell),
 L^(ell)(1, chi), Psi(x, y; f)).
 
 `chunks` cuts a summation range into blocks of CHUNK = 2^16 integers, the
-caller turns each block into an array of terms, and `compensated_sum`
-combines the block sums.  At that size a complex128 temporary of a block
-takes 1 MB and a clongdouble one (the Euler-Maclaurin main term) 2 MB, so a
-sum holds a few MB however long it is; at 2^20 each took 16-32 MB.  Long
-sums of unit-modulus complex terms (up to 1e8 of them) lose digits under
-naive accumulation; the Neumaier variant of the two-sum error-free
-transformation keeps the running error O(1) ulp, and the fixed block order
-makes results bit-reproducible.
+caller turns each block into an array of terms and sums it, and
+`compensated_sum` combines the block sums.  At that size a complex128
+temporary of a block takes 1 MB and a clongdouble one (the Euler-Maclaurin
+main term) 2 MB, so a sum holds a few MB however long it is; at 2^20 each
+took 16-32 MB.  Long sums of unit-modulus complex terms (up to 1e8 of them)
+lose digits under naive accumulation; the Neumaier variant of the two-sum
+error-free transformation keeps the running error O(1) ulp.
+
+`ordered_map` evaluates the blocks of a long sum two at a time on a shared
+two-worker thread pool (numpy releases the GIL inside its loops) and hands
+the results back in block order, so the combination, and with it every
+bit of every result, is the same as in a serial pass.  A sum of fewer than
+two full blocks, or any sum in a process allowed one CPU, runs inline, and
+the pool is made only when a sum first needs it.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+import os
+from collections import deque
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -65,14 +73,77 @@ def chunks(first: int, last: int) -> Iterator[np.ndarray]:
         yield np.arange(lo, min(lo + CHUNK, last + 1), dtype=np.int64)
 
 
-def compensated_sum(parts: Iterable[np.ndarray], start: complex = 0j) -> complex:
-    """start + the sum of every array in `parts`: each array is summed by
-    numpy, and the array sums are combined in order with compensation."""
+def compensated_sum(block_sums: Iterable, start: complex = 0j) -> complex:
+    """start + every value in `block_sums` (each the numpy sum of one block),
+    combined in order with compensation."""
     re, im = NeumaierSum(), NeumaierSum()
-    for z in itertools.chain([start], (complex(np.sum(p)) for p in parts)):
+    for z in itertools.chain([start], map(complex, block_sums)):
         re.add(z.real)
         im.add(z.imag)
     return complex(re.value, im.value)
+
+
+_pool: list = [None]  # the shared two-worker executor, made when a sum first needs it
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _executor():
+    """The shared two-worker thread pool, or None when this process may run
+    on one CPU only.  concurrent.futures is imported on first use."""
+    if _cpu_count() < 2:
+        return None
+    if _pool[0] is None:
+        from concurrent.futures import ThreadPoolExecutor
+        _pool[0] = ThreadPoolExecutor(max_workers=2, thread_name_prefix="zetamax-sums")
+    return _pool[0]
+
+
+def ordered_map(fn: Callable, blocks: Iterable, size: Callable = len) -> Iterator:
+    """fn(block) for every block, yielded in block order.
+
+    Blocks run inline until a second full block (`size` counts a block's
+    terms, full meaning at least CHUNK) is drawn; that block and the rest
+    run on the shared pool with at most two in flight: block k + 1 is drawn
+    and submitted before the result of block k is handed back.  A sum with
+    fewer full blocks (every sum over sieve-thinned blocks among them), or
+    any sum in a process on one CPU, is a plain map(fn, blocks).  The blocks
+    are drawn in the calling thread; fn must only run numpy code, read
+    arrays that nothing writes while it runs, and not call ordered_map (a
+    worker would wait on its own pool).
+    """
+    blocks = iter(blocks)
+    full = 0
+    for block in blocks:
+        full += size(block) >= CHUNK
+        if full == 2:
+            break
+        yield fn(block)
+    else:
+        return
+    rest = itertools.chain([block], blocks)
+    pool = _executor()
+    if pool is None:
+        yield from map(fn, rest)
+        return
+    pending = deque()
+    try:
+        for block in rest:
+            pending.append(pool.submit(fn, block))
+            if len(pending) == 2:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        # a caller that stops early leaves blocks behind: cancel those not
+        # started and wait for the others, so no block outlives the sum
+        for future in pending:
+            if not future.cancel():
+                future.exception()
 
 
 def cis(theta: np.ndarray) -> np.ndarray:
@@ -82,6 +153,14 @@ def cis(theta: np.ndarray) -> np.ndarray:
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
     return out
+
+
+def unit_powers(ns: np.ndarray, t) -> np.ndarray:
+    """n^(-i t) = cis(-phases(ns, t)), with the phases negated in place (one
+    temporary fewer per block)."""
+    theta = phases(ns, t)
+    np.negative(theta, out=theta)
+    return cis(theta)
 
 
 def phases(ns: np.ndarray, t) -> np.ndarray:

@@ -22,8 +22,9 @@ corrections B_2j/(2j)! * s(s+1)..(s+2j-2) * M^(1-2j-s) are differentiated
 by the Leibniz rule, with derivatives of the Pochhammer polynomial obtained
 from elementary symmetric functions of 1/(s+i) (stable for large |s|,
 unlike expanded polynomial coefficients).  The main term is summed in
-longdouble over `sums.chunks` blocks and combined by `sums.compensated_sum`,
-so memory is O(CHUNK) whatever the cutoff.
+longdouble over `sums.chunks` blocks, two at a time (`sums.ordered_map`),
+and combined in block order by `sums.compensated_sum`, so memory is O(CHUNK)
+whatever the cutoff.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .constants import LEMMA_WINDOW_FACTOR
 from .errors import PrecisionUnreachableError, ResourceLimitError
-from .sums import TWO_PI_LD, chunks, cis, compensated_sum, phases
+from .sums import TWO_PI_LD, chunks, compensated_sum, ordered_map, unit_powers
 
 _EM_BERNOULLI_TERMS = 12
 _SCAN_BUDGET = 2 * 10**9  # grid_size * N term evaluations
@@ -93,8 +94,14 @@ def truncation_error_estimate(ell: int, sigma: float, N: int) -> float:
 
 def _coefficients(ns: np.ndarray, ell: int, sigma: float) -> np.ndarray:
     """(log n)^ell n^(-sigma), shared by the pointwise evaluator and the scan."""
-    logs = np.log(ns.astype(np.float64))
-    return logs**ell * np.exp(-sigma * logs)
+    # in place, in the order of logs**ell * exp(-sigma logs)
+    logs = ns.astype(np.float64)
+    np.log(logs, out=logs)
+    coeff = -sigma * logs
+    np.exp(coeff, out=coeff)
+    logs **= ell
+    coeff *= logs
+    return coeff
 
 
 def check_truncated_args(ell: int, sigma: float, t: float, N: int) -> None:
@@ -120,12 +127,16 @@ def zeta_derivative_truncated(ell: int, sigma: float, t: float, N: int) -> EvalR
     """
     check_truncated_args(ell, sigma, t, N)
 
-    def terms(ns):
+    def block_sum(ns):
         coeff = _coefficients(ns, ell, sigma)
-        return coeff if t == 0.0 else coeff * cis(-phases(ns, t))
+        if t == 0.0:
+            return np.sum(coeff)
+        vals = unit_powers(ns, t)
+        vals *= coeff
+        return np.sum(vals)
 
     n1_term = 1.0 if ell == 0 else 0.0
-    value = compensated_sum(map(terms, chunks(2, N)), n1_term)
+    value = compensated_sum(ordered_map(block_sum, chunks(2, N)), n1_term)
     return EvalResult(
         value=value, sigma=float(sigma), t=float(t), ell=int(ell),
         truncation=int(N), error_estimate=truncation_error_estimate(ell, sigma, N),
@@ -188,30 +199,24 @@ def _main_term(ell: int, s: complex, M: int, tol: float) -> tuple[complex, float
     the main term without the sign (-1)^ell and the n = 1 term, and its
     magnitude sum.
 
-    Summed over `chunks` blocks in longdouble, so memory stays at a few
-    block-length arrays whatever M.  After each block's magnitude is added it
-    raises PrecisionUnreachableError once the rounding floor of cutoff M on
-    the magnitude so far exceeds tol: the final error estimate is at least
-    that floor, and every later block only raises it.
+    Summed over `chunks` blocks in longdouble, two at a time
+    (`sums.ordered_map`), so memory stays at a few block-length arrays
+    whatever M.  The block magnitudes are added in block order, and after
+    each it raises PrecisionUnreachableError once the rounding floor of
+    cutoff M on the magnitude so far exceeds tol: the final error estimate
+    is at least that floor, and every later block only raises it.
     """
     sigma, t = s.real, s.imag
-    mag = 0.0
 
-    def terms(ns: np.ndarray) -> np.ndarray:
-        nonlocal mag
+    def block(ns: np.ndarray) -> tuple:
+        """(sum of the block's terms, sum of their magnitudes)."""
         logs = np.log(ns.astype(np.longdouble))
         coeff = np.exp(-sigma * logs)
         if ell:
             coeff *= logs**ell
-        mag += float(np.sum(coeff.astype(np.float64)))  # coeff > 0
-        floor = _rounding_floor(t, M, mag + 1.0)
-        if floor > tol:
-            raise PrecisionUnreachableError(
-                f"Euler-Maclaurin cannot reach tol={tol} at (ell={ell}, "
-                f"sigma={sigma}, t={t}): rounding floor {floor:.3g} at cutoff M={M}"
-            )
+        mag = np.sum(coeff.astype(np.float64))  # coeff > 0
         if t == 0.0:
-            return coeff.astype(np.float64)
+            return mag, float(mag)
         # in place, each temporary dropped once used: a block holds at most
         # coeff, w and one complex array at a time
         w = np.longdouble(t) * logs
@@ -221,9 +226,23 @@ def _main_term(ell: int, s: complex, M: int, tol: float) -> tuple[complex, float
         del w
         np.exp(out, out=out)
         out *= coeff
-        return out
+        return np.sum(out), float(mag)
 
-    value = compensated_sum(map(terms, chunks(2, M - 1)))
+    mag = 0.0
+
+    def block_sums():
+        nonlocal mag
+        for value, block_mag in ordered_map(block, chunks(2, M - 1)):
+            mag += block_mag
+            floor = _rounding_floor(t, M, mag + 1.0)
+            if floor > tol:
+                raise PrecisionUnreachableError(
+                    f"Euler-Maclaurin cannot reach tol={tol} at (ell={ell}, "
+                    f"sigma={sigma}, t={t}): rounding floor {floor:.3g} at cutoff M={M}"
+                )
+            yield value
+
+    value = compensated_sum(block_sums())
     return value, mag
 
 
@@ -367,13 +386,21 @@ def scan_max(
     ns = np.arange(2, N + 1, dtype=np.int64)
     coeff = _coefficients(ns, ell, 1.0)
     base = 1.0 if ell == 0 else 0.0  # n = 1 term
-    moduli = np.empty(grid_size)
     t_block = max(1, min(grid_size, _SCAN_BLOCK_TERMS // len(ns) + 1))
-    for lo in range(0, grid_size, t_block):
-        hi = min(lo + t_block, grid_size)
-        ts = t_lo + step * np.arange(lo, hi)
-        vals = (cis(-phases(ns, ts[:, None])) * coeff).sum(axis=1) + base
-        moduli[lo:hi] = np.abs(vals)
+    starts = range(0, grid_size, t_block)
+
+    def row_moduli(ts):
+        # in place, so each of the two row blocks in flight holds at most the
+        # phases and one complex array
+        vals = unit_powers(ns, ts[:, None])
+        vals *= coeff
+        return np.abs(vals.sum(axis=1) + base)
+
+    row_blocks = (t_lo + step * np.arange(lo, min(lo + t_block, grid_size)) for lo in starts)
+    moduli = np.empty(grid_size)
+    for lo, block in zip(starts, ordered_map(row_moduli, row_blocks,
+                                             lambda ts: ts.size * ns.size)):
+        moduli[lo : lo + block.size] = block
     i = int(np.argmax(moduli))  # first occurrence = smallest t
     return ScanResult(
         t_star=float(t_lo + step * i), value_modulus=float(moduli[i]), grid_size=grid_size,

@@ -3,7 +3,7 @@ import tempfile
 import pytest
 from hypothesis import configuration, settings
 
-from zetamax import dickman, dirichlet
+from zetamax import dickman, dirichlet, sums
 
 # Fixed examples and no example database keep runs repeatable.  Hypothesis
 # still caches the constants it reads from local source files; that cache
@@ -38,3 +38,20 @@ def chi7():
 @pytest.fixture(scope="session")
 def chi101():
     return dirichlet.build_character_table(101)
+
+
+@pytest.fixture
+def pool_submits(monkeypatch):
+    """Long sums run on the block pool whatever the machine's CPU count; the
+    list gets one entry per block submitted to the pool."""
+    monkeypatch.setattr(sums.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pool = sums._executor()
+    submitted = []
+
+    class Counting:
+        def submit(self, fn, block):
+            submitted.append(1)
+            return pool.submit(fn, block)
+
+    monkeypatch.setattr(sums, "_pool", [Counting()])
+    return submitted

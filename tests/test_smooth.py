@@ -379,3 +379,41 @@ def test_profile_csv_shape():
     lines = text.strip().split("\n")
     assert lines[0] == "y,discrepancy,psi_xy,ratio"
     assert len(lines) == 3
+
+
+def _whole_period_sum(x: int, twist: Character) -> complex:
+    # the period evaluated at once, as one cumsum over 1..q
+    q = twist.table.q
+    prefix = np.cumsum(twist.table.chi_vector(twist.j, np.arange(1, q + 1, dtype=np.int64)))
+    full, rem = divmod(x, q)
+    total = full * complex(prefix[-1]) if twist.j == 0 else 0j
+    if rem:
+        total += complex(prefix[rem - 1])
+    return total
+
+
+@pytest.mark.parametrize("q", [7, 101, 99991])
+def test_blockwise_period_sum_equals_the_whole_period_cumsum(q):
+    # the carried prefix makes the same additions in the same order as one
+    # cumsum over the period, across block boundaries too
+    table = dirichlet.build_character_table(q)
+    rng = np.random.default_rng(q)
+    xs = [1, q - 1, q, q + 1, 3 * q + 5, 2**16, 2**16 + 1, 5 * 10**6, 10**15,
+          *rng.integers(1, 3 * q, 8).tolist()]
+    for j in (0, 1, q - 2, int(rng.integers(1, q - 1))):
+        twist = Character(table, j)
+        for x in xs:
+            got, want = smooth.full_twisted_sum(float(x), twist), _whole_period_sum(x, twist)
+            assert got == want and repr(got) == repr(want), (q, j, x)
+
+
+def test_full_character_sum_memory_is_a_few_blocks():
+    # one period at q = 10^6 + 3 at once traced 61 MB
+    twist = Character(dirichlet.shared_character_table(10**6 + 3), 7)
+    tracemalloc.start()
+    try:
+        smooth.full_twisted_sum(5e6, twist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, peak

@@ -3,6 +3,7 @@ package namespace still serves every name it exported when it loaded all
 of them."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -90,3 +91,24 @@ def test_lazy_namespace_serves_every_old_name():
     assert zetamax.__version__ == "0.1.0"
     with pytest.raises(AttributeError, match="no_such_name"):
         zetamax.no_such_name
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta-eval", "--ell", "1", "--sigma", "1", "--t", "70", "--N", "70"],
+    ["twisted-sum", "--x", "300", "--y", "5", "--twist", "unimodular", "--t", "1.5"],
+    ["l-max", "--q", "101", "--ell", "0", "--N", "300"],
+], ids=lambda argv: argv[0])
+def test_small_requests_start_no_thread_pool(argv):
+    r, modules = _modules_after(_RUN_CLI, *argv)
+    assert r.returncode == 0, r.stderr
+    assert "concurrent.futures" not in modules
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: [0])(0)) < 2,
+                    reason="long sums run inline on one CPU")
+def test_long_sum_starts_the_thread_pool():
+    # the control for the test above: its import is seen when it happens
+    r, modules = _modules_after(_RUN_CLI, "zeta-eval", "--ell", "1", "--sigma", "1",
+                                "--t", "1e5", "--N", "300000")
+    assert r.returncode == 0, r.stderr
+    assert "concurrent.futures" in modules
