@@ -205,13 +205,7 @@ def _weights(ns: np.ndarray, ell: int) -> np.ndarray:
     """(-log n)^ell / n, the coefficients of the truncated L-derivative sums."""
     if ell == 0:
         return 1.0 / ns  # the general form's log(n)^0 is exactly 1.0: same bits
-    # in place, in the order of (-1.0)**ell * log(n)**ell / n: one temporary
-    w = ns.astype(np.float64)
-    np.log(w, out=w)
-    w **= ell
-    w *= (-1.0) ** ell
-    w /= ns
-    return w
+    return (-1.0) ** ell * np.log(ns.astype(np.float64)) ** ell / ns
 
 
 def l_derivative_truncated(ell: int, table: CharacterTable, j: int, N: int) -> LSeriesValue:
@@ -251,22 +245,19 @@ def _l_values_all_characters(ell: int, table: CharacterTable, N: int) -> np.ndar
     Groups coefficients by dlog class and applies `_family_transform` (a
     half-length FFT with one Cooley-Tukey step); entry j equals the direct
     sum for character j (exactly the same quantity, different association
-    order).  The blocks' classes and weights are found two blocks at a time
-    (`sums.ordered_map`), and `np.add.at` adds each class's terms one at a
-    time in ascending k, in the calling thread, so the class sums do not
-    depend on the block size, and a block costs O(CHUNK), not O(q).
+    order).  `np.add.at` adds each class's terms one at a time in ascending
+    k, so the class sums do not depend on the block size, and a block costs
+    O(CHUNK), not O(q).
     """
     if N > _MAX_N:
         raise ResourceLimitError(f"N={N} exceeds budget {_MAX_N}")
-
-    def classes(ns):
+    order = table.order
+    class_sums = np.zeros(order, dtype=np.float64)
+    for ns in chunks(1, N):
         r = _mod(ns, table.q)
         keep = r != 0
-        return table.dlog[r[keep]], _weights(ns[keep], ell)
-
-    class_sums = np.zeros(table.order, dtype=np.float64)
-    for dlogs, weights in ordered_map(classes, chunks(1, N)):
-        np.add.at(class_sums, dlogs, weights)
+        ns, r = ns[keep], r[keep]
+        np.add.at(class_sums, table.dlog[r], _weights(ns, ell))
     return _family_transform(class_sums)
 
 

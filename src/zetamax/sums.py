@@ -14,15 +14,19 @@ error-free transformation keeps the running error O(1) ulp.
 `ordered_map` evaluates the blocks of a long sum two at a time on a shared
 two-worker thread pool (numpy releases the GIL inside its loops) and hands
 the results back in block order, so the combination, and with it every
-bit of every result, is the same as in a serial pass.  A sum of fewer than
-two full blocks, or any sum in a process allowed one CPU, runs inline, and
-the pool is made only when a sum first needs it.
+bit of every result, is the same as in a serial pass.  `split_map` keeps
+one block in flight and runs the two halves of its elementwise work at
+once, the upper on a helper thread, for sums whose blocks are too large to
+hold two of (the Euler-Maclaurin main term, longdouble).  A sum of fewer
+than two full blocks, or any sum in a process allowed one CPU, runs
+inline, and the pool is made only when a sum first needs it.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import threading
 from collections import deque
 from typing import Callable, Iterable, Iterator
 
@@ -84,6 +88,7 @@ def compensated_sum(block_sums: Iterable, start: complex = 0j) -> complex:
 
 
 _pool: list = [None]  # the shared two-worker executor, made when a sum first needs it
+_pool_lock = threading.Lock()
 
 
 def _cpu_count() -> int:
@@ -97,10 +102,29 @@ def _executor():
     on one CPU only.  concurrent.futures is imported on first use."""
     if _cpu_count() < 2:
         return None
-    if _pool[0] is None:
-        from concurrent.futures import ThreadPoolExecutor
-        _pool[0] = ThreadPoolExecutor(max_workers=2, thread_name_prefix="zetamax-sums")
+    with _pool_lock:  # callers that arrive together make one pool
+        if _pool[0] is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool[0] = ThreadPoolExecutor(max_workers=2, thread_name_prefix="zetamax-sums")
     return _pool[0]
+
+
+def _after_second_full(blocks: Iterable, size: Callable, make: Callable) -> Iterator:
+    """(block, runner) for every block: runner is None until the second full
+    block (`size` at least CHUNK) is drawn, and make() from that block on."""
+    blocks = iter(blocks)
+    full = 0
+    for block in blocks:
+        full += size(block) >= CHUNK
+        if full == 2:
+            break
+        yield block, None
+    else:
+        return
+    runner = make()
+    yield block, runner
+    for block in blocks:
+        yield block, runner
 
 
 def ordered_map(fn: Callable, blocks: Iterable, size: Callable = len) -> Iterator:
@@ -116,23 +140,12 @@ def ordered_map(fn: Callable, blocks: Iterable, size: Callable = len) -> Iterato
     arrays that nothing writes while it runs, and not call ordered_map (a
     worker would wait on its own pool).
     """
-    blocks = iter(blocks)
-    full = 0
-    for block in blocks:
-        full += size(block) >= CHUNK
-        if full == 2:
-            break
-        yield fn(block)
-    else:
-        return
-    rest = itertools.chain([block], blocks)
-    pool = _executor()
-    if pool is None:
-        yield from map(fn, rest)
-        return
     pending = deque()
     try:
-        for block in rest:
+        for block, pool in _after_second_full(blocks, size, _executor):
+            if pool is None:  # nothing is pending before the pool is used
+                yield fn(block)
+                continue
             pending.append(pool.submit(fn, block))
             if len(pending) == 2:
                 yield pending.popleft().result()
@@ -144,6 +157,55 @@ def ordered_map(fn: Callable, blocks: Iterable, size: Callable = len) -> Iterato
         for future in pending:
             if not future.cancel():
                 future.exception()
+
+
+def _whole(fill: Callable, n: int) -> None:
+    fill(0, n)
+
+
+def _in_halves(fill: Callable, n: int) -> None:
+    """fill(n // 2, n) on a helper thread while fill(0, n // 2) runs in the
+    calling thread; an error in either reaches the caller."""
+    errors = []
+
+    def upper():
+        try:
+            fill(n // 2, n)
+        except BaseException as exc:
+            errors.append(exc)
+
+    helper = threading.Thread(target=upper, name="zetamax-sums-half")
+    helper.start()
+    try:
+        fill(0, n // 2)
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
+
+
+def _halves_runner():
+    return _in_halves if _cpu_count() >= 2 else None
+
+
+def split_map(fn: Callable, blocks: Iterable) -> Iterator:
+    """fn(block, run) for every block, yielded in block order, one block at
+    a time.
+
+    fn makes its block's output arrays and calls run(fill, n), where
+    fill(lo, hi) computes entries lo..hi-1 of them by elementwise numpy
+    operations, which give the same bits whichever range they run on; fn
+    then reduces the arrays.  run calls fill(0, n) until the second full
+    block is drawn (the rule of `ordered_map`), and always in a process on
+    one CPU; from that block on it runs the lower half in the calling
+    thread and the upper half on a helper thread started for the block (a
+    few tens of microseconds against the milliseconds of a full block, and
+    no pool to import or make).  A block therefore holds the memory of a
+    serial pass, where `ordered_map` holds two blocks'.  fill has the same
+    limits as ordered_map's fn.
+    """
+    for block, run in _after_second_full(blocks, len, _halves_runner):
+        yield fn(block, run or _whole)
 
 
 def cis(theta: np.ndarray) -> np.ndarray:

@@ -22,9 +22,9 @@ corrections B_2j/(2j)! * s(s+1)..(s+2j-2) * M^(1-2j-s) are differentiated
 by the Leibniz rule, with derivatives of the Pochhammer polynomial obtained
 from elementary symmetric functions of 1/(s+i) (stable for large |s|,
 unlike expanded polynomial coefficients).  The main term is summed in
-longdouble over `sums.chunks` blocks, two at a time (`sums.ordered_map`),
-and combined in block order by `sums.compensated_sum`, so memory is O(CHUNK)
-whatever the cutoff.
+longdouble over `sums.chunks` blocks, the two halves of a block at once
+(`sums.split_map`), and combined in block order by `sums.compensated_sum`,
+so memory is O(CHUNK) whatever the cutoff.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .constants import LEMMA_WINDOW_FACTOR
 from .errors import PrecisionUnreachableError, ResourceLimitError
-from .sums import TWO_PI_LD, chunks, compensated_sum, ordered_map, unit_powers
+from .sums import TWO_PI_LD, chunks, compensated_sum, ordered_map, split_map, unit_powers
 
 _EM_BERNOULLI_TERMS = 12
 _SCAN_BUDGET = 2 * 10**9  # grid_size * N term evaluations
@@ -199,40 +199,58 @@ def _main_term(ell: int, s: complex, M: int, tol: float) -> tuple[complex, float
     the main term without the sign (-1)^ell and the n = 1 term, and its
     magnitude sum.
 
-    Summed over `chunks` blocks in longdouble, two at a time
-    (`sums.ordered_map`), so memory stays at a few block-length arrays
-    whatever M.  The block magnitudes are added in block order, and after
-    each it raises PrecisionUnreachableError once the rounding floor of
-    cutoff M on the magnitude so far exceeds tol: the final error estimate
-    is at least that floor, and every later block only raises it.
+    Summed over `chunks` blocks in longdouble, one block at a time with the
+    two halves of its terms computed at once (`sums.split_map`), so memory
+    stays at a few block-length arrays whatever M.  The block magnitudes are
+    added in block order, and after each it raises PrecisionUnreachableError
+    once the rounding floor of cutoff M on the magnitude so far exceeds tol:
+    the final error estimate is at least that floor, and every later block
+    only raises it.
     """
     sigma, t = s.real, s.imag
 
-    def block(ns: np.ndarray) -> tuple:
+    def block(ns: np.ndarray, run) -> tuple:
         """(sum of the block's terms, sum of their magnitudes)."""
-        logs = np.log(ns.astype(np.longdouble))
-        coeff = np.exp(-sigma * logs)
-        if ell:
-            coeff *= logs**ell
-        mag = np.sum(coeff.astype(np.float64))  # coeff > 0
-        if t == 0.0:
-            return mag, float(mag)
-        # in place, each temporary dropped once used: a block holds at most
-        # coeff, w and one complex array at a time
-        w = np.longdouble(t) * logs
-        del logs
-        w %= TWO_PI_LD
-        out = np.longdouble(-1.0) * 1j * w
-        del w
-        np.exp(out, out=out)
-        out *= coeff
-        return np.sum(out), float(mag)
+        mags = np.empty(ns.size)  # float64, coeff > 0
+        terms = None if t == 0.0 else np.empty(ns.size, dtype=np.clongdouble)
+
+        def fill(lo: int, hi: int) -> None:
+            # a range holds its logs and coeff; its phases w = t log n mod
+            # 2 pi go into the imaginary part of its terms as -w, with real
+            # part +0: the bits of (-1) 1j w
+            logs = ns[lo:hi].astype(np.longdouble)
+            np.log(logs, out=logs)
+            z = None if terms is None else terms[lo:hi]
+            if z is not None:
+                w = z.imag
+                np.multiply(np.longdouble(t), logs, out=w)
+                np.remainder(w, TWO_PI_LD, out=w)
+                np.negative(w, out=w)
+                z.real = 0.0
+                np.exp(z, out=z)
+            coeff = -sigma * logs
+            np.exp(coeff, out=coeff)
+            if ell:
+                logs **= ell
+                coeff *= logs
+            del logs
+            mags[lo:hi] = coeff
+            if z is not None:
+                # z * coeff part by part: the complex product's bits (coeff
+                # is real; at most a zero part could differ in sign),
+                # without its cast of coeff to a complex buffer
+                np.multiply(z.real, coeff, out=z.real)
+                np.multiply(z.imag, coeff, out=z.imag)
+
+        run(fill, ns.size)
+        mag = np.sum(mags)
+        return (mag if terms is None else np.sum(terms)), float(mag)
 
     mag = 0.0
 
     def block_sums():
         nonlocal mag
-        for value, block_mag in ordered_map(block, chunks(2, M - 1)):
+        for value, block_mag in split_map(block, chunks(2, M - 1)):
             mag += block_mag
             floor = _rounding_floor(t, M, mag + 1.0)
             if floor > tol:

@@ -41,17 +41,25 @@ def chi101():
 
 
 @pytest.fixture
-def pool_submits(monkeypatch):
-    """Long sums run on the block pool whatever the machine's CPU count; the
-    list gets one entry per block submitted to the pool."""
+def parallel_blocks(monkeypatch):
+    """Long sums run in parallel whatever the machine's CPU count; the list
+    gets one entry per block that does: "pool" for a block submitted to the
+    block pool (`sums.ordered_map`), "halves" for a block split between the
+    calling thread and a helper (`sums.split_map`)."""
     monkeypatch.setattr(sums.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     pool = sums._executor()
-    submitted = []
+    in_halves = sums._in_halves
+    blocks = []
 
     class Counting:
         def submit(self, fn, block):
-            submitted.append(1)
+            blocks.append("pool")
             return pool.submit(fn, block)
 
+    def counting_halves(fill, n):
+        blocks.append("halves")
+        in_halves(fill, n)
+
     monkeypatch.setattr(sums, "_pool", [Counting()])
-    return submitted
+    monkeypatch.setattr(sums, "_in_halves", counting_halves)
+    return blocks

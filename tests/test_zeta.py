@@ -214,8 +214,7 @@ def test_reference_memory_is_flat_in_the_cutoff(monkeypatch):
     monkeypatch.setattr(sums, "CHUNK", SMALL_CHUNK)
     s = complex(1.0, 1e4)
 
-    def peak_bytes(M, cpus):
-        monkeypatch.setattr(sums.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    def peak_bytes(M):
         tracemalloc.start()
         try:
             zeta._em_zeta_derivative(2, s, M)
@@ -223,27 +222,18 @@ def test_reference_memory_is_flat_in_the_cutoff(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    # one block at a time: the same peak whatever the cutoff
-    small = peak_bytes(2 * SMALL_CHUNK, {0})
-    large = peak_bytes(16 * SMALL_CHUNK, {0})
+    small = peak_bytes(2 * SMALL_CHUNK)
+    large = peak_bytes(16 * SMALL_CHUNK)
     assert large <= 1.2 * small, (small, large)
-    # on the block pool at most two blocks are in flight, whatever the
-    # cutoff (a third would break this bound).  How much of two blocks a
-    # short sum holds at once depends on when the OS runs each worker, so the
-    # pooled peak is compared with two serial blocks, not with a pooled one.
-    peak_bytes(3 * SMALL_CHUNK, {0, 1})  # the pool and its threads exist
-    pooled = peak_bytes(16 * SMALL_CHUNK, {0, 1})
-    assert pooled <= 1.2 * 2 * small, (small, pooled)
 
 
 @pytest.mark.parametrize("call", [
     lambda: zeta._em_zeta_derivative(2, complex(1, 1e6), 2_000_001),
     lambda: zeta.zeta_derivative_truncated(1, 1.0, 1e7, 2 * 10**6),
 ], ids=["reference-main-term", "truncated"])
-def test_default_blocks_keep_long_sums_small(pool_submits, call):
+def test_default_blocks_keep_long_sums_small(call):
     # 2e6 terms at the default CHUNK: a few block-length temporaries, where
-    # 2^20-term blocks traced ~98 MB for the reference; the sum runs on the
-    # block pool, so the bound covers two blocks in flight
+    # 2^20-term blocks traced ~98 MB for the reference
     tracemalloc.start()
     try:
         call()
@@ -251,7 +241,6 @@ def test_default_blocks_keep_long_sums_small(pool_submits, call):
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20, peak
-    assert len(pool_submits) == 30  # every block but the first
 
 
 @pytest.fixture
