@@ -118,14 +118,11 @@ def _cmd_bound(args) -> None:
 
 
 def _cmd_psi(args) -> None:
+    from dataclasses import asdict
+
     from . import smooth
 
-    r = smooth.psi_count(args.x, args.y)
-    _emit_json({
-        "x": r.x, "y": r.y, "exact_count": r.exact_count,
-        "dickman_approx": r.dickman_approx, "u": r.u,
-        "relative_error": r.relative_error,
-    })
+    _emit_json(asdict(smooth.psi_count(args.x, args.y)))
 
 
 def _cmd_twisted_sum(args) -> None:
@@ -143,6 +140,8 @@ def _cmd_twisted_sum(args) -> None:
 
 
 def _cmd_error_profile(args) -> None:
+    from dataclasses import asdict
+
     from . import smooth
 
     twist = _twist_from_args(args)
@@ -152,8 +151,7 @@ def _cmd_error_profile(args) -> None:
         sys.stdout.write(smooth.profile_to_csv(records))
     else:
         for r in records:
-            _emit_json({"y": r.y, "discrepancy": r.discrepancy,
-                        "psi_xy": r.psi_xy, "ratio": r.ratio})
+            _emit_json(asdict(r))
 
 
 def _cmd_zeta_eval(args) -> None:
@@ -211,6 +209,8 @@ def _cmd_resonator_ratio(args) -> None:
 
 
 def _cmd_proof_bookkeeping(args) -> None:
+    from dataclasses import asdict
+
     from . import resonator
 
     table = _build_table(args)
@@ -219,15 +219,8 @@ def _cmd_proof_bookkeeping(args) -> None:
         r = resonator.proof_bookkeeping(args.ell, table, log_T=log_T)
     else:
         r = resonator.proof_bookkeeping(args.ell, table, args.T)
-    _emit_json({
-        "ell": r.ell, "log_T": r.log_T, "log2_T": r.log2_T, "log3_T": r.log3_T,
-        "y": r.y, "b": r.b, "u_R": r.u_R,
-        "S1": r.S1, "S2": r.S2, "K2_bound": r.K2_bound, "predicted": r.predicted,
-        "sum_over_predicted": (r.S1 + r.S2) / r.predicted,
-        "k2_over_predicted": r.K2_bound / r.predicted,
-        "k1_exponent_cap": r.k1_exponent_cap,
-        "k1_inner_floor": r.k1_inner_floor,
-    })
+    _emit_json({**asdict(r), "sum_over_predicted": (r.S1 + r.S2) / r.predicted,
+                "k2_over_predicted": r.K2_bound / r.predicted})
 
 
 def _cmd_char_table(args) -> None:
@@ -262,16 +255,12 @@ def _cmd_l_max(args) -> None:
 
 
 def _cmd_resonance_quotient(args) -> None:
+    from dataclasses import asdict
+
     from . import dirichlet, resonator
 
     spec = resonator.make_spec(args.y, args.b)
-    r = dirichlet.resonance_quotient(args.ell, args.q, spec)
-    _emit_json({
-        "q": r.q, "ell": r.ell, "A": r.A, "N": r.N,
-        "v2_over_v1": r.v2_over_v1, "error_term_scale": r.error_term_scale,
-        "closed_form": r.closed_form, "support_size": r.support_size,
-        "principal_correction": r.principal_correction,
-    })
+    _emit_json(asdict(dirichlet.resonance_quotient(args.ell, args.q, spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +271,14 @@ def _add_table_opts(p, max_u_default: float) -> None:
                    help="rho table domain end (ignored with --table)")
     p.add_argument("--tol", type=float, default=1e-12, help="rho table tolerance")
     p.add_argument("--table", type=str, default=None, help="load a saved rho table")
+
+
+def _add_twist_opts(p) -> None:
+    p.add_argument("--twist", choices=["trivial", "character", "unimodular"],
+                   required=True)
+    p.add_argument("--q", type=int, default=None)
+    p.add_argument("--j", type=int, default=None)
+    p.add_argument("--t", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,20 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, default=None,
                    help="smoothness bound; omit for the full sum over n <= x")
-    p.add_argument("--twist", choices=["trivial", "character", "unimodular"],
-                   required=True)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--j", type=int, default=None)
-    p.add_argument("--t", type=float, default=None)
+    _add_twist_opts(p)
     p.set_defaults(func=_cmd_twisted_sum)
 
     p = sub.add_parser("error-profile", help="full-vs-smooth discrepancy profile")
     p.add_argument("--x", type=float, required=True)
-    p.add_argument("--twist", choices=["trivial", "character", "unimodular"],
-                   required=True)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--j", type=int, default=None)
-    p.add_argument("--t", type=float, default=None)
+    _add_twist_opts(p)
     p.add_argument("--y-grid", dest="y_grid", type=str, required=True,
                    help="comma-separated smoothness bounds")
     p.set_defaults(func=_cmd_error_profile)

@@ -60,13 +60,12 @@ def y_exact(ell: int) -> MomentValue:
     """Y_ell as an exact rational multiple of e^gamma.
 
     rational_part = (-1)^ell B_ell(-1, 1/2, .., (-1)^ell/ell); Y_0 = e^gamma
-    (transform at 0) so rational_part(0) = 1 by convention.
+    (transform at 0) so rational_part(0) = 1 by convention; complete_bell
+    rejects ell < 0 and ell > 200.
     """
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    if ell > _MAX_ELL:
-        raise ValueError(f"ell > {_MAX_ELL}: coefficient growth guard")
-    args = [Fraction((-1) ** m, m) for m in range(1, ell + 1)]
+    # at most _MAX_ELL + 1 arguments: complete_bell rejects a larger ell
+    # before it reads them, so a huge ell builds no huge list
+    args = [Fraction((-1) ** m, m) for m in range(1, min(ell, _MAX_ELL + 1) + 1)]
     rational = (-1) ** ell * complete_bell(ell, args)
     try:
         fval = float(rational) * EXP_GAMMA

@@ -16,10 +16,11 @@ two-worker thread pool (numpy releases the GIL inside its loops) and hands
 the results back in block order, so the combination, and with it every
 bit of every result, is the same as in a serial pass.  `split_map` keeps
 one block in flight and runs the two halves of its elementwise work at
-once, the upper on a helper thread, for sums whose blocks are too large to
+once, the upper on the same pool, for sums whose blocks are too large to
 hold two of (the Euler-Maclaurin main term, longdouble).  A sum of fewer
 than two full blocks, or any sum in a process allowed one CPU, runs
-inline, and the pool is made only when a sum first needs it.
+inline; the pool is made when a sum draws its first full block, so only
+a process that draws one imports concurrent.futures.
 """
 
 from __future__ import annotations
@@ -109,22 +110,25 @@ def _executor():
     return _pool[0]
 
 
-def _after_second_full(blocks: Iterable, size: Callable, make: Callable) -> Iterator:
-    """(block, runner) for every block: runner is None until the second full
-    block (`size` at least CHUNK) is drawn, and make() from that block on."""
+def _after_second_full(blocks: Iterable, size: Callable) -> Iterator:
+    """(block, pool) for every block: pool is None until the second full
+    block (`size` at least CHUNK) is drawn, and _executor() from that block
+    on.  The pool is made when the first full block is drawn, so its one-off
+    import comes before any block that runs in parallel."""
     blocks = iter(blocks)
     full = 0
     for block in blocks:
-        full += size(block) >= CHUNK
-        if full == 2:
-            break
+        if size(block) >= CHUNK:
+            full += 1
+            if full == 2:
+                break
+            pool = _executor()
         yield block, None
     else:
         return
-    runner = make()
-    yield block, runner
+    yield block, pool
     for block in blocks:
-        yield block, runner
+        yield block, pool
 
 
 def ordered_map(fn: Callable, blocks: Iterable, size: Callable = len) -> Iterator:
@@ -142,7 +146,7 @@ def ordered_map(fn: Callable, blocks: Iterable, size: Callable = len) -> Iterato
     """
     pending = deque()
     try:
-        for block, pool in _after_second_full(blocks, size, _executor):
+        for block, pool in _after_second_full(blocks, size):
             if pool is None:  # nothing is pending before the pool is used
                 yield fn(block)
                 continue
@@ -159,35 +163,6 @@ def ordered_map(fn: Callable, blocks: Iterable, size: Callable = len) -> Iterato
                 future.exception()
 
 
-def _whole(fill: Callable, n: int) -> None:
-    fill(0, n)
-
-
-def _in_halves(fill: Callable, n: int) -> None:
-    """fill(n // 2, n) on a helper thread while fill(0, n // 2) runs in the
-    calling thread; an error in either reaches the caller."""
-    errors = []
-
-    def upper():
-        try:
-            fill(n // 2, n)
-        except BaseException as exc:
-            errors.append(exc)
-
-    helper = threading.Thread(target=upper, name="zetamax-sums-half")
-    helper.start()
-    try:
-        fill(0, n // 2)
-    finally:
-        helper.join()
-    if errors:
-        raise errors[0]
-
-
-def _halves_runner():
-    return _in_halves if _cpu_count() >= 2 else None
-
-
 def split_map(fn: Callable, blocks: Iterable) -> Iterator:
     """fn(block, run) for every block, yielded in block order, one block at
     a time.
@@ -195,17 +170,24 @@ def split_map(fn: Callable, blocks: Iterable) -> Iterator:
     fn makes its block's output arrays and calls run(fill, n), where
     fill(lo, hi) computes entries lo..hi-1 of them by elementwise numpy
     operations, which give the same bits whichever range they run on; fn
-    then reduces the arrays.  run calls fill(0, n) until the second full
-    block is drawn (the rule of `ordered_map`), and always in a process on
-    one CPU; from that block on it runs the lower half in the calling
-    thread and the upper half on a helper thread started for the block (a
-    few tens of microseconds against the milliseconds of a full block, and
-    no pool to import or make).  A block therefore holds the memory of a
-    serial pass, where `ordered_map` holds two blocks'.  fill has the same
-    limits as ordered_map's fn.
+    then reduces the arrays.  run calls fill(0, n) wherever `ordered_map`
+    would run the block inline; elsewhere it submits the upper half to the
+    shared pool and runs the lower half in the calling thread.  A block
+    therefore holds the memory of a serial pass, where `ordered_map` holds
+    two blocks'.  fill has the same limits as ordered_map's fn.
     """
-    for block, run in _after_second_full(blocks, len, _halves_runner):
-        yield fn(block, run or _whole)
+    for block, pool in _after_second_full(blocks, len):
+        def run(fill: Callable, n: int) -> None:
+            if pool is None:
+                return fill(0, n)
+            upper = pool.submit(fill, n // 2, n)
+            try:
+                fill(0, n // 2)
+            finally:
+                upper.exception()  # wait for the upper half whatever the lower did
+            upper.result()
+
+        yield fn(block, run)
 
 
 def cis(theta: np.ndarray) -> np.ndarray:

@@ -23,8 +23,9 @@ by the Leibniz rule, with derivatives of the Pochhammer polynomial obtained
 from elementary symmetric functions of 1/(s+i) (stable for large |s|,
 unlike expanded polynomial coefficients).  The main term is summed in
 longdouble over `sums.chunks` blocks, the two halves of a block at once
-(`sums.split_map`), and combined in block order by `sums.compensated_sum`,
-so memory is O(CHUNK) whatever the cutoff.
+(`sums.split_map`, the upper on the shared block pool), and combined in
+block order by `sums.compensated_sum`, so memory is O(CHUNK) whatever the
+cutoff.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ _EM_BERNOULLI_TERMS = 12
 _SCAN_BUDGET = 2 * 10**9  # grid_size * N term evaluations
 # scan_max keeps one float64 modulus per grid point (80 MB at this size)
 _MAX_SCAN_GRID = 10**7
+# ns, the coefficients and each of the two row blocks in flight are O(N)
+# arrays: a scan at this N and t = 1e7 (longdouble phases) peaks at 930 MB RSS
+_MAX_SCAN_N = 10**7
 
 _MIN_SIGMA = 0.6
 
@@ -200,8 +204,10 @@ def _main_term(ell: int, s: complex, M: int, tol: float) -> tuple[complex, float
     magnitude sum.
 
     Summed over `chunks` blocks in longdouble, one block at a time with the
-    two halves of its terms computed at once (`sums.split_map`), so memory
-    stays at a few block-length arrays whatever M.  The block magnitudes are
+    two halves of its terms computed at once (`sums.split_map`): from the
+    second full block on, the upper half runs on the shared block pool,
+    which is made when the first full block is drawn.  Memory stays at a
+    few block-length arrays whatever M.  The block magnitudes are
     added in block order, and after each it raises PrecisionUnreachableError
     once the rounding floor of cutoff M on the magnitude so far exceeds tol:
     the final error estimate is at least that floor, and every later block
@@ -377,9 +383,9 @@ def scan_max(
     deterministic tie-break toward the smallest t.  `moduli` holds the
     modulus at every grid point, in grid order.
 
-    Work is grid_size * N term evaluations; more than 2e9 of them, or a grid
-    of more than 1e7 points, raises ResourceLimitError before any work is
-    done.
+    Work is grid_size * N term evaluations; more than 2e9 of them, a grid of
+    more than 1e7 points, or N above 1e7 raises ResourceLimitError before
+    any work is done or memory allocated.
     """
     if not all(map(math.isfinite, (t_lo, t_hi, step))):
         raise ValueError(f"t_lo, t_hi and step must be finite, got {t_lo}, {t_hi}, {step}")
@@ -396,6 +402,8 @@ def scan_max(
     grid_size = int(math.floor(min(span, _MAX_SCAN_GRID) + 1e-9)) + 1
     if grid_size > _MAX_SCAN_GRID:
         raise ResourceLimitError(f"grid of {span:.6g} steps exceeds {_MAX_SCAN_GRID} points")
+    if N > _MAX_SCAN_N:
+        raise ResourceLimitError(f"N = {N} exceeds {_MAX_SCAN_N} terms")
     if grid_size * N > _SCAN_BUDGET:
         raise ResourceLimitError(
             f"grid_size*N = {grid_size}*{N} exceeds budget {_SCAN_BUDGET}"

@@ -43,23 +43,16 @@ def chi101():
 @pytest.fixture
 def parallel_blocks(monkeypatch):
     """Long sums run in parallel whatever the machine's CPU count; the list
-    gets one entry per block that does: "pool" for a block submitted to the
-    block pool (`sums.ordered_map`), "halves" for a block split between the
-    calling thread and a helper (`sums.split_map`)."""
+    gets "pool" for every task submitted to the block pool: a whole block
+    (`sums.ordered_map`) or the upper half of one (`sums.split_map`)."""
     monkeypatch.setattr(sums.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     pool = sums._executor()
-    in_halves = sums._in_halves
     blocks = []
 
     class Counting:
-        def submit(self, fn, block):
+        def submit(self, fn, *args):
             blocks.append("pool")
-            return pool.submit(fn, block)
-
-    def counting_halves(fill, n):
-        blocks.append("halves")
-        in_halves(fill, n)
+            return pool.submit(fn, *args)
 
     monkeypatch.setattr(sums, "_pool", [Counting()])
-    monkeypatch.setattr(sums, "_in_halves", counting_halves)
     return blocks

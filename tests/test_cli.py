@@ -1,5 +1,6 @@
 import argparse
 import json
+import resource
 import subprocess
 import sys
 
@@ -139,9 +140,20 @@ def test_inconsistent_table_file_exits_2(tmp_path):
     ("twisted-sum", "--x", "1e10", "--y", "2e9", "--twist", "trivial"),
     # the rounding floor at the first cutoff M = 2e7 + 1 exceeds --ref-tol
     ("zeta-eval", "--ell", "3", "--sigma", "1", "--t", "1e7", "--N", "100", "--reference"),
-], ids=["zeta-scan", "psi", "twisted-sum", "zeta-eval-reference"])
+    # one grid point times N = 2e9 is within the grid*N budget, but ns and
+    # the coefficients would take 16 GB each
+    ("zeta-scan", "--ell", "1", "--t-lo", "1e4", "--t-hi", "1e4", "--step", "1",
+     "--N", "2000000000"),
+], ids=["zeta-scan", "psi", "twisted-sum", "zeta-eval-reference", "zeta-scan-N"])
 def test_resource_limit_exits_3(argv):
-    r = run_cli(*argv)
+    # under a 4 GiB address-space cap, a request that slips past its budget
+    # fails its first large allocation at once (MemoryError, exit 1) instead
+    # of filling the machine
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    r = subprocess.run(CLI + list(argv), capture_output=True, timeout=600,
+                       preexec_fn=cap_address_space)
     assert r.returncode == 3
     assert r.stdout == b""
     lines = r.stderr.decode().splitlines()
@@ -210,6 +222,30 @@ def test_zeta_scan_csv_out(tmp_path):
     # the CSV and the reported maximum come from one modulus array
     best = max(float(line.split(",")[1]) for line in lines[1:])
     assert best == json.loads(r.stdout)["value_modulus"]
+
+
+# the subcommands that print a library result record as it is: a field added
+# to the record changes the output schema, and must change these sets too
+@pytest.mark.parametrize("argv, keys", [
+    (("psi", "--x", "1000", "--y", "7"),
+     {"x", "y", "exact_count", "dickman_approx", "u", "relative_error"}),
+    (("error-profile", "--x", "150", "--twist", "trivial", "--y-grid", "2,20"),
+     {"y", "discrepancy", "psi_xy", "ratio"}),
+    (("proof-bookkeeping", "--ell", "1", "--log10-T", "1e4", "--max-u", "20"),
+     {"ell", "log_T", "log2_T", "log3_T", "y", "b", "u_R", "S1", "S2", "K2_bound",
+      "predicted", "k1_exponent_cap", "k1_inner_floor", "sum_over_predicted",
+      "k2_over_predicted"}),
+    (("resonance-quotient", "--q", "101", "--ell", "0", "--y", "3", "--b", "2"),
+     {"q", "ell", "A", "N", "v2_over_v1", "error_term_scale", "closed_form",
+      "support_size", "principal_correction"}),
+], ids=["psi", "error-profile", "proof-bookkeeping", "resonance-quotient"])
+def test_record_subcommands_print_exactly_the_record_fields(argv, keys):
+    r = run_cli(*argv)
+    assert r.returncode == 0, r.stderr.decode()
+    docs = [json.loads(line) for line in r.stdout.decode().splitlines()]
+    assert docs
+    for doc in docs:
+        assert set(doc) == keys | {"schema_version"}
 
 
 def test_l_max_prediction_field():

@@ -45,6 +45,25 @@ def test_complete_bell_validation():
         moments.complete_bell(-1, [])
     with pytest.raises(ValueError):
         moments.complete_bell(201, [F(1)] * 201)
+    with pytest.raises(ValueError, match="ell must be >= 0"):
+        moments.y_exact(-1)
+    with pytest.raises(ValueError, match="coefficient growth guard"):
+        moments.y_exact(201)
+
+
+def test_y_exact_rejects_a_huge_ell_before_building_its_arguments(monkeypatch):
+    # the `bound` and `moments` subcommands pass any --ell to y_exact
+    lengths = []
+    bell = moments.complete_bell
+
+    def spy(ell, x):
+        lengths.append(len(x))
+        return bell(ell, x)
+
+    monkeypatch.setattr(moments, "complete_bell", spy)
+    with pytest.raises(ValueError, match="coefficient growth guard"):
+        moments.y_exact(10**5)
+    assert max(lengths, default=0) <= 201
 
 
 def test_y_exact_closed_forms():

@@ -234,8 +234,8 @@ def test_split_blocks_fill_every_entry_once_in_block_order(parallel_blocks):
     assert [index.size for index, _ in results] == sizes
     for index, _ in results:
         assert np.array_equal(index, np.arange(index.size))
-    # from the second full block on, the upper half runs on a helper thread
-    assert parallel_blocks == ["halves"] * 3
+    # from the second full block on, the upper half runs on the pool
+    assert parallel_blocks == ["pool"] * 3
     caller = threading.current_thread()
     for k, (_, thread) in enumerate(results):
         half = len(thread) // 2
