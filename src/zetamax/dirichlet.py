@@ -47,6 +47,7 @@ from .sums import chunks, cis, compensated_sum, ordered_map
 _MAX_Q = 10**7
 _MAX_N = 10**8
 _QUOTIENT_MAX_Q = 10**5
+_DLOG_BLOCK = 1 << 16  # entries per block of the discrete-log fill: 512 KB of int64
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,8 @@ def _verify_table(table: CharacterTable, checks: int = 100) -> None:
     if int(logs.min()) < 0 or not np.array_equal(
             np.bincount(logs, minlength=order), np.ones(order, dtype=np.int64)):
         raise AssertionError("discrete-log table is not a bijection onto [0, q-1)")
-    successors = np.arange(1, q, dtype=np.int64) * g % q
-    if int(dlog[1]) != 0 or np.any(dlog[successors] != (logs + 1) % order):
+    successors = _mod(np.arange(1, q, dtype=np.int64) * g, q)
+    if int(dlog[1]) != 0 or np.any(dlog[successors] != _mod(logs + 1, order)):
         raise AssertionError("discrete-log table breaks dlog[a g] = dlog[a] + 1")
     rng = np.random.default_rng(q)
     for a in rng.integers(1, q, size=min(checks, order)):
@@ -144,9 +145,10 @@ def _verify_table(table: CharacterTable, checks: int = 100) -> None:
 
 def build_character_table(q: int) -> CharacterTable:
     """Character group table for prime q in [3, 1e7] over its smallest
-    primitive root g.  The discrete logs are stored blockwise,
-    dlog[g^(iB+k)] = iB + k with B = isqrt(q-1) + 1, and certified exactly
-    by `_verify_table`."""
+    primitive root g.  The discrete logs are stored by baby and giant steps,
+    dlog[g^(iB+k)] = iB + k with B = isqrt(q-1) + 1, one outer product of
+    the giant steps g^(iB) and the baby steps g^k per block of about
+    _DLOG_BLOCK entries, and certified exactly by `_verify_table`."""
     q = int(q)
     if q < 3 or q > _MAX_Q:
         raise ValueError(f"q must lie in [3, {_MAX_Q}], got {q}")
@@ -162,12 +164,19 @@ def build_character_table(q: int) -> CharacterTable:
         raise AssertionError(f"no primitive root found for q={q}")
     B = math.isqrt(q - 1) + 1
     small = np.array([pow(g, k, q) for k in range(B)], dtype=np.int64)
-    ks = np.arange(B, dtype=np.int64)
+    giant = pow(g, B, q)
+    giants = [1]  # g^(iB) mod q, one per giant step
+    while len(giants) * B < q - 1:
+        giants.append(giants[-1] * giant % q)
     dlog = np.empty(q, dtype=np.int64)
     dlog[0] = -1
-    for base in range(0, q - 1, B):
-        n = min(B, q - 1 - base)
-        dlog[small[:n] * pow(g, base, q) % q] = base + ks[:n]
+    rows = max(1, _DLOG_BLOCK // B)
+    for i in range(0, len(giants), rows):
+        # row-major g^(iB + k) for a block of giant steps; exact in int64,
+        # since every product is below q^2 < 2^63
+        block = np.multiply.outer(np.array(giants[i : i + rows], dtype=np.int64), small)
+        vals = _mod(block, q).ravel()[: q - 1 - i * B]
+        dlog[vals] = np.arange(i * B, i * B + vals.size)
     table = CharacterTable(q=q, generator=g, dlog=dlog, order=q - 1)
     _verify_table(table)
     return table

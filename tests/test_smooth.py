@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from zetamax import dirichlet, smooth
 from zetamax.errors import ResourceLimitError
+from zetamax.primes import sieve_primes
 from zetamax.smooth import Character, Trivial, Unimodular
 
 
@@ -28,7 +29,7 @@ def _largest_prime_factor_oracle(n: int) -> int:
 
 
 def _spf_loop_oracle(limit: int) -> np.ndarray:
-    # the per-n ascending sieve that the two-phase kernel replaced
+    # the per-n ascending sieve, an independent route to the same table
     table = np.zeros(limit + 1, dtype=np.int32)
     table[1] = 1
     for p in range(2, limit + 1):
@@ -49,6 +50,42 @@ def test_spf_sieve_matches_trial_division_at_every_n():
 def test_spf_sieve_matches_loop_sieve():
     limit = 2 * 10**5
     assert np.array_equal(smooth.spf_sieve(limit), _spf_loop_oracle(limit))
+
+
+@pytest.mark.parametrize("segment", [97, 1000, 4099])
+def test_spf_sieve_across_small_segments(monkeypatch, segment):
+    # 97 is shorter than the largest slice-pass prime (139 <= isqrt(2e4)),
+    # so some primes have no multiple in a segment
+    monkeypatch.setattr(smooth, "_SIEVE_SEGMENT", segment)
+    limit = 2 * 10**4
+    assert np.array_equal(smooth.spf_sieve(limit), _spf_loop_oracle(limit))
+
+
+def test_spf_sieve_invariants_over_default_segments():
+    # 9 segments at the default size.  t[n] is a prime dividing n and
+    # t[n // t[n]] <= t[n]: by induction on n, t[n] = P+(n) for every n
+    limit = 8 * smooth._SIEVE_SEGMENT + 100_003
+    t = smooth.spf_sieve(limit).astype(np.int64)
+    assert t[0] == 0 and t[1] == 1
+    ns = np.arange(2, limit + 1)
+    ps = t[2:]
+    assert np.all(ps >= 2) and np.all(ns % ps == 0)
+    is_prime = np.zeros(limit + 1, dtype=bool)
+    is_prime[sieve_primes(limit)] = True
+    assert np.all(is_prime[ps])
+    assert np.all(t[ns // ps] <= ps)
+
+
+def test_spf_sieve_traces_little_beyond_its_table():
+    # the large primes (3 MB at 1e7) and a few segment-sized temporaries;
+    # a second pass over the whole table traced 14.6 MiB beyond it
+    tracemalloc.start()
+    try:
+        table = smooth.spf_sieve(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= table.nbytes + 10 * 2**20, (peak, table.nbytes)
 
 
 def test_spf_sieve_small():

@@ -213,6 +213,9 @@ def test_streamed_reference_matches_one_array_oracle(monkeypatch, ell, sigma, t)
 def test_reference_memory_is_flat_in_the_cutoff(monkeypatch):
     monkeypatch.setattr(sums, "CHUNK", SMALL_CHUNK)
     s = complex(1.0, 1e4)
+    # make the pool first: its one-off import would otherwise land in the
+    # smaller call's peak, or not, by what the process imported before
+    sums._executor()
 
     def peak_bytes(M):
         tracemalloc.start()
