@@ -184,7 +184,7 @@ def _cmd_zeta_scan(args) -> None:
     r = zeta.scan_max(args.ell, args.t_lo, args.t_hi, args.step, args.N)
     if args.csv_out:
         with open(args.csv_out, "w", encoding="utf-8") as f:
-            f.write(zeta.scan_result_to_csv(r))
+            zeta.scan_result_to_csv(r, f)
     _emit_json({
         "t_star": r.t_star, "value_modulus": r.value_modulus, "ell": r.ell,
         "N": r.N, "window": [r.t_lo, r.t_hi], "step": r.step,

@@ -25,8 +25,10 @@ works on the (log T, log_2 T, log_3 T) scale.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .constants import EXP_GAMMA
 from .dickman import DickmanTable, rho
@@ -124,59 +126,52 @@ def spec_from_T(T: float | None = None, *, log_T: float | None = None) -> Resona
 # ---------------------------------------------------------------------------
 # direct enumeration (oracle)
 
-def _divisor_terms(spec: ResonatorSpec) -> list:
-    """(log k, weight) for every divisor k of P(y, b); weight =
-    prod (b - alpha_i)/b = the exact mean multiplicity (1/|M|) #{n in M: k|n}."""
+def _divisors(spec: ResonatorSpec, bound: float = math.inf) -> Iterator[tuple]:
+    """(k, log k, weight) for every divisor k <= bound of P(y, b), in no
+    particular order; weight = prod (b - alpha_i)/b = the exact mean
+    multiplicity (1/|M|) #{n in M: k|n}.
+
+    Depth first on an explicit stack, so memory is O(w b) whatever |M|.  A
+    node k = ... p_i^alpha_i extends by the primes after p_i; they ascend,
+    so the first that takes k past bound ends its extensions.  log k adds
+    log p once per factor p, and the weight takes one factor per prime.
+    """
     primes, b = spec.primes, spec.b
-    if spec.w * math.log(b) > math.log(_DIRECT_BUDGET):
-        raise ResourceLimitError(
-            f"b^w = {b}^{spec.w} exceeds direct enumeration budget {_DIRECT_BUDGET}"
-        )
-    terms = [(0.0, 1.0)]
-
-    def rec(i: int, logk: float, wt: float):
-        for j in range(i, len(primes)):
-            lp = math.log(primes[j])
-            lk = logk
+    logs = [math.log(p) for p in primes]
+    stack = [(0, 1, 0.0, 1.0)]
+    while stack:
+        i, k, lk, wt = stack.pop()
+        yield k, lk, wt
+        for j in range(i, spec.w):
+            p = primes[j]
+            if k * p > bound:
+                break
+            kk, lkk = k, lk
             for alpha in range(1, b):
-                lk += lp
-                w_here = wt * (b - alpha) / b
-                terms.append((lk, w_here))
-                rec(j + 1, lk, w_here)
-
-    rec(0, 0.0, 1.0)
-    return terms
+                kk *= p
+                if kk > bound:
+                    break
+                lkk += logs[j]
+                stack.append((j + 1, kk, lkk, wt * (b - alpha) / b))
 
 
 def ratio_direct(spec: ResonatorSpec, ell: int) -> float:
-    """Resonance ratio by full enumeration of the divisor set."""
+    """Resonance ratio by full enumeration of the divisor set, summed as it
+    is enumerated."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    terms = _divisor_terms(spec)
-    if ell == 0:
-        return math.fsum(w * math.exp(-lk) for lk, w in terms)
-    return math.fsum(w * lk**ell * math.exp(-lk) for lk, w in terms)
+    if spec.w * math.log(spec.b) > math.log(_DIRECT_BUDGET):
+        raise ResourceLimitError(
+            f"b^w = {spec.b}^{spec.w} exceeds direct enumeration budget {_DIRECT_BUDGET}"
+        )
+    return math.fsum(wt * lk**ell * math.exp(-lk) for _, lk, wt in _divisors(spec))
 
 
 def divisors_up_to(spec: ResonatorSpec, bound: float) -> list[int]:
     """Sorted divisors of P(y, b) that are <= bound."""
-    primes, b = spec.primes, spec.b
-    out = [1]
-
-    def rec(i: int, k: int):
-        for j in range(i, len(primes)):
-            p = primes[j]
-            kk = k
-            for _ in range(b - 1):
-                kk *= p
-                if kk > bound:
-                    break
-                out.append(kk)
-                rec(j + 1, kk)
-                if len(out) > _DIRECT_BUDGET:
-                    raise ResourceLimitError("divisor enumeration budget exceeded")
-
-    rec(0, 1)
+    out = [k for k, _, _ in itertools.islice(_divisors(spec, bound), _DIRECT_BUDGET + 1)]
+    if len(out) > _DIRECT_BUDGET:
+        raise ResourceLimitError("divisor enumeration budget exceeded")
     return sorted(out)
 
 

@@ -19,7 +19,7 @@ one block in flight and runs the two halves of its elementwise work at
 once, the upper on the same pool, for sums whose blocks are too large to
 hold two of (the Euler-Maclaurin main term, longdouble).  A sum of fewer
 than two full blocks, or any sum in a process allowed one CPU, runs
-inline; the pool is made when a sum draws its first full block, so only
+inline; the pool is made when a sum draws its second full block, so only
 a process that draws one imports concurrent.futures.
 """
 
@@ -113,21 +113,14 @@ def _executor():
 def _after_second_full(blocks: Iterable, size: Callable) -> Iterator:
     """(block, pool) for every block: pool is None until the second full
     block (`size` at least CHUNK) is drawn, and _executor() from that block
-    on.  The pool is made when the first full block is drawn, so its one-off
-    import comes before any block that runs in parallel."""
-    blocks = iter(blocks)
-    full = 0
+    on.  The pool is made when that block is drawn, so a sum of fewer full
+    blocks never imports concurrent.futures."""
+    full, pool = 0, None
     for block in blocks:
-        if size(block) >= CHUNK:
+        if full < 2 and size(block) >= CHUNK:
             full += 1
             if full == 2:
-                break
-            pool = _executor()
-        yield block, None
-    else:
-        return
-    yield block, pool
-    for block in blocks:
+                pool = _executor()
         yield block, pool
 
 
@@ -171,10 +164,11 @@ def split_map(fn: Callable, blocks: Iterable) -> Iterator:
     fill(lo, hi) computes entries lo..hi-1 of them by elementwise numpy
     operations, which give the same bits whichever range they run on; fn
     then reduces the arrays.  run calls fill(0, n) wherever `ordered_map`
-    would run the block inline; elsewhere it submits the upper half to the
-    shared pool and runs the lower half in the calling thread.  A block
-    therefore holds the memory of a serial pass, where `ordered_map` holds
-    two blocks'.  fill has the same limits as ordered_map's fn.
+    would run the block inline; from the second full block on, where the
+    pool is made, it submits the upper half to the shared pool and runs the
+    lower half in the calling thread.  A block therefore holds the memory
+    of a serial pass, where `ordered_map` holds two blocks'.  fill has the
+    same limits as ordered_map's fn.
     """
     for block, pool in _after_second_full(blocks, len):
         def run(fill: Callable, n: int) -> None:

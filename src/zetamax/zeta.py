@@ -30,6 +30,7 @@ cutoff.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,6 +53,7 @@ _MIN_SIGMA = 0.6
 
 # Terms per scan_max row block; not sums.CHUNK, as 2^16 slows a fresh-process scan ~20%.
 _SCAN_BLOCK_TERMS = 1 << 20
+_CSV_BLOCK = 1 << 16  # rows per write of scan_result_to_csv
 
 
 @dataclass(frozen=True)
@@ -206,9 +208,9 @@ def _main_term(ell: int, s: complex, M: int, tol: float) -> tuple[complex, float
     Summed over `chunks` blocks in longdouble, one block at a time with the
     two halves of its terms computed at once (`sums.split_map`): from the
     second full block on, the upper half runs on the shared block pool,
-    which is made when the first full block is drawn.  Memory stays at a
-    few block-length arrays whatever M.  The block magnitudes are
-    added in block order, and after each it raises PrecisionUnreachableError
+    which is made when that block is drawn.  Memory stays at a few
+    block-length arrays whatever M.  The block magnitudes are added in
+    block order, and after each it raises PrecisionUnreachableError
     once the rounding floor of cutoff M on the magnitude so far exceeds tol:
     the final error estimate is at least that floor, and every later block
     only raises it.
@@ -431,18 +433,24 @@ def scan_max(
     return ScanResult(
         t_star=float(t_lo + step * i), value_modulus=float(moduli[i]), grid_size=grid_size,
         ell=ell, N=int(N), t_lo=float(t_lo), t_hi=float(t_hi), step=float(step),
-        in_paper_regime=bool(t_hi <= LEMMA_WINDOW_FACTOR * N and N <= t_lo), moduli=moduli,
+        in_paper_regime=in_lemma_window(t_lo, N) and in_lemma_window(t_hi, N),
+        moduli=moduli,
     )
 
 
-def scan_result_to_csv(result: ScanResult) -> str:
-    """CSV stream `t,modulus` over the scan grid, from the scan's moduli."""
-    lines = ["t,modulus"]
-    for i, m in enumerate(result.moduli):
-        lines.append(f"{result.t_lo + result.step * i!r},{float(m)!r}")
-    return "\n".join(lines) + "\n"
+def scan_result_to_csv(result: ScanResult, out) -> None:
+    """Write the CSV `t,modulus` over the scan grid, from the scan's moduli,
+    to the text stream `out`, one block of rows at a time, so no string of
+    the whole grid is ever built."""
+    out.write("t,modulus\n")
+    t_lo, step = result.t_lo, result.step
+    for lo in range(0, result.grid_size, _CSV_BLOCK):
+        rows = result.moduli[lo : lo + _CSV_BLOCK].tolist()
+        out.write("".join(f"{t_lo + step * i!r},{m!r}\n" for i, m in enumerate(rows, lo)))
 
 
 def scan_to_csv(ell: int, t_lo: float, t_hi: float, step: float, N: int) -> str:
-    """CSV stream `t,modulus` of scan_max over the same grid."""
-    return scan_result_to_csv(scan_max(ell, t_lo, t_hi, step, N))
+    """CSV stream `t,modulus` of scan_max over the same grid, as one string."""
+    out = io.StringIO()
+    scan_result_to_csv(scan_max(ell, t_lo, t_hi, step, N), out)
+    return out.getvalue()

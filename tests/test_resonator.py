@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import tracemalloc
 
 import mpmath
 import pytest
@@ -113,6 +115,48 @@ def test_ratio_monotone_in_b():
 def test_direct_budget_guard():
     with pytest.raises(ResourceLimitError):
         resonator.ratio_direct(resonator.make_spec(100, 10), 1)
+
+
+def _divisors_brute(spec, bound):
+    """Every divisor <= bound of P(y, b): each exponent vector when there
+    are few, else trial division of 1..bound."""
+    if spec.b ** spec.w <= 10**5:
+        ks = (math.prod(p**a for p, a in zip(spec.primes, alphas))
+              for alphas in itertools.product(range(spec.b), repeat=spec.w))
+        return sorted(k for k in ks if k <= bound)
+    P = math.prod(p ** (spec.b - 1) for p in spec.primes)
+    return [n for n in range(1, math.floor(bound) + 1) if P % n == 0]
+
+
+@pytest.mark.parametrize("y, b", [(3, 8), (7, 5), (97, 2)])
+def test_divisors_up_to_matches_brute_force(y, b, monkeypatch):
+    spec = resonator.make_spec(y, b)
+    every = _divisors_brute(spec, 1e3)
+    mid = len(every) // 2
+    # a bound between two divisors, and one equal to a divisor
+    between, on = (every[mid] + every[mid + 1]) / 2, every[mid + 1]
+    for bound in (1, 3.17, 17.8, 1e3, between, on):
+        assert resonator.divisors_up_to(spec, bound) == _divisors_brute(spec, bound), bound
+    if spec.b ** spec.w <= 10**5:
+        assert resonator.divisors_up_to(spec, math.inf) == _divisors_brute(spec, math.inf)
+    # the count budget: a list of exactly the budget passes, one more raises
+    monkeypatch.setattr(resonator, "_DIRECT_BUDGET", len(every))
+    assert len(resonator.divisors_up_to(spec, 1e3)) == len(every)
+    monkeypatch.setattr(resonator, "_DIRECT_BUDGET", len(every) - 1)
+    with pytest.raises(ResourceLimitError):
+        resonator.divisors_up_to(spec, 1e3)
+
+
+def test_ratio_direct_streams_the_divisor_set():
+    # 10^4 divisors, summed as they are enumerated: no list of them is held
+    spec = resonator.make_spec(7, 10)
+    tracemalloc.start()
+    try:
+        resonator.ratio_direct(spec, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1e6, peak
 
 
 def test_spec_from_T_below_regime():

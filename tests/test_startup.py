@@ -97,6 +97,8 @@ def test_lazy_namespace_serves_every_old_name():
     ["zeta-eval", "--ell", "1", "--sigma", "1", "--t", "70", "--N", "70"],
     ["twisted-sum", "--x", "300", "--y", "5", "--twist", "unimodular", "--t", "1.5"],
     ["l-max", "--q", "101", "--ell", "0", "--N", "300"],
+    pytest.param(["zeta-eval", "--ell", "1", "--sigma", "1", "--t", "1e5", "--N", "100000"],
+                 id="zeta-eval-one-full-block"),
 ], ids=lambda argv: argv[0])
 def test_small_requests_start_no_thread_pool(argv):
     r, modules = _modules_after(_RUN_CLI, *argv)

@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 
@@ -359,14 +360,21 @@ def test_scan_validation():
             zeta.scan_max(0, t_lo, t_hi, step, 64)
 
 
-def test_scan_csv_stream():
+def test_scan_csv_stream(monkeypatch):
     text = zeta.scan_to_csv(0, 30.0, 31.0, 0.5, 64)
     lines = text.strip().split("\n")
     assert lines[0] == "t,modulus"
     assert len(lines) == 4
     r = zeta.scan_max(0, 30.0, 31.0, 0.5, 64)
     assert len(r.moduli) == r.grid_size
-    assert text == zeta.scan_result_to_csv(r)
+    want = "t,modulus\n" + "".join(f"{30.0 + 0.5 * i!r},{float(m)!r}\n"
+                                    for i, m in enumerate(r.moduli))
+    assert text == want
+    # blocks of rows that do not divide the grid write the same bytes
+    monkeypatch.setattr(zeta, "_CSV_BLOCK", 2)
+    out = io.StringIO()
+    zeta.scan_result_to_csv(r, out)
+    assert out.getvalue() == want
 
 
 @given(ell=st.integers(0, 5), N=st.integers(2, 10**5),
