@@ -235,6 +235,7 @@ def _cmd_char_table(args) -> None:
 def _cmd_l_eval(args) -> None:
     from . import dirichlet
 
+    dirichlet.check_sum_args(args.ell, args.N)
     table = dirichlet.shared_character_table(args.q)
     r = dirichlet.l_derivative_truncated(args.ell, table, args.j, args.N)
     _emit_json({"q": r.q, "j": r.j, "ell": r.ell, "N": r.N,

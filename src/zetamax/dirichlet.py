@@ -3,9 +3,10 @@ maxima over the character family, and the resonance quotient V2/V1.
 
 Characters are represented through a discrete-log table over the smallest
 primitive root: chi_j(a) = e^(2 pi i j dlog[a] / (q-1)).  The table is
-certified exactly and completely when it is built: dlog is a bijection onto
-[0, q-1), dlog[1] = 0 and dlog[a g] = dlog[a] + 1 for every residue a, so it
-is a group isomorphism onto Z/(q-1) and orthogonality is a theorem.  All
+certified exactly and completely when it is built: dlog[1] = 0 and
+dlog[a g] = dlog[a] + 1 mod q-1 for every residue a, which imply that dlog
+is a bijection onto [0, q-1) and so a group isomorphism onto Z/(q-1);
+orthogonality is a theorem.  All
 character arithmetic stays in integer exponents mod q-1 until the final
 conversion to a complex value, so no phase drift accumulates.  Only prime
 moduli are accepted: for moduli divisible by many small primes the
@@ -120,25 +121,28 @@ def _mod(x: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _verify_table(table: CharacterTable, checks: int = 100) -> None:
+def _verify_table(table: CharacterTable) -> None:
     """Exact and complete check that dlog is the discrete log base g.
 
-    dlog[1] = 0 and dlog[a g mod q] = dlog[a] + 1 mod q-1 for every a give
-    dlog[g^k mod q] = k mod q-1 for every k by induction; with the bijection
-    check they make dlog a group isomorphism onto Z/(q-1), so character
-    orthogonality follows exactly.  Sampled pow checks add an independent
-    route through Python integers.
+    It checks dlog[1] = 0 and the successor relation dlog[a g mod q] =
+    dlog[a] + 1 mod q-1 for every a in 1..q-1.  These imply the bijection:
+    g is a unit mod the prime q, so by induction dlog[g^k mod q] = k mod q-1
+    for every k >= 0, and g^k = 1 would give dlog[1] = k mod q-1.  So
+    g^(q-1) is the first power of g that equals 1, g is primitive, every
+    residue is one of g^0, .., g^(q-2), and dlog maps them one to one onto
+    [0, q-1): a group isomorphism onto Z/(q-1), so character orthogonality
+    follows exactly.  The successor relation is checked block by block, so
+    its temporaries are O(CHUNK) (a g < q^2 stays exact in int64).
+    Sampled pow checks add an independent route through Python integers.
     """
     q, order, g, dlog = table.q, table.order, table.generator, table.dlog
-    logs = dlog[1:]
-    if int(logs.min()) < 0 or not np.array_equal(
-            np.bincount(logs, minlength=order), np.ones(order, dtype=np.int64)):
-        raise AssertionError("discrete-log table is not a bijection onto [0, q-1)")
-    successors = _mod(np.arange(1, q, dtype=np.int64) * g, q)
-    if int(dlog[1]) != 0 or np.any(dlog[successors] != _mod(logs + 1, order)):
-        raise AssertionError("discrete-log table breaks dlog[a g] = dlog[a] + 1")
+    if int(dlog[1]) != 0:
+        raise AssertionError("discrete-log table breaks dlog[1] = 0")
+    for ns in chunks(1, q - 1):
+        if np.any(dlog[_mod(ns * g, q)] != _mod(dlog[ns] + 1, order)):
+            raise AssertionError("discrete-log table breaks dlog[a g] = dlog[a] + 1")
     rng = np.random.default_rng(q)
-    for a in rng.integers(1, q, size=min(checks, order)):
+    for a in rng.integers(1, q, size=min(100, order)):
         if pow(g, int(dlog[int(a)]), q) != int(a):
             raise AssertionError(f"dlog check failed at a={a}")
 
@@ -155,13 +159,9 @@ def build_character_table(q: int) -> CharacterTable:
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
     factors = prime_factors(q - 1)
-    g = None
-    for cand in range(2, q):
-        if all(pow(cand, (q - 1) // p, q) != 1 for p in factors):
-            g = cand
-            break
-    if g is None:  # unreachable for prime q
-        raise AssertionError(f"no primitive root found for q={q}")
+    g = 2
+    while any(pow(g, (q - 1) // p, q) == 1 for p in factors):
+        g += 1
     B = math.isqrt(q - 1) + 1
     small = np.array([pow(g, k, q) for k in range(B)], dtype=np.int64)
     giant = pow(g, B, q)
@@ -210,6 +210,20 @@ def _pv_error_scale(q: int, ell: int, N: int) -> float:
     return math.sqrt(q) * math.log(q) * math.log(N) ** ell / N
 
 
+def check_sum_args(ell: int, N: int) -> None:
+    """ValueError unless the truncated L-derivative sums accept (ell, N), and
+    ResourceLimitError for N beyond the budget; no work, so a caller can
+    check before building a character table."""
+    if ell < 0:
+        raise ValueError("ell must be >= 0")
+    if N < 2:
+        raise ValueError("N must be >= 2")
+    if N > _MAX_N:
+        raise ResourceLimitError(f"N={N} exceeds budget {_MAX_N}")
+    if ell > math.log(N):
+        raise ValueError(f"need ell <= log N, got ell={ell}, log N={math.log(N):.3f}")
+
+
 def _weights(ns: np.ndarray, ell: int) -> np.ndarray:
     """(-log n)^ell / n, the coefficients of the truncated L-derivative sums."""
     if ell == 0:
@@ -223,19 +237,12 @@ def l_derivative_truncated(ell: int, table: CharacterTable, j: int, N: int) -> L
     Approximates the ell-th derivative of L(s, chi_j) at s = 1 with the
     Polya-Vinogradov error scale attached.  Non-principal characters only.
     """
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
+    check_sum_args(ell, N)
     if j == 0:
         raise PrincipalCharacterError("principal character rejected: the truncated "
                                       "series approximates L^(ell)(1, chi) only for chi != chi_0")
     if not 1 <= j <= table.order - 1:
         raise ValueError(f"character index {j} out of range for q={table.q}")
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    if N > _MAX_N:
-        raise ResourceLimitError(f"N={N} exceeds budget {_MAX_N}")
-    if ell > math.log(N):
-        raise ValueError(f"need ell <= log N, got ell={ell}, log N={math.log(N):.3f}")
 
     def block_sum(ns):
         terms = table.chi_vector(j, ns)
@@ -256,10 +263,8 @@ def _l_values_all_characters(ell: int, table: CharacterTable, N: int) -> np.ndar
     sum for character j (exactly the same quantity, different association
     order).  `np.add.at` adds each class's terms one at a time in ascending
     k, so the class sums do not depend on the block size, and a block costs
-    O(CHUNK), not O(q).
+    O(CHUNK), not O(q).  The caller checks (ell, N).
     """
-    if N > _MAX_N:
-        raise ResourceLimitError(f"N={N} exceeds budget {_MAX_N}")
     order = table.order
     class_sums = np.zeros(order, dtype=np.float64)
     for ns in chunks(1, N):
@@ -326,19 +331,14 @@ class MaxCharResult:
     all_moduli: np.ndarray
 
 
-def max_over_characters(ell: int, q: int, N: int,
-                        *, table: CharacterTable | None = None) -> MaxCharResult:
+def max_over_characters(ell: int, q: int, N: int) -> MaxCharResult:
     """Family maximum of |sum_{k<=N} chi(k)(-log k)^ell/k| over the q-2
     non-principal characters; deterministic smallest-j tie-break.  chi_j
     and chi_(q-1-j) are conjugate, so the moduli for j <= (q-1)/2 are
-    mirrored onto the rest, exactly, and j_star <= (q-1)/2."""
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    table = table if table is not None else shared_character_table(q)
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    if ell > math.log(N):
-        raise ValueError(f"need ell <= log N, got ell={ell}")
+    mirrored onto the rest, exactly, and j_star <= (q-1)/2.  (ell, N) are
+    checked before the table is built."""
+    check_sum_args(ell, N)
+    table = shared_character_table(q)
     half = np.abs(_l_values_all_characters(ell, table, N)[1:])  # j = 1 .. (q-1)/2
     all_moduli = np.concatenate([half, half[-2::-1]])  # j = 1 .. q-2, mirrored
     j_star = 1 + int(np.argmax(all_moduli))  # first occurrence = smallest j
@@ -394,8 +394,7 @@ class ResonanceQuotient:
     principal_correction: float  # |L^(ell)(1, chi_0; N)| |R_{chi_0}|^2, reported explicitly
 
 
-def resonance_quotient(ell: int, q: int, spec,
-                       *, table: CharacterTable | None = None) -> ResonanceQuotient:
+def resonance_quotient(ell: int, q: int, spec) -> ResonanceQuotient:
     """Resonance quotient |V2/V1| with r the characteristic function of the
     divisor set clipped to [1, A], A = q^(1/4), N = q^(3/4).
 
@@ -416,11 +415,11 @@ def resonance_quotient(ell: int, q: int, spec,
     if q > _QUOTIENT_MAX_Q:
         raise ResourceLimitError(
             f"q={q} beyond exact character-sum budget {_QUOTIENT_MAX_Q}")
-    table = table if table is not None else shared_character_table(q)
-    A = q ** 0.25
-    N = math.ceil(q ** 0.75)
     if spec.y >= q:
         raise ValueError(f"spec with y={spec.y} >= q={q} is incompatible")
+    table = shared_character_table(q)
+    A = q ** 0.25
+    N = math.ceil(q ** 0.75)
 
     support = divisors_up_to(spec, A)  # all < q, all coprime to q
     S = len(support)

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import math
 import random
 import tracemalloc
@@ -7,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zetamax import dirichlet, resonator, sums
+from zetamax import cli, dirichlet, resonator, sums
 from zetamax.errors import PrincipalCharacterError, ResourceLimitError
 
 # L(1, chi) for the quadratic character mod 5 equals 2 log((1+sqrt5)/2)/sqrt5
@@ -65,8 +66,70 @@ def test_verify_table_rejects_non_bijection():
     for bad in (table.dlog[3], -1, table.order):
         dlog = table.dlog.copy()
         dlog[2] = bad
-        with pytest.raises(AssertionError, match="bijection"):
+        with pytest.raises(AssertionError, match=r"dlog\[a g\]"):
             dirichlet._verify_table(dataclasses.replace(table, dlog=dlog))
+
+
+def _certified(table, dlog) -> bool:
+    try:
+        dirichlet._verify_table(dataclasses.replace(table, dlog=dlog))
+    except AssertionError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("q, generator, values", [(5, None, range(-1, 5)),
+                                                  (7, None, range(6)),
+                                                  (7, 2, range(6))])
+def test_verify_table_accepts_exactly_the_discrete_log(q, generator, values):
+    # every table with entries in `values` at 1..q-1 (the certificate never
+    # reads dlog[0]): it must accept the power loop's table and no other,
+    # and none at all over 2, which has order 3 mod 7
+    table = dirichlet.build_character_table(q)
+    if generator is not None:
+        table = dataclasses.replace(table, generator=generator)
+    accepted = [dlog for dlog in (np.array((-1, *entries), dtype=np.int64)
+                                  for entries in itertools.product(values, repeat=q - 1))
+                if _certified(table, dlog)]
+    if generator is None:
+        assert len(accepted) == 1
+        assert np.array_equal(accepted[0], _dlog_loop_oracle(q, table.generator))
+    else:
+        assert accepted == []
+
+
+def test_table_build_traces_little_beyond_the_table():
+    # the successor relation is checked block by block, so the build holds
+    # dlog and a few block-length temporaries, not several q-length arrays
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = dirichlet.build_character_table(10**6 + 3)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= table.dlog.nbytes + 4 * 2**20, peak
+
+
+def test_family_arguments_are_checked_before_any_table_is_built(monkeypatch):
+    def no_table(q):
+        raise AssertionError(f"table mod {q} built before the arguments were checked")
+
+    monkeypatch.setattr(dirichlet, "_table_cache", {})
+    monkeypatch.setattr(dirichlet, "build_character_table", no_table)
+    for ell, N, error in [(0, 1, ValueError), (1, 10**9, ResourceLimitError),
+                          (5, 100, ValueError)]:  # 5 > log 100
+        with pytest.raises(error):
+            dirichlet.max_over_characters(ell, 101, N)
+    with pytest.raises(ValueError, match="y=200"):
+        dirichlet.resonance_quotient(0, 101, resonator.make_spec(200, 2))
+    for argv, code in [("l-max --q 9999991 --ell 1 --N 1000000000", 3),
+                       ("l-max --q 9999991 --ell 5 --N 100", 2),
+                       ("l-max --q 9999991 --ell 0 --N 1", 2),
+                       ("l-eval --q 9999991 --j 1 --ell 9 --N 1000", 2),
+                       ("l-eval --q 9999991 --j 1 --ell 1 --N 1000000000", 3),
+                       ("l-eval --q 9999991 --j 1 --ell 0 --N 1", 2)]:
+        assert cli.main(argv.split()) == code, argv
 
 
 def test_principal_character_is_one(chi5):
@@ -240,8 +303,8 @@ def test_fft_family_matches_direct(chi101):
         assert vals[j] == pytest.approx(direct, abs=1e-10)
 
 
-def test_max_over_characters(chi101):
-    res = dirichlet.max_over_characters(0, 101, 2000, table=chi101)
+def test_max_over_characters():
+    res = dirichlet.max_over_characters(0, 101, 2000)
     assert len(res.all_moduli) == 99
     assert res.modulus == np.max(res.all_moduli)
     assert res.all_moduli[res.j_star - 1] == res.modulus
@@ -292,7 +355,7 @@ def test_max_over_characters_rejects_negative_ell(monkeypatch):
 
 
 def test_max_over_characters_contains_real_character_value(chi5):
-    res = dirichlet.max_over_characters(0, 5, 10**4, table=chi5)
+    res = dirichlet.max_over_characters(0, 5, 10**4)
     real_val = abs(dirichlet.l_derivative_truncated(0, chi5, 2, 10**4).value)
     assert len(res.all_moduli) == 3
     assert any(abs(m - real_val) < 1e-9 for m in res.all_moduli)
@@ -312,8 +375,8 @@ def _moduli_csv_text(res) -> str:
     return out.getvalue()
 
 
-def test_moduli_csv(chi5):
-    res = dirichlet.max_over_characters(0, 5, 100, table=chi5)
+def test_moduli_csv():
+    res = dirichlet.max_over_characters(0, 5, 100)
     lines = _moduli_csv_text(res).strip().split("\n")
     assert lines[0] == "j,modulus"
     assert len(lines) == 4
@@ -351,11 +414,11 @@ def test_moduli_csv_rejects_moduli_that_are_not_mirrored():
 # ---------------------------------------------------------------------------
 # resonance quotient
 
-def test_resonance_quotient_mechanism(chi101):
+def test_resonance_quotient_mechanism():
     spec = resonator.make_spec(3, 2)
-    rq = dirichlet.resonance_quotient(0, 101, spec, table=chi101)
+    rq = dirichlet.resonance_quotient(0, 101, spec)
     assert abs(rq.v2_over_v1 - rq.closed_form) <= rq.error_term_scale
-    mx = dirichlet.max_over_characters(0, 101, rq.N, table=chi101)
+    mx = dirichlet.max_over_characters(0, 101, rq.N)
     assert rq.v2_over_v1 <= mx.modulus + 1e-12
     assert rq.A == pytest.approx(101 ** 0.25)
     assert rq.N == math.ceil(101 ** 0.75)
@@ -368,7 +431,7 @@ def test_resonance_quotient_support_one():
     # q = 13: A = 13^(1/4) < 2, so the support clips to {1} and the quotient
     # is the plain character average
     t13 = dirichlet.build_character_table(13)
-    rq = dirichlet.resonance_quotient(0, 13, resonator.make_spec(2, 2), table=t13)
+    rq = dirichlet.resonance_quotient(0, 13, resonator.make_spec(2, 2))
     assert rq.support_size == 1
     avg = abs(
         sum(dirichlet.l_derivative_truncated(0, t13, j, rq.N).value for j in range(1, 12))
@@ -376,19 +439,19 @@ def test_resonance_quotient_support_one():
     assert rq.v2_over_v1 == pytest.approx(avg, abs=1e-10)
 
 
-def test_resonance_quotient_validation(chi101):
+def test_resonance_quotient_validation():
     with pytest.raises(ValueError):
         dirichlet.resonance_quotient(0, 101, "not a spec")
     with pytest.raises(ResourceLimitError):
         dirichlet.resonance_quotient(0, 2 * 10**5 + 3, resonator.make_spec(3, 2))
     with pytest.raises(ValueError):
-        dirichlet.resonance_quotient(0, 101, resonator.make_spec(200, 2), table=chi101)
+        dirichlet.resonance_quotient(0, 101, resonator.make_spec(200, 2))
 
 
-def test_resonance_quotient_closed_form_by_hand(chi101):
+def test_resonance_quotient_closed_form_by_hand():
     # support for q=101, spec (3,2): divisors {1,2,3,6} clipped at A=3.17
     spec = resonator.make_spec(3, 2)
-    rq = dirichlet.resonance_quotient(0, 101, spec, table=chi101)
+    rq = dirichlet.resonance_quotient(0, 101, spec)
     assert rq.support_size == 3  # {1, 2, 3}
     hand = (1.0 + 0.5 + 1 / 3 + 1.0 + 1.0) / 3.0  # pairs (1,1),(1,2),(1,3),(2,2),(3,3)
     assert rq.closed_form == pytest.approx(hand, rel=1e-12)
