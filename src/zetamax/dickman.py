@@ -11,7 +11,16 @@ form
 solved interval by interval on [k, k+1] with a fixed-point iteration over a
 Chebyshev interpolant.  Because rho has a derivative kink at u = 1 (and
 progressively weaker kinks at the larger integers), intervals are aligned to
-integer breakpoints so no interpolant spans a kink.
+integer breakpoints so no interpolant spans a kink.  The iteration stops when
+a step falls below its test, after 200 steps, or when it meets a state it has
+held before: the update reads the state alone, so from there it cycles (at
+degree 16 interval 2 alternates between two states one ulp apart), and the
+builder takes the state that step 200 would hold.  The table is the same as
+the plain 200-step loop's, in far fewer Chebyshev fits.
+
+DickmanTable.integrate evaluates every Gauss-Legendre panel of a range in one
+Clenshaw pass over the zero-padded coefficient stack, with one weight call;
+both act elementwise, so the result has the bits of one call per panel.
 
 Error certification: if e_k is the absolute error of interpolant k and r_k
 the residual of the integral identity on interval k, the identity gives
@@ -25,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
@@ -36,6 +45,7 @@ from .errors import OutOfDomainError, PrecisionUnreachableError, TailNotCertifie
 
 DEFAULT_DEGREE = 16
 _MAX_DEGREE = 40
+_FIXED_POINT_STEPS = 200  # updates of the interval fixed point at most
 _GL_NODES, _GL_WEIGHTS = L.leggauss(32)
 
 
@@ -47,8 +57,11 @@ class DickmanTable:
     local variable x = 2*(u - k) - 1.  tol is the certified absolute error
     bound of the whole representation; interval_tols[k] the (much smaller,
     superfactorially decaying) certified bound on interval k alone, which is
-    what tail certification at the domain end relies on.  Immutable;
-    evaluations are pure and safe to share across workers.
+    what tail certification at the domain end relies on.  coeff_stack[:, k]
+    is intervals[k] zero-padded at the high end to the longest piece; the
+    padding leaves Clenshaw's recurrence unchanged.  Immutable (coeff_stack
+    is a read-only array); evaluations are pure and safe to share across
+    workers.
     """
 
     max_u: float
@@ -56,6 +69,14 @@ class DickmanTable:
     tol: float
     intervals: tuple
     interval_tols: tuple
+    coeff_stack: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        stack = np.zeros((max(map(len, self.intervals)), len(self.intervals)))
+        for k, coeffs in enumerate(self.intervals):
+            stack[:len(coeffs), k] = coeffs
+        stack.flags.writeable = False
+        object.__setattr__(self, "coeff_stack", stack)
 
     def end_error_bound(self) -> float:
         return self.interval_tols[-1]
@@ -69,24 +90,33 @@ class DickmanTable:
         Chebyshev piece; the panel sums accumulate in float within an
         interval and the interval sums are combined by math.fsum.  b may
         exceed max_u by the same 1e-12 slack rho allows.
+
+        Every panel's nodes form one row of a 2-D array: one Clenshaw pass
+        over the zero-padded coefficient stack evaluates all the pieces at
+        once, and weight is called once.  Both act elementwise, so each row
+        has the bits that one call per panel would give.
         """
         if not 0.0 <= a <= b <= self.max_u * (1 + 1e-12) + 1e-12:
             raise OutOfDomainError(
                 f"integration range [{a}, {b}] outside table domain [0, {self.max_u}]"
             )
         b = min(b, self.max_u)
+        ks = np.arange(math.floor(a), math.ceil(b))
+        lo, hi = np.maximum(a, ks), np.minimum(b, ks + 1)
+        ks, lo, hi = ks[hi > lo], lo[hi > lo], hi[hi > lo]
+        edges = np.empty((len(ks), panels + 1))
+        edges[:, :-1] = lo[:, None] + (hi - lo)[:, None] * np.arange(panels) / panels
+        edges[:, -1] = hi
+        pa, pb = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+        mid, half = 0.5 * (pa + pb), 0.5 * (pb - pa)
+        us = mid[:, None] + half[:, None] * _GL_NODES  # one row per (interval, panel)
+        k = np.repeat(ks, panels)[:, None]
+        vals = C.chebval(2.0 * (us - k) - 1.0, self.coeff_stack[:, k], tensor=False) * weight(us)
         pieces = []
-        for k in range(math.floor(a), math.ceil(b)):
-            lo, hi = max(a, k), min(b, k + 1)
-            if hi <= lo:
-                continue
-            edges = [lo + (hi - lo) * j / panels for j in range(panels)] + [hi]
+        for i in range(0, len(vals), panels):
             total = 0.0
-            for pa, pb in zip(edges, edges[1:]):
-                mid, half = 0.5 * (pa + pb), 0.5 * (pb - pa)
-                us = mid + half * _GL_NODES
-                vals = C.chebval(2.0 * (us - k) - 1.0, self.intervals[k]) * weight(us)
-                total += half * float(np.dot(_GL_WEIGHTS, vals))
+            for j in range(i, i + panels):
+                total += half[j] * float(np.dot(_GL_WEIGHTS, vals[j]))
             pieces.append(total)
         return math.fsum(pieces)
 
@@ -112,8 +142,15 @@ def _build_interval(k: int, prev_coeffs: np.ndarray, degree: int) -> tuple[np.nd
     a_vals = C.chebval(1.0, phi_prev) - C.chebval(xs, phi_prev)
 
     vals = np.full(m, C.chebval(1.0, prev_coeffs))  # continuity seed
-    coeffs = None
-    for _ in range(200):
+    seen, hist = {}, []  # state bytes -> first step, and the states by step
+    for i in range(_FIXED_POINT_STEPS):
+        s = seen.setdefault(vals.tobytes(), i)
+        if s < i:
+            # the update reads vals alone, so the states repeat with period
+            # i - s and never meet the stopping test: take the final state
+            vals = hist[s + (_FIXED_POINT_STEPS - s) % (i - s)]
+            break
+        hist.append(vals)
         coeffs = C.chebfit(xs, vals, degree)
         phi = _interval_antiderivative(coeffs)
         new_vals = (a_vals + C.chebval(xs, phi) - C.chebval(-1.0, phi)) / us
@@ -330,15 +367,21 @@ def load_table(path: str) -> DickmanTable:
         n = math.ceil(max_u)
         if len(doc["intervals"]) != n or len(doc["interval_tols"]) != n:
             raise ValueError(f"table file needs {n} intervals and interval_tols for max_u={max_u}")
+        degree = int(doc["degree"])
         intervals = [None] * n
         for item in doc["intervals"]:
             k = item["k"]
             if not (isinstance(k, int) and 0 <= k < n) or intervals[k] is not None:
                 raise ValueError(f"table file interval k={k!r} is out of range or repeated")
-            intervals[k] = np.array(item["coeffs"], dtype=float)
+            coeffs = np.array(item["coeffs"], dtype=float)
+            if not (coeffs.ndim == 1 and 0 < len(coeffs) <= degree + 1
+                    and np.isfinite(coeffs).all()):
+                raise ValueError(f"table file interval k={k} needs a flat list of 1 to "
+                                 f"degree + 1 = {degree + 1} finite coefficients")
+            intervals[k] = coeffs
         return DickmanTable(
             max_u=max_u,
-            degree=int(doc["degree"]),
+            degree=degree,
             tol=float(doc["tol"]),
             intervals=tuple(intervals),
             interval_tols=tuple(float(t) for t in doc["interval_tols"]),

@@ -11,8 +11,10 @@ independent ways:
   * numerically, as DickmanTable.integrate of u^ell rho(u) over the whole
     table plus a certified superfactorial tail bound.
 
-Bell coefficients grow factorially, so the recurrence runs in exact rational
-arithmetic (floats lose every digit near ell ~ 20).
+Bell coefficients grow factorially, so the recurrence runs in exact integer
+arithmetic on ell! times the Bell value (floats lose every digit near
+ell ~ 20); complete_bell is the same recurrence over Fractions, kept as a
+second route.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ def complete_bell(ell: int, x: list) -> object:
     """Complete exponential Bell polynomial B_ell(x_1, .., x_ell).
 
     Recurrence: B_0 = 1, B_{n+1} = sum_{k=0}^{n} C(n, k) B_{n-k} x_{k+1}.
-    Its caller, y_exact, passes Fractions, and exact inputs stay exact; the
-    recurrence alternates in sign there, so it is not meant for floats.
+    Exact inputs such as Fractions stay exact; at y_exact's arguments the
+    recurrence alternates in sign, so it is not meant for floats.
     """
     if ell < 0:
         raise ValueError("ell must be >= 0")
@@ -60,18 +62,28 @@ def y_exact(ell: int) -> MomentValue:
     """Y_ell as an exact rational multiple of e^gamma.
 
     rational_part = (-1)^ell B_ell(-1, 1/2, .., (-1)^ell/ell); Y_0 = e^gamma
-    (transform at 0) so rational_part(0) = 1 by convention; complete_bell
-    rejects ell < 0 and ell > 200.
+    (transform at 0) so rational_part(0) = 1 by convention.  Rejects ell < 0
+    and ell > 200.
+
+    The Bell recurrence runs on the integers A_n = n! B_n: with x_m =
+    (-1)^m/m it reads A_{n+1} = sum_k (-1)^(k+1) C(n,k) k! C(n+1,k+1)
+    A_{n-k}, where C(n,k) k! = perm(n, k), and one Fraction(A_ell, ell!) is
+    made at the end.
     """
-    # at most _MAX_ELL + 1 arguments: complete_bell rejects a larger ell
-    # before it reads them, so a huge ell builds no huge list
-    args = [Fraction((-1) ** m, m) for m in range(1, min(ell, _MAX_ELL + 1) + 1)]
-    rational = (-1) ** ell * complete_bell(ell, args)
+    if ell < 0:
+        raise ValueError("ell must be >= 0")
+    if ell > _MAX_ELL:
+        raise ValueError(f"ell > {_MAX_ELL}: coefficient growth guard")
+    a = [1]
+    for n in range(ell):
+        a.append(sum((-1) ** (k + 1) * math.perm(n, k) * math.comb(n + 1, k + 1) * a[n - k]
+                     for k in range(n + 1)))
+    rational = Fraction((-1) ** ell * a[ell], math.factorial(ell))
     try:
         fval = float(rational) * EXP_GAMMA
     except OverflowError:
         fval = math.inf
-    return MomentValue(ell=ell, rational_part=Fraction(rational), float_value=fval, method="bell-exact")
+    return MomentValue(ell=ell, rational_part=rational, float_value=fval, method="bell-exact")
 
 
 def y_quadrature(ell: int, table: DickmanTable, tol: float = 1e-10) -> MomentValue:

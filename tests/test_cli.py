@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import resource
 import subprocess
 import sys
@@ -124,7 +125,22 @@ def test_inconsistent_table_file_exits_2(tmp_path):
     def drop_tol(doc):
         del doc["tol"]
 
-    for edit in (renumber_last_interval, drop_coeffs, drop_tol):
+    # a malformed piece: unchecked, it loaded, and rho on its interval ended
+    # in a traceback (exit 1) or printed rho = nan
+    def empty_piece(doc):
+        doc["intervals"][3]["coeffs"] = []
+
+    def nested_piece(doc):
+        doc["intervals"][3]["coeffs"] = [doc["intervals"][3]["coeffs"]]
+
+    def nan_in_piece(doc):
+        doc["intervals"][3]["coeffs"][5] = math.nan
+
+    def piece_beyond_degree(doc):
+        doc["intervals"][3]["coeffs"].append(0.0)
+
+    for edit in (renumber_last_interval, drop_coeffs, drop_tol, empty_piece, nested_piece,
+                 nan_in_piece, piece_beyond_degree):
         doc = json.loads(saved.read_text())
         edit(doc)
         path = tmp_path / f"{edit.__name__}.json"

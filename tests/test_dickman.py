@@ -95,6 +95,68 @@ def test_delay_ode_residual(table60):
         assert lhs == pytest.approx(rhs, abs=5e-7)
 
 
+def _build_interval_reference(k, prev_coeffs, degree):
+    """_build_interval with the plain 200-step fixed-point loop and no cycle
+    test; build_rho_table must give exactly its tables."""
+    m = degree + 1
+    xs = np.sort(np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m)))
+    us = (k + 0.5) + 0.5 * xs
+    phi_prev = dickman._interval_antiderivative(prev_coeffs)
+    a_vals = C.chebval(1.0, phi_prev) - C.chebval(xs, phi_prev)
+    vals = np.full(m, C.chebval(1.0, prev_coeffs))
+    for _ in range(200):
+        phi = dickman._interval_antiderivative(C.chebfit(xs, vals, degree))
+        new_vals = (a_vals + C.chebval(xs, phi) - C.chebval(-1.0, phi)) / us
+        delta = float(np.max(np.abs(new_vals - vals)))
+        vals = new_vals
+        if delta < 1e-18 + 1e-16 * float(np.max(np.abs(vals))):
+            break
+    coeffs = C.chebfit(xs, vals, degree)
+    xd = np.cos(np.pi * (2 * np.arange(4 * m) + 1) / (8 * m))
+    xd = np.concatenate(([-1.0], np.sort(xd), [1.0]))
+    ud = (k + 0.5) + 0.5 * xd
+    phi = dickman._interval_antiderivative(coeffs)
+    lhs = ud * C.chebval(xd, coeffs)
+    rhs = (C.chebval(1.0, phi_prev) - C.chebval(xd, phi_prev) + C.chebval(xd, phi)
+           - C.chebval(-1.0, phi))
+    return coeffs, float(np.max(np.abs(lhs - rhs)))
+
+
+def _counting_chebfit(monkeypatch):
+    calls = []
+    chebfit = C.chebfit
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return chebfit(*args, **kwargs)
+
+    monkeypatch.setattr(dickman.C, "chebfit", counting)
+    return calls
+
+
+@pytest.mark.parametrize("max_u, tol, degree, fits, reference_fits", [
+    (8.0, 1e-12, 16, 114, 298),
+    (60.0, 1e-12, 16, 246, 430),
+    (30.0, 1e-13, 16, 186, 370),
+    (25.0, 1e-14, 24, 201, 380),  # escalates once from degree 16
+])
+def test_build_equals_plain_fixed_point_loop(monkeypatch, max_u, tol, degree, fits,
+                                             reference_fits):
+    # a state seen before means the loop cycles and would run all 200 steps;
+    # the builder jumps to the state of step 200 and so stops far sooner
+    calls = _counting_chebfit(monkeypatch)
+    got = dickman.build_rho_table(max_u, tol)
+    assert (got.degree, len(calls)) == (degree, fits)
+    calls.clear()
+    monkeypatch.setattr(dickman, "_build_interval", _build_interval_reference)
+    want = dickman.build_rho_table(max_u, tol)
+    assert len(calls) == reference_fits
+    assert (got.degree, got.tol, got.interval_tols) == (want.degree, want.tol, want.interval_tols)
+    assert len(got.intervals) == len(want.intervals)
+    for mine, theirs in zip(got.intervals, want.intervals):
+        assert np.array_equal(mine, theirs)
+
+
 def test_build_validation():
     with pytest.raises(ValueError):
         dickman.build_rho_table(0.5, 1e-10)
@@ -143,6 +205,72 @@ def test_integrate_matches_chebyshev_antiderivative(table60, ell, a, b, panels):
     got = table60.integrate(lambda us: us**ell, a, b, panels)
     want, scale = _antiderivative_oracle(table60, ell, a, b)
     assert abs(got - want) <= 1e-13 * scale
+
+
+def _integrate_reference(table, weight, a: float, b: float, panels: int) -> float:
+    """The integrator as one Chebyshev evaluation and one weight call per
+    panel; DickmanTable.integrate must give exactly its bits."""
+    b = min(b, table.max_u)
+    pieces = []
+    for k in range(math.floor(a), math.ceil(b)):
+        lo, hi = max(a, k), min(b, k + 1)
+        if hi <= lo:
+            continue
+        edges = [lo + (hi - lo) * j / panels for j in range(panels)] + [hi]
+        total = 0.0
+        for pa, pb in zip(edges, edges[1:]):
+            mid, half = 0.5 * (pa + pb), 0.5 * (pb - pa)
+            us = mid + half * dickman._GL_NODES
+            vals = C.chebval(2.0 * (us - k) - 1.0, table.intervals[k]) * weight(us)
+            total += half * float(np.dot(dickman._GL_WEIGHTS, vals))
+        pieces.append(total)
+    return math.fsum(pieces)
+
+
+@pytest.fixture(scope="module")
+def ragged_table(tmp_path_factory):
+    """A loaded table on [0, 40] whose pieces have 1 to 17 coefficients:
+    piece k keeps its first 17 - (k mod 9) (interval 0 is [1.0])."""
+    path = str(tmp_path_factory.mktemp("ragged") / "rho.json")
+    dickman.save_table(dickman.build_rho_table(40.0, 1e-12), path)
+    doc = json.loads(open(path).read())
+    for item in doc["intervals"]:
+        item["coeffs"] = item["coeffs"][:17 - item["k"] % 9]
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    return dickman.load_table(path)
+
+
+_WEIGHTS = {
+    "power": lambda ell, s: (lambda us: us**ell),
+    "exp": lambda ell, s: (lambda us: np.exp(-s * us)),
+    "ones": lambda ell, s: np.ones_like,
+}
+
+
+@given(which=st.sampled_from(["table60", "ragged_table"]), a=st.floats(0.0, 1.0),
+       b=st.floats(0.0, 1.0), panels=st.integers(1, 4), kind=st.sampled_from(sorted(_WEIGHTS)),
+       ell=st.integers(0, 10), s=st.floats(0.0, 30.0))
+@example(which="table60", a=0.0, b=1.0, panels=1, kind="power", ell=0, s=0.0)
+@example(which="ragged_table", a=0.0, b=1.0, panels=4, kind="exp", ell=0, s=9.0)
+@example(which="table60", a=0.125, b=0.125, panels=2, kind="ones", ell=0, s=0.0)
+def test_integrate_equals_per_interval_reference(table60, ragged_table, which, a, b, panels,
+                                                 kind, ell, s):
+    # a, b are fractions of max_u, so every range lies in the table's domain
+    table = {"table60": table60, "ragged_table": ragged_table}[which]
+    a, b = sorted((a * table.max_u, b * table.max_u))
+    weight = _WEIGHTS[kind](ell, s)
+    assert table.integrate(weight, a, b, panels) == _integrate_reference(table, weight, a, b,
+                                                                         panels)
+
+
+def test_coefficient_stack_is_the_padded_pieces(ragged_table):
+    stack = ragged_table.coeff_stack
+    assert not stack.flags.writeable
+    assert stack.shape == (17, 40)
+    for k, coeffs in enumerate(ragged_table.intervals):
+        assert np.array_equal(stack[:len(coeffs), k], coeffs)
+        assert not stack[len(coeffs):, k].any()
 
 
 @pytest.mark.parametrize("a, b", [(-0.5, 2.0), (3.0, 2.0), (1.0, 60.5), (0.0, math.nan)])
@@ -311,6 +439,32 @@ def _drop_tol(doc):
 
 def _intervals_not_a_list(doc):
     doc["intervals"] = 5
+
+
+def _empty_piece(doc):
+    doc["intervals"][3]["coeffs"] = []
+
+
+def _nested_piece(doc):
+    doc["intervals"][3]["coeffs"] = [doc["intervals"][3]["coeffs"]]
+
+
+def _nan_in_piece(doc):
+    doc["intervals"][3]["coeffs"][5] = math.nan
+
+
+def _piece_beyond_degree(doc):
+    doc["intervals"][3]["coeffs"].append(0.0)
+
+
+@pytest.mark.parametrize("edit", [_empty_piece, _nested_piece, _nan_in_piece,
+                                  _piece_beyond_degree])
+def test_load_rejects_malformed_piece(tmp_path, edit):
+    # an empty, nested or non-finite piece, or one longer than degree + 1,
+    # is named by its interval
+    with pytest.raises(ValueError, match="interval k=3 needs a flat list of 1 to "
+                                         "degree [+] 1 = 17 finite coefficients"):
+        dickman.load_table(_edited_table_file(tmp_path, edit))
 
 
 @pytest.mark.parametrize("edit", [_set_max_u, _renumber_last_interval, _repeat_interval,

@@ -51,19 +51,20 @@ def test_complete_bell_validation():
         moments.y_exact(201)
 
 
-def test_y_exact_rejects_a_huge_ell_before_building_its_arguments(monkeypatch):
-    # the `bound` and `moments` subcommands pass any --ell to y_exact
-    lengths = []
-    bell = moments.complete_bell
-
-    def spy(ell, x):
-        lengths.append(len(x))
-        return bell(ell, x)
-
-    monkeypatch.setattr(moments, "complete_bell", spy)
+def test_y_exact_rejects_a_huge_ell_before_building_its_arguments():
+    # the `bound` and `moments` subcommands pass any --ell to y_exact; a
+    # guard after the recurrence, or after a list of ell entries, would not
+    # return at ell = 10^100
     with pytest.raises(ValueError, match="coefficient growth guard"):
-        moments.y_exact(10**5)
-    assert max(lengths, default=0) <= 201
+        moments.y_exact(10**100)
+
+
+def test_y_exact_equals_bell_over_fractions():
+    # the integer recurrence on n! B_n against complete_bell over Fractions
+    for ell in list(range(61)) + [200]:
+        args = [F((-1) ** m, m) for m in range(1, ell + 1)]
+        want = (-1) ** ell * moments.complete_bell(ell, args)
+        assert moments.y_exact(ell).rational_part == want, ell
 
 
 def test_y_exact_closed_forms():
