@@ -355,7 +355,8 @@ def save_table(table: DickmanTable, path: str) -> None:
 
 def load_table(path: str) -> DickmanTable:
     """Table written by save_table.  A file with a missing, mistyped or
-    inconsistent entry raises ValueError."""
+    inconsistent entry, or a tol or interval_tols entry that is not finite
+    and >= 0, raises ValueError."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     try:
@@ -379,12 +380,16 @@ def load_table(path: str) -> DickmanTable:
                 raise ValueError(f"table file interval k={k} needs a flat list of 1 to "
                                  f"degree + 1 = {degree + 1} finite coefficients")
             intervals[k] = coeffs
-        return DickmanTable(
-            max_u=max_u,
-            degree=degree,
-            tol=float(doc["tol"]),
-            intervals=tuple(intervals),
-            interval_tols=tuple(float(t) for t in doc["interval_tols"]),
-        )
+        # both feed certified bounds: a NaN, infinite or negative one would
+        # pass through them unnoticed
+        tol = float(doc["tol"])
+        if not 0.0 <= tol < math.inf:
+            raise ValueError(f"table file tol must be finite and >= 0, got {tol}")
+        interval_tols = tuple(float(t) for t in doc["interval_tols"])
+        for k, t in enumerate(interval_tols):
+            if not 0.0 <= t < math.inf:
+                raise ValueError(f"table file interval_tols[{k}] must be finite and >= 0, got {t}")
+        return DickmanTable(max_u=max_u, degree=degree, tol=tol, intervals=tuple(intervals),
+                            interval_tols=interval_tols)
     except (AttributeError, KeyError, TypeError) as e:
         raise ValueError(f"malformed table file {path!r}: {type(e).__name__}: {e}") from None

@@ -18,18 +18,32 @@ bits and multiplies one entry of each of two root tables, omega^(e_hi 2^k)
 and omega^(e_lo), built with the discrete logs; each holds about sqrt(q)
 entries (32 KB together at q = 10^6 + 3), so a value costs two gathers from
 cache and one complex product, with no cos or sin.  A table of all q - 1
-roots would hold 16 MB at that q.  `chi_value` evaluates one value through
-`cmath.exp`, the independent route the tests compare against.
+roots would hold 16 MB at that q.  The product is made out of place, so a
+value has the same bits whatever the length of its array.  `chi_residues`
+gives chi on a run of consecutive residues, reading dlog by slice with no
+mod and no gather, and `chi_range` on consecutive integers, one run per
+residue period.  `chi_value` evaluates one value through `cmath.exp`, the
+independent route the tests compare against.
 
-Family-wide evaluation of sum_k chi_j(k) c_k for all j at once groups the
-real coefficients c_k by discrete-log class and transforms the q - 1 class
-sums, turning the naive q*N work into N + q log q.  The class sums are real
-and q - 1 = 2h is even, so the transform is one length-h complex FFT of the
-packed pairs, untangled into the characters j = 0..h; the others are their
-exact conjugates, which `max_over_characters` mirrors as moduli and
-`resonance_quotient` fills in as values.  That FFT takes one Cooley-Tukey
-step at the largest prime factor P of h, so a large prime factor of q - 1
-costs a Bluestein transform of length P, not of length q - 1.
+A single-character sum over n <= N reads chi by residue run.  When N >= 2q
+and q <= _PERIOD_TABLE_MAX_Q (2^20: 16 MB of values), it first builds one
+read-only period table of chi on the residues of 0..q+CHUNK-1 (fewer
+when N < CHUNK), so each block of the sum is one slice of it; otherwise a block spans at most one
+multiple of q and reads its one or two runs.
+
+Family-wide evaluation of sum_k chi_j(k) c_k for all j at once adds the
+real coefficients c_k into one sum per residue, scatters those into
+discrete-log class order once, and transforms the q - 1 class sums,
+turning the naive q*N work into N + q log q.  A block of consecutive k adds
+its runs of residues as slices and its whole periods as one axis-0
+reduction, so each residue gets its terms one at a time in ascending k, as
+`np.add.at` would.  The class sums are real and q - 1 = 2h is even, so
+the transform is one length-h complex FFT of the packed pairs, untangled
+into the characters j = 0..h; the others are their exact conjugates, which
+`max_over_characters` mirrors as moduli and `resonance_quotient` fills in
+as values.  That FFT takes one Cooley-Tukey step at the largest prime
+factor P of h, so a large prime factor of q - 1 costs a Bluestein
+transform of length P, not of length q - 1.
 `moduli_to_csv` streams its rows in blocks.
 """
 
@@ -43,12 +57,13 @@ import numpy as np
 
 from .errors import PrincipalCharacterError, ResourceLimitError
 from .primes import is_prime, prime_factors
-from .sums import chunks, cis, compensated_sum, ordered_map
+from .sums import CHUNK, chunks, cis, compensated_sum, ordered_map
 
 _MAX_Q = 10**7
 _MAX_N = 10**8
 _QUOTIENT_MAX_Q = 10**5
 _DLOG_BLOCK = 1 << 16  # entries per block of the discrete-log fill: 512 KB of int64
+_PERIOD_TABLE_MAX_Q = 1 << 20  # largest q given a period table: 16 MB of complex128
 
 
 @dataclass(frozen=True)
@@ -104,11 +119,38 @@ class CharacterTable:
         each root table, so a value costs two gathers and one complex
         product, with no cos or sin."""
         r = _mod(ns, self.q).astype(np.int64, copy=False)
-        e = _mod(j * self.dlog[r], self.order)
-        vals = self.roots_hi[e >> self.split_bits]
-        vals *= self.roots_lo[e & ((1 << self.split_bits) - 1)]
+        vals = self._roots(j * self.dlog[r])
         vals[r == 0] = 0.0
         return vals
+
+    def chi_residues(self, j: int, lo: int, hi: int) -> np.ndarray:
+        """chi_j on the residues lo..hi-1, 0 <= lo < hi <= q: dlog is read
+        by slice, with no mod of the arguments and no gather from dlog."""
+        vals = self._roots(j * self.dlog[lo:hi])
+        if lo == 0:
+            vals[0] = 0.0
+        return vals
+
+    def chi_range(self, j: int, lo: int, hi: int) -> np.ndarray:
+        """chi_j(n) for n = lo..hi-1, 1 <= lo < hi: one `chi_residues` call
+        per run of consecutive residues."""
+        runs = []
+        while lo < hi:
+            r = lo % self.q
+            size = min(hi - lo, self.q - r)
+            runs.append(self.chi_residues(j, r, r + size))
+            lo += size
+        return runs[0] if len(runs) == 1 else np.concatenate(runs)
+
+    def _roots(self, exponents: np.ndarray) -> np.ndarray:
+        """omega^e for an array of integers e, reduced mod q-1 exactly.  The
+        product is out of place: numpy multiplies a one-element complex
+        array in place by its scalar path, which differs from the vector
+        loop in the last bit, so an in-place product would make a value
+        depend on the length of its array."""
+        e = _mod(exponents, self.order)
+        return np.multiply(self.roots_hi[e >> self.split_bits],
+                           self.roots_lo[e & ((1 << self.split_bits) - 1)])
 
 
 def _mod(x: np.ndarray, m: int) -> np.ndarray:
@@ -231,6 +273,25 @@ def _weights(ns: np.ndarray, ell: int) -> np.ndarray:
     return (-1.0) ** ell * np.log(ns.astype(np.float64)) ** ell / ns
 
 
+def _period_table(table: CharacterTable, j: int, N: int) -> np.ndarray | None:
+    """chi_j on the residues of 0..q+B-1, B = min(CHUNK, N) the longest block
+    of `chunks(1, N)`, read-only, so that every block is one slice of it;
+    None when N < 2q (a sum that short reads each residue at most twice) or
+    q is beyond _PERIOD_TABLE_MAX_Q.  It is filled block by block, so its
+    temporaries are O(CHUNK)."""
+    q = table.q
+    if N < 2 * q or q > _PERIOD_TABLE_MAX_Q:
+        return None
+    longest = min(CHUNK, N)
+    period = np.empty(q + longest, dtype=np.complex128)
+    for lo in range(0, q, CHUNK):
+        hi = min(lo + CHUNK, q)
+        period[lo:hi] = table.chi_residues(j, lo, hi)
+    period[q:] = np.resize(period[:q], longest)  # the period repeated
+    period.flags.writeable = False  # shared with the block workers
+    return period
+
+
 def l_derivative_truncated(ell: int, table: CharacterTable, j: int, N: int) -> LSeriesValue:
     """sum_{k <= N} chi_j(k) (-log k)^ell / k with compensated accumulation.
 
@@ -244,10 +305,16 @@ def l_derivative_truncated(ell: int, table: CharacterTable, j: int, N: int) -> L
     if not 1 <= j <= table.order - 1:
         raise ValueError(f"character index {j} out of range for q={table.q}")
 
+    period = _period_table(table, j, N)
+
     def block_sum(ns):
-        terms = table.chi_vector(j, ns)
-        terms *= _weights(ns, ell)
-        return np.sum(terms)
+        lo, hi = int(ns[0]), int(ns[-1]) + 1
+        if period is None:
+            chi = table.chi_range(j, lo, hi)
+        else:
+            r = lo % table.q
+            chi = period[r : r + hi - lo]
+        return np.sum(np.multiply(chi, _weights(ns, ell)))
 
     value = compensated_sum(ordered_map(block_sum, chunks(1, N)))
     return LSeriesValue(value=value, ell=ell, q=table.q, j=j, N=int(N),
@@ -258,21 +325,43 @@ def _l_values_all_characters(ell: int, table: CharacterTable, N: int) -> np.ndar
     """sum_{k<=N} chi_j(k) (-log k)^ell / k for j = 0..(q-1)/2 at once;
     character q-1-j is the conjugate of character j.
 
-    Groups coefficients by dlog class and applies `_family_transform` (a
-    half-length FFT with one Cooley-Tukey step); entry j equals the direct
-    sum for character j (exactly the same quantity, different association
-    order).  `np.add.at` adds each class's terms one at a time in ascending
-    k, so the class sums do not depend on the block size, and a block costs
-    O(CHUNK), not O(q).  The caller checks (ell, N).
+    Sums the coefficients by residue, scatters the residue sums into dlog
+    class order and applies `_family_transform` (a half-length FFT with one
+    Cooley-Tukey step); entry j equals the direct sum for character j
+    (exactly the same quantity, different association order).  The caller
+    checks (ell, N).
     """
-    order = table.order
-    class_sums = np.zeros(order, dtype=np.float64)
+    q = table.q
+    by_residue = np.zeros(q, dtype=np.float64)  # entry r: the terms with k = r mod q
     for ns in chunks(1, N):
-        r = _mod(ns, table.q)
-        keep = r != 0
-        ns, r = ns[keep], r[keep]
-        np.add.at(class_sums, table.dlog[r], _weights(ns, ell))
+        _add_by_residue(by_residue, int(ns[0]) % q, _weights(ns, ell))
+    class_sums = np.empty(table.order, dtype=np.float64)
+    class_sums[table.dlog[1:]] = by_residue[1:]  # residue 0 has no class: chi(0) = 0
+    del by_residue
     return _family_transform(class_sums)
+
+
+def _add_by_residue(sums: np.ndarray, r0: int, w: np.ndarray) -> None:
+    """sums[r] += each w[i] with r0 + i = r mod q, q = sums.size, one term
+    at a time in ascending i, as `np.add.at` would; a block costs O(its
+    size), not O(q), and the sums do not depend on how the terms are cut
+    into blocks.
+
+    The block is a head run of residues r0.., whole periods, then a tail
+    run from residue 0.  The runs are added as slices.  The periods are one
+    axis-0 `np.add.reduce` over a (periods + 1, q) array whose first row is
+    the running sums: numpy reduces axis 0 one row after the other, so each
+    residue still gets its terms in ascending i."""
+    q = sums.size
+    head = min(w.size, (q - r0) % q)
+    sums[r0 : r0 + head] += w[:head]
+    periods, tail = divmod(w.size - head, q)
+    if periods:
+        rows = np.empty((periods + 1, q), dtype=np.float64)
+        rows[0] = sums
+        rows[1:] = w[head : head + periods * q].reshape(periods, q)
+        np.add.reduce(rows, axis=0, out=sums)
+    sums[:tail] += w[w.size - tail :]
 
 
 def _family_transform(x: np.ndarray) -> np.ndarray:

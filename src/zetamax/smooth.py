@@ -171,17 +171,25 @@ def _shared_spf(limit: int) -> np.ndarray:
 # level-by-level enumeration
 
 def iter_smooth(x: float, y: float) -> Iterator[int]:
-    """Yield every y-smooth integer <= x (unordered), one node per number.
+    """An iterator over every y-smooth integer <= x (unordered), one node
+    per number.
 
     The numbers are built level by level in one numpy array: for each prime
     p <= y, every m * p^(k-1) of the previous power with m * p^k <= x is
-    appended times p, for k = 1, 2, ...  Each power's survivors are counted
-    before the array grows, so a request beyond _ENUM_NODE_BUDGET numbers
-    raises ResourceLimitError on the first next().  The array grows and
-    shrinks in place (`ndarray.resize`) and is yielded from its top in
-    CHUNK-sized blocks, each cut off once yielded, so it frees memory about
-    as fast as the consumer's copy takes it.  Requires pi(y) <= 20.
+    appended times p, for k = 1, 2, ...  Nothing is built before the first
+    next(), and each power's survivors are counted before the array grows,
+    so a request beyond _ENUM_NODE_BUDGET numbers raises ResourceLimitError
+    on the first next().  The array grows and shrinks in place
+    (`ndarray.resize`) and is handed over from its top in CHUNK-sized lists
+    of ints, each cut off once handed over, so it frees memory about as fast
+    as the consumer's copy takes it; `itertools.chain` walks each list, so
+    no Python frame resumes per number.  Requires pi(y) <= 20.
     """
+    return itertools.chain.from_iterable(_smooth_blocks(x, y))
+
+
+def _smooth_blocks(x: float, y: float) -> Iterator[list]:
+    """The numbers of `iter_smooth`, as lists of at most CHUNK ints."""
     primes = sieve_primes(min(int(y), _ENUM_Y_CAP))
     if len(primes) > _ENUM_PRIME_BOUND:
         raise ResourceLimitError(f"pi({y}) > {_ENUM_PRIME_BOUND}")
@@ -216,7 +224,7 @@ def iter_smooth(x: float, y: float) -> Iterator[int]:
         block = level[lo:n].tolist()
         level.resize(lo, refcheck=False)
         n = lo
-        yield from block
+        yield block
 
 
 def _enumerated(x: float, y: float) -> np.ndarray | None:
@@ -276,7 +284,9 @@ def psi_count(x: float, y: float) -> SmoothCountResult:
         if ns is not None:
             count = ns.size
         else:
-            count = 1 + int(np.count_nonzero(_shared_spf(xi)[2 : xi + 1] <= y))
+            spf = _shared_spf(xi)  # counted in CHUNK slices: no x-byte mask
+            count = 1 + sum(int(np.count_nonzero(spf[lo : min(lo + CHUNK, xi + 1)] <= y))
+                            for lo in range(2, xi + 1, CHUNK))
 
     u = math.log(x) / math.log(y)
     t = _density_table()
@@ -351,10 +361,10 @@ def full_twisted_sum(x: float, twist: TwistSpec) -> complex:
     Character twists reduce over full periods: by orthogonality a period
     sums to q - 1 for the principal character and to 0 for any other, so
     only the partial period is summed in floats, as a running prefix sum
-    over `chunks` blocks, each block's cumsum starting from the carry of the
-    one before (the additions of one cumsum over the period, in the same
-    order).  Unimodular twists run the compensated chunked sum.  A finite
-    x < 1 gives the empty sum.
+    over blocks of CHUNK integers, each read through `chi_range` and each
+    block's cumsum starting from the carry of the one before (the additions
+    of one cumsum over the period, in the same order).  Unimodular twists
+    run the compensated chunked sum.  A finite x < 1 gives the empty sum.
     """
     xi = _floor(x)
     if xi < 1:
@@ -368,12 +378,13 @@ def full_twisted_sum(x: float, twist: TwistSpec) -> complex:
         # so only the principal character needs the whole period
         last = q if twist.j == 0 and full else rem
         carry, partial = 0j, 0j
-        for ns in chunks(1, last):
-            prefix = twist.table.chi_vector(twist.j, ns)
+        for lo in range(1, last + 1, CHUNK):
+            hi = min(lo + CHUNK, last + 1)
+            prefix = twist.table.chi_range(twist.j, lo, hi)
             prefix[0] += carry
             np.cumsum(prefix, out=prefix)
-            if ns[0] <= rem <= ns[-1]:
-                partial = complex(prefix[rem - ns[0]])
+            if lo <= rem < hi:
+                partial = complex(prefix[rem - lo])
             carry = prefix[-1]
         total = full * complex(carry) if last == q else 0j
         return total + partial if rem else total

@@ -162,11 +162,15 @@ def split_map(fn: Callable, blocks: Iterable) -> Iterator:
 
     fn makes its block's output arrays and calls run(fill, n), where
     fill(lo, hi) computes entries lo..hi-1 of them by elementwise numpy
-    operations, which give the same bits whichever range they run on; fn
-    then reduces the arrays.  run calls fill(0, n) wherever `ordered_map`
-    would run the block inline; from the second full block on, where the
-    pool is made, it submits the upper half to the shared pool and runs the
-    lower half in the calling thread.  A block therefore holds the memory
+    operations; fn then reduces the arrays.  The bits do not depend on the
+    split only if fill's operations give the same bits on any range, which
+    holds for the longdouble fills of the Euler-Maclaurin main term but not
+    for every numpy operation: numpy multiplies a one-element complex array
+    in place by a scalar path that can differ from its vector loop in the
+    last bit.  run calls fill(0, n) wherever `ordered_map` would run the
+    block inline; from the second full block on, where the pool is made, it
+    submits the upper half to the shared pool and runs the lower half in the
+    calling thread.  A block therefore holds the memory
     of a serial pass, where `ordered_map` holds two blocks'.  fill has the
     same limits as ordered_map's fn.
     """

@@ -139,8 +139,20 @@ def test_inconsistent_table_file_exits_2(tmp_path):
     def piece_beyond_degree(doc):
         doc["intervals"][3]["coeffs"].append(0.0)
 
+    # a tolerance that is not finite and >= 0: unchecked, a NaN tol printed
+    # "table_tol": NaN with exit 0
+    def nan_tol(doc):
+        doc["tol"] = math.nan
+
+    def infinite_tol(doc):
+        doc["tol"] = math.inf
+
+    def negative_interval_tol(doc):
+        doc["interval_tols"][-1] = -1e-13
+
     for edit in (renumber_last_interval, drop_coeffs, drop_tol, empty_piece, nested_piece,
-                 nan_in_piece, piece_beyond_degree):
+                 nan_in_piece, piece_beyond_degree, nan_tol, infinite_tol,
+                 negative_interval_tol):
         doc = json.loads(saved.read_text())
         edit(doc)
         path = tmp_path / f"{edit.__name__}.json"

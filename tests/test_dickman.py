@@ -475,3 +475,23 @@ def test_load_rejects_inconsistent_table(tmp_path, edit):
     # or removes or mistypes an entry
     with pytest.raises(ValueError):
         dickman.load_table(_edited_table_file(tmp_path, edit))
+
+
+def _nan_tol(doc):
+    doc["tol"] = math.nan
+
+
+def _infinite_tol(doc):
+    doc["tol"] = math.inf
+
+
+def _negative_interval_tol(doc):
+    doc["interval_tols"][-1] = -1e-13
+
+
+@pytest.mark.parametrize("edit, field", [(_nan_tol, "tol"), (_infinite_tol, "tol"),
+                                         (_negative_interval_tol, r"interval_tols\[9\]")])
+def test_load_rejects_a_tolerance_that_is_not_finite_and_non_negative(tmp_path, edit, field):
+    # unchecked, a NaN tol loaded and `rho --table` printed "table_tol": NaN
+    with pytest.raises(ValueError, match=f"table file {field} must be finite and >= 0"):
+        dickman.load_table(_edited_table_file(tmp_path, edit))

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from zetamax import cli, dirichlet, resonator, sums
 from zetamax.errors import PrincipalCharacterError, ResourceLimitError
@@ -245,6 +247,30 @@ def test_chi_vector_memory_is_independent_of_q():
     assert peak <= 6 * 2**20, peak  # a few block-length temporaries
 
 
+@pytest.mark.parametrize("q", [3, 7, 101, 99991, 1000003])
+def test_chi_values_do_not_depend_on_the_array_length(q):
+    # numpy multiplies a one-element complex array in place by its scalar
+    # path, one ulp off the vector loop for about 45% of products; every 1-
+    # and 2-element slice must give the bits of the whole range
+    table = dirichlet.shared_character_table(q)
+    rng = np.random.default_rng(q)
+    starts = range(q) if q <= 101 else sorted(rng.integers(0, q - 1, 300).tolist())
+    for j in (1, (q - 1) // 2, q - 2):
+        residues = table.chi_residues(j, 0, q)
+        ns = np.arange(q, 2 * q + 1, dtype=np.int64)  # residues 0..q-1, then 0
+        whole = table.chi_vector(j, ns)
+        assert np.array_equal(whole[:q], residues)
+        for lo in starts:
+            for size in (1, 2):
+                hi = min(lo + size, q)
+                assert np.array_equal(table.chi_residues(j, lo, hi), residues[lo:hi]), (j, lo)
+                got = table.chi_vector(j, ns[lo : lo + size])
+                assert np.array_equal(got, whole[lo : lo + size]), (j, lo)
+        for lo, hi in [(1, 2), (q - 1, q + 2), (q, 3 * q + 5), (5 * q + 1, 5 * q + 2)]:
+            assert np.array_equal(table.chi_range(j, lo, hi),
+                                  table.chi_vector(j, np.arange(lo, hi, dtype=np.int64)))
+
+
 # ---------------------------------------------------------------------------
 # truncated L-derivative sums
 
@@ -325,6 +351,130 @@ def test_family_moduli_do_not_depend_on_the_block_size(monkeypatch):
         moduli.append(dirichlet.max_over_characters(1, 10007, 10**5).all_moduli)
     assert np.array_equal(moduli[0], moduli[1])
     assert np.array_equal(moduli[0], moduli[2])
+
+
+def _family_reference(ell, table, N):
+    # the per-block np.add.at loop that the residue sums replaced
+    class_sums = np.zeros(table.order, dtype=np.float64)
+    for ns in sums.chunks(1, N):
+        r = ns % table.q
+        keep = r != 0
+        np.add.at(class_sums, table.dlog[r[keep]], dirichlet._weights(ns[keep], ell))
+    return dirichlet._family_transform(class_sums)
+
+
+def _chi_vector_in_place(table, j, ns):
+    # chi_vector as it was, with the root product in place
+    r = ns % table.q
+    e = (j * table.dlog[r]) % table.order
+    vals = table.roots_hi[e >> table.split_bits]
+    vals *= table.roots_lo[e & ((1 << table.split_bits) - 1)]
+    vals[r == 0] = 0.0
+    return vals
+
+
+def _l_reference(ell, table, j, N, chi_vector):
+    # the per-block chi_vector loop that the residue runs replaced
+    def block_sum(ns):
+        terms = chi_vector(j, ns)
+        terms *= dirichlet._weights(ns, ell)
+        return np.sum(terms)
+
+    return sums.compensated_sum(map(block_sum, sums.chunks(1, N)))
+
+
+_REFERENCE_QS = (3, 5, 7, 11, 101, 99991)
+
+
+@st.composite
+def _sum_cases(draw):
+    """(ell, q, j, N): N near q or 2q, an exact multiple of q, or 2^16 k +- 1."""
+    q = draw(st.sampled_from(_REFERENCE_QS))
+    j = draw(st.sampled_from([1, 2, (q - 1) // 2, q - 2]))
+    near = draw(st.sampled_from(["q", "2q", "multiple", "block"]))
+    if near == "q":
+        N = q + draw(st.integers(-3, 3))
+    elif near == "2q":
+        N = 2 * q + draw(st.integers(-3, 3))
+    elif near == "multiple":
+        N = q * draw(st.integers(1, max(1, 3 * sums.CHUNK // q)))
+    else:
+        N = sums.CHUNK * draw(st.integers(1, 3)) + draw(st.sampled_from([-1, 1]))
+    N = max(N, 2)
+    ell = min(draw(st.integers(0, 3)), math.floor(math.log(N)))
+    return ell, q, max(j, 1), N
+
+
+@given(case=_sum_cases())
+@example(case=(1, 101, 50, 2**16 + 1))  # the in-place product moved this value's last bit
+@example(case=(3, 99991, 49995, 2**17 + 1))
+def test_sums_by_residue_equal_the_per_term_references(case):
+    ell, q, j, N = case
+    table = dirichlet.shared_character_table(q)
+    assert np.array_equal(dirichlet._l_values_all_characters(ell, table, N),
+                          _family_reference(ell, table, N))
+    got = dirichlet.l_derivative_truncated(ell, table, j, N).value
+    assert got == _l_reference(ell, table, j, N, table.chi_vector)
+    # against the old in-place product, only a block of one term may move:
+    # N = 2^16 k + 1 leaves one, whose chi value may be one ulp off
+    old = _l_reference(ell, table, j, N, lambda j, ns: _chi_vector_in_place(table, j, ns))
+    if (N - 1) % sums.CHUNK:
+        assert got == old
+    else:
+        last = abs(dirichlet._weights(np.array([N]), ell)[0])
+        assert abs(got - old) <= 2 * np.spacing(last) + 2 * np.spacing(abs(got))
+
+
+@pytest.mark.parametrize("q, head, size", [(3, 2, 7), (3, 0, 3 * 21845 + 1), (7, 6, 1),
+                                           (7, 3, 14), (101, 50, 60), (101, 1, 5000)])
+def test_residue_sums_add_each_residue_in_ascending_order(q, head, size):
+    # a head run, whole periods and a tail run, against one add at a time
+    rng = np.random.default_rng(size)
+    start = rng.random(q)
+    w = rng.random(size) * 10.0 ** rng.integers(-8, 8, size)
+    want = start.copy()
+    np.add.at(want, (head + np.arange(size)) % q, w)
+    got = start.copy()
+    dirichlet._add_by_residue(got, head, w)
+    assert np.array_equal(got, want)
+
+
+def test_period_table_is_read_only_and_periodic(chi101):
+    period = dirichlet._period_table(chi101, 7, 202)
+    assert not period.flags.writeable
+    with pytest.raises(ValueError):
+        period[3] = 0.0
+    ns = np.arange(101, 101 + period.size, dtype=np.int64)  # residues 0, 1, ...
+    assert np.array_equal(period, chi101.chi_vector(7, ns))
+    assert period.size == 101 + 202  # the period, then the longest block
+    assert dirichlet._period_table(chi101, 7, 10**6).size == 101 + sums.CHUNK
+    assert dirichlet._period_table(chi101, 7, 201) is None  # N < 2q: runs suffice
+
+
+def test_period_table_is_never_built_beyond_its_budget(monkeypatch):
+    q = 10**6 + 3
+    table = dirichlet.shared_character_table(q)
+    assert q <= dirichlet._PERIOD_TABLE_MAX_Q
+    assert dirichlet._period_table(table, 5, 2 * q).size == q + sums.CHUNK
+    monkeypatch.setattr(dirichlet, "_PERIOD_TABLE_MAX_Q", q - 1)
+    assert dirichlet._period_table(table, 5, 2 * q) is None
+    # the sum then reads residue runs, with a few block temporaries (9 MB
+    # with two blocks in flight) and no table, which alone takes 17 MB
+    tracemalloc.start()
+    try:
+        dirichlet.l_derivative_truncated(1, table, 5, 2 * q + 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (q + sums.CHUNK) * 16, peak
+
+
+def test_period_table_and_residue_runs_give_the_same_bits(monkeypatch, chi101):
+    for N in (202, 5000, 2 * sums.CHUNK + 1, 3 * 10**5):
+        with_table = dirichlet.l_derivative_truncated(2, chi101, 33, N).value
+        monkeypatch.setattr(dirichlet, "_PERIOD_TABLE_MAX_Q", 0)
+        assert dirichlet.l_derivative_truncated(2, chi101, 33, N).value == with_table
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("q", [3, 5, 101, 1019, 10007, 1000003])

@@ -233,6 +233,75 @@ def test_enumeration_matches_recursive_oracle(e, k):
     assert sorted(smooth.iter_smooth(x, primes[-1])) == sorted(expected)
 
 
+def _iter_smooth_reference(x, y):
+    # the generator that handed the numbers over one `yield` at a time
+    primes = sieve_primes(min(int(y), smooth._ENUM_Y_CAP))
+    if len(primes) > smooth._ENUM_PRIME_BOUND:
+        raise ResourceLimitError(f"pi({y}) > {smooth._ENUM_PRIME_BOUND}")
+    xi = math.floor(x)
+    if xi < 1:
+        return
+    level = np.ones(1, dtype=np.int64 if xi < 2**63 else object)
+    for p in primes:
+        bound = xi // p
+        lo, hi = 0, level.size
+        while True:
+            survivors = int(np.count_nonzero(level[lo:hi] <= bound))
+            if not survivors:
+                break
+            if hi + survivors > smooth._ENUM_NODE_BUDGET:
+                raise ResourceLimitError("over budget")
+            level.resize(hi + survivors, refcheck=False)
+            end = hi
+            for start in range(lo, hi, smooth.CHUNK):
+                block = level[start : min(start + smooth.CHUNK, hi)]
+                block = block[block <= bound]
+                level[end : end + block.size] = block * p
+                end += block.size
+            lo, hi = hi, end
+    n = level.size
+    while n:
+        lo = max(n - smooth.CHUNK, 0)
+        block = level[lo:n].tolist()
+        level.resize(lo, refcheck=False)
+        n = lo
+        yield from block
+
+
+@pytest.mark.parametrize("x, y", [(0.5, 7), (1, 2), (1000, 7), (10**6, 13), (3e6, 71),
+                                  (1e20, 3), (2**63 + 5, 5)])
+def test_iter_smooth_hands_over_the_reference_sequence(x, y):
+    got = list(smooth.iter_smooth(x, y))
+    want = list(_iter_smooth_reference(x, y))
+    assert got == want
+    assert all(type(n) is int for n in got)
+
+
+def test_iter_smooth_raises_on_the_first_next(monkeypatch):
+    # no work and no error at the call; the budget or prime-count error
+    # comes with the first number asked for
+    monkeypatch.setattr(smooth, "_ENUM_NODE_BUDGET", 100)
+    over_budget = smooth.iter_smooth(10**6, 13)
+    too_many_primes = smooth.iter_smooth(10**6, 80)
+    with pytest.raises(ResourceLimitError, match="exceeds 100 nodes"):
+        next(over_budget)
+    with pytest.raises(ResourceLimitError, match="pi"):
+        next(too_many_primes)
+
+
+def test_sieve_count_temporaries_are_a_few_blocks():
+    # the count once built an x-byte mask of the whole sieve range
+    x = 4 * 10**6
+    smooth.psi_count(x, 1000)  # the sieve and the density table, outside the trace
+    tracemalloc.start()
+    try:
+        assert smooth.psi_count(x, 1000).exact_count == smooth.psi_count(x, 1000).exact_count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * smooth.CHUNK, peak
+
+
 def test_psi_5_smooth_at_1e12_by_exponent_loop():
     # beyond the sieve (1e8) and the old tests: every 2^a 3^b 5^c <= 1e12
     x = 10**12
