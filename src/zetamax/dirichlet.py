@@ -27,9 +27,10 @@ independent route the tests compare against.
 
 A single-character sum over n <= N reads chi by residue run.  When N >= 2q
 and q <= _PERIOD_TABLE_MAX_Q (2^20: 16 MB of values), it first builds one
-read-only period table of chi on the residues of 0..q+CHUNK-1 (fewer
-when N < CHUNK), so each block of the sum is one slice of it; otherwise a block spans at most one
-multiple of q and reads its one or two runs.
+read-only period table of chi on the residues of 0..q+CHUNK-1 (fewer when
+N < CHUNK), so each block of the sum is one slice of it and chi is
+evaluated q + CHUNK times, not N times; otherwise a block reads its runs,
+at most two when q >= CHUNK.
 
 Family-wide evaluation of sum_k chi_j(k) c_k for all j at once adds the
 real coefficients c_k into one sum per residue, scatters those into
@@ -57,7 +58,8 @@ import numpy as np
 
 from .errors import PrincipalCharacterError, ResourceLimitError
 from .primes import is_prime, prime_factors
-from .sums import CHUNK, chunks, cis, compensated_sum, ordered_map
+from . import sums
+from .sums import chunks, cis, compensated_sum, ordered_map
 
 _MAX_Q = 10**7
 _MAX_N = 10**8
@@ -277,15 +279,16 @@ def _period_table(table: CharacterTable, j: int, N: int) -> np.ndarray | None:
     """chi_j on the residues of 0..q+B-1, B = min(CHUNK, N) the longest block
     of `chunks(1, N)`, read-only, so that every block is one slice of it;
     None when N < 2q (a sum that short reads each residue at most twice) or
-    q is beyond _PERIOD_TABLE_MAX_Q.  It is filled block by block, so its
-    temporaries are O(CHUNK)."""
-    q = table.q
+    q is beyond _PERIOD_TABLE_MAX_Q.  CHUNK is read per call, as `chunks`
+    reads it.  The table is filled block by block, so its temporaries are
+    O(CHUNK)."""
+    q, chunk = table.q, sums.CHUNK
     if N < 2 * q or q > _PERIOD_TABLE_MAX_Q:
         return None
-    longest = min(CHUNK, N)
+    longest = min(chunk, N)
     period = np.empty(q + longest, dtype=np.complex128)
-    for lo in range(0, q, CHUNK):
-        hi = min(lo + CHUNK, q)
+    for lo in range(0, q, chunk):
+        hi = min(lo + chunk, q)
         period[lo:hi] = table.chi_residues(j, lo, hi)
     period[q:] = np.resize(period[:q], longest)  # the period repeated
     period.flags.writeable = False  # shared with the block workers
@@ -341,27 +344,27 @@ def _l_values_all_characters(ell: int, table: CharacterTable, N: int) -> np.ndar
     return _family_transform(class_sums)
 
 
-def _add_by_residue(sums: np.ndarray, r0: int, w: np.ndarray) -> None:
-    """sums[r] += each w[i] with r0 + i = r mod q, q = sums.size, one term
+def _add_by_residue(totals: np.ndarray, r0: int, w: np.ndarray) -> None:
+    """totals[r] += each w[i] with r0 + i = r mod q, q = totals.size, one term
     at a time in ascending i, as `np.add.at` would; a block costs O(its
-    size), not O(q), and the sums do not depend on how the terms are cut
+    size), not O(q), and the totals do not depend on how the terms are cut
     into blocks.
 
     The block is a head run of residues r0.., whole periods, then a tail
     run from residue 0.  The runs are added as slices.  The periods are one
     axis-0 `np.add.reduce` over a (periods + 1, q) array whose first row is
-    the running sums: numpy reduces axis 0 one row after the other, so each
+    the running totals: numpy reduces axis 0 one row after the other, so each
     residue still gets its terms in ascending i."""
-    q = sums.size
+    q = totals.size
     head = min(w.size, (q - r0) % q)
-    sums[r0 : r0 + head] += w[:head]
+    totals[r0 : r0 + head] += w[:head]
     periods, tail = divmod(w.size - head, q)
     if periods:
         rows = np.empty((periods + 1, q), dtype=np.float64)
-        rows[0] = sums
+        rows[0] = totals
         rows[1:] = w[head : head + periods * q].reshape(periods, q)
-        np.add.reduce(rows, axis=0, out=sums)
-    sums[:tail] += w[w.size - tail :]
+        np.add.reduce(rows, axis=0, out=totals)
+    totals[:tail] += w[w.size - tail :]
 
 
 def _family_transform(x: np.ndarray) -> np.ndarray:

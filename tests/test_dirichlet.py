@@ -469,6 +469,18 @@ def test_period_table_is_never_built_beyond_its_budget(monkeypatch):
     assert peak < (q + sums.CHUNK) * 16, peak
 
 
+def test_period_table_follows_the_block_size(monkeypatch, chi101):
+    # the table is sized by CHUNK when the sum runs, as its blocks are, and
+    # is filled in blocks of that CHUNK (65537 spans 66 and 1)
+    table = dirichlet.shared_character_table(65537)
+    for chunk in (1000, 2**17):
+        monkeypatch.setattr(sums, "CHUNK", chunk)
+        for tab, j, N in ((chi101, 5, 10**6), (table, 3, 3 * 10**5)):
+            got = dirichlet.l_derivative_truncated(1, tab, j, N).value
+            assert got == _l_reference(1, tab, j, N, tab.chi_vector)
+    assert dirichlet._period_table(table, 3, 3 * 10**5).size == 65537 + 2**17
+
+
 def test_period_table_and_residue_runs_give_the_same_bits(monkeypatch, chi101):
     for N in (202, 5000, 2 * sums.CHUNK + 1, 3 * 10**5):
         with_table = dirichlet.l_derivative_truncated(2, chi101, 33, N).value
