@@ -30,11 +30,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from .constants import EXP_GAMMA
 from .dickman import DickmanTable, rho
 from .errors import OutOfRegimeError, ResourceLimitError
 from .moments import y_exact
 from .primes import sieve_primes
+from .sums import em_tail
 
 _DIRECT_BUDGET = 10**7
 _FACTORIZED_BUDGET = 10**7  # sum_p (A_p + 1)(ell + 1) alpha terms
@@ -248,34 +251,49 @@ def ratio_factorized(spec: ResonatorSpec, ell: int) -> float:
 # ---------------------------------------------------------------------------
 # sums of (log k)^ell / k
 
-_STIELTJES_Y_CUTOFF = 10**7
+_EM_START = 30  # log_power_sum sums k < 30 directly
 
 
 def log_power_sum(ell: int, y: float | None = None, *, log_y: float | None = None) -> float:
     """sum_{k <= y} (log k)^ell / k.
 
-    Exact for y within direct-summation range; for larger y the partial-
-    summation asymptotic (log y)^(ell+1)/(ell+1) + gamma_ell with the
-    Stieltjes constant gamma_ell (error O((log y)^ell / y), negligible
-    there).
+    Below y = 30 a direct sum.  Beyond, the direct sum over k < 30 plus
+    Euler-Maclaurin for f(u) = (log u)^ell / u over 30 <= k <= n = floor(y):
+    the integral ((log n)^(ell+1) - (log 30)^(ell+1))/(ell+1), and
+    `sums.em_tail`'s half-terms and Bernoulli corrections at both ends, all
+    formed from log 30 and log n.  The work is O(ell) whatever y, and the
+    result agrees with an fsum of the terms to 1e-14 relative for ell <= 200
+    and y <= 2e6 (tests/test_resonator.py).
+
+    Pass log_y for y beyond float range.  Up to log_y = 709 the sum runs to
+    the floor of y = e^log_y rounded to a float, or to an integer that y
+    is within the rounding of log and exp of, so that log_y = log n sums to
+    n; beyond, to n = e^log_y itself, whose distance from floor(y) changes
+    the sum by less than (log y)^ell e^-709.  The absolute error there is the rounding of
+    (log y)^(ell+1)/(ell+1), about 1e-16 of it, which can exceed the
+    constant term (the Stieltjes constant gamma_ell).
     """
     if ell < 0:
         raise ValueError("ell must be >= 0")
     if (y is None) == (log_y is None):
         raise ValueError("pass exactly one of y, log_y")
+    if y is None and log_y < 709.0:  # e^log_y is a float
+        y = math.exp(log_y)
+        # the log of an integer n comes back as n within (|log n| + 1) ulps
+        if abs(y - round(y)) <= (abs(log_y) + 1) * math.ulp(y):
+            y = round(y)
     if y is not None:
-        if y < 1:
-            return 0.0
-        if y <= _STIELTJES_Y_CUTOFF:
-            n = math.floor(y)
-            if ell == 0:
-                return math.fsum(1.0 / k for k in range(1, n + 1))
-            return math.fsum(math.log(k) ** ell / k for k in range(2, n + 1))
-        log_y = math.log(y)
-    import mpmath
-
-    gamma_ell = float(mpmath.stieltjes(ell))
-    return log_y ** (ell + 1) / (ell + 1) + gamma_ell
+        n = math.floor(y)
+        if n < _EM_START:
+            return math.fsum(math.log(k) ** ell / k for k in range(1, n + 1))
+        log_y = np.log(np.longdouble(n))
+    log_n, log_start = np.longdouble(log_y), np.log(np.longdouble(_EM_START))
+    _, half_start, corr_start, _ = em_tail(ell, 1.0, log_start)
+    _, half_n, corr_n, _ = em_tail(ell, 1.0, log_n)
+    integral = (log_n ** (ell + 1) - log_start ** (ell + 1)) / (ell + 1)
+    return math.fsum([*(math.log(k) ** ell / k for k in range(1, _EM_START)), float(integral),
+                      half_start.real, half_n.real,
+                      *(-c.real for c in corr_start), *(c.real for c in corr_n)])
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,17 @@ hold two of (the Euler-Maclaurin main term, longdouble).  A sum of fewer
 than two full blocks, or any sum in a process allowed one CPU, runs
 inline; the pool is made when a sum draws its second full block, so only
 a process that draws one imports concurrent.futures.
+
+`em_tail` gives the Euler-Maclaurin terms at a cutoff for the sums of
+(log n)^ell n^(-s): the zeta reference and `resonator.log_power_sum` take
+their Bernoulli corrections from it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import os
 import threading
 from collections import deque
@@ -38,6 +44,9 @@ CHUNK = 1 << 16
 # 2*pi to longdouble precision; reducing phases mod the float64 constant
 # would leak (wrap count) * 2.4e-16 of phase error.
 TWO_PI_LD = np.longdouble("6.28318530717958647692528676655900576839433879875")
+
+# Bernoulli corrections that em_tail's callers add; em_tail also gives the next one
+EM_BERNOULLI_TERMS = 12
 
 # Absolute phase above which t*log(n) is reduced mod 2*pi in extended
 # precision (float64 argument-reduction error would dominate otherwise).
@@ -221,3 +230,58 @@ def phases(ns: np.ndarray, t) -> np.ndarray:
     t_ld = np.asarray(t, dtype=np.longdouble)
     reduced = ((t_ld * np.log(ns.astype(np.longdouble))) % TWO_PI_LD).astype(np.float64)
     return np.where(extended, reduced, t * logs)
+
+
+@functools.cache
+def _bernoulli_coefficients() -> list[float]:
+    """B_2j/(2j)! for j = 1 .. EM_BERNOULLI_TERMS + 1, each an exact
+    fraction (B_2j by Akiyama-Tanigawa) rounded once.  Made on first use,
+    so a process that sums no Euler-Maclaurin tail imports no fractions."""
+    from fractions import Fraction
+
+    top = 2 * EM_BERNOULLI_TERMS + 2
+    a = [Fraction(0)] * (top + 1)
+    out = []
+    for m in range(top + 1):
+        a[m] = Fraction(1, m + 1)
+        for j in range(m, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+        if m >= 2 and m % 2 == 0:
+            out.append(float(a[0] / math.factorial(m)))
+    return out
+
+
+def em_tail(ell: int, s: complex, log_m) -> tuple[complex, complex, list[complex], complex]:
+    """(M^(-s), f(M)/2, corrections, next) for f(u) = (log u)^ell u^(-s) at
+    the cutoff M = e^log_m > 1: corrections[j - 1] = B_2j/(2j)! f^(2j-1)(M)
+    for j = 1 .. EM_BERNOULLI_TERMS, and next the same for the first j left
+    out.
+
+    log_m is a float or a longdouble, so M need not be a float.  M^(-s) is
+    formed in longdouble with its phase t log M reduced mod 2 pi, as the
+    reference's main term forms n^(-s), and M^(1-2j) in longdouble too;
+    each is rounded once.  The derivatives are f^(k)(u) = u^(-s-k)
+    P_k(log u), with P_0 = L^ell and P_(k+1) = -(s+k) P_k + P_k'.  Each P_k
+    is carried as [P_k(L), P_k'(L), .., P_k^(m)(L)] / L^ell at L = log M,
+    so a step is one pass over m + 1 numbers and no polynomial is
+    evaluated; L^ell M^(-s) (longdouble) multiplies the terms at the end,
+    so no intermediate leaves float range before the terms do.  A step
+    moves each entry's error down one entry, so with m = min(ell, 2
+    EM_BERNOULLI_TERMS + 1) the dropped P_k^(m+1) never reaches P_k(L) in
+    the 2 EM_BERNOULLI_TERMS + 1 steps taken, and the work is O(1) in ell.
+    """
+    L = np.longdouble(log_m)
+    phase = np.longdouble(s.imag) * L % TWO_PI_LD
+    m_pow = np.exp(-(np.longdouble(s.real) * L + 1j * phase))
+    scale = complex(L ** ell * m_pow)  # L^ell M^(-s)
+    # M^(1-2j) for j = 1 .. EM_BERNOULLI_TERMS + 1
+    m_odd = np.exp(-np.arange(1, 2 * EM_BERNOULLI_TERMS + 2, 2) * L).astype(np.float64)
+    lf = float(L)
+    d = [math.perm(ell, i) / lf ** i for i in range(min(ell, 2 * EM_BERNOULLI_TERMS + 1) + 1)]
+    derivs = []  # M^k f^(k)(M) / (L^ell M^(-s)) for k = 1 .. 2 EM_BERNOULLI_TERMS + 1
+    for k in range(2 * EM_BERNOULLI_TERMS + 1):
+        c = -(s + k)
+        d = [c * a + b for a, b in zip(d, d[1:])] + [c * d[-1]]
+        derivs.append(d[0])
+    terms = [b * r * p * scale for b, r, p in zip(_bernoulli_coefficients(), m_odd, derivs[::2])]
+    return complex(m_pow), scale / 2, terms[:-1], terms[-1]

@@ -15,17 +15,16 @@ approximation (ell!/eps^ell) N^(-sigma+eps); it is a statement about the
 window t in [N, 6.28 N] and eps is pinned to 1/log log N, which balances
 ell!/eps^ell against N^eps for ell <= 6 at reachable sizes.
 
-The reference evaluator applies Euler-Maclaurin to zeta and differentiates
-every term analytically: n^(-s) contributes (-log n)^ell n^(-s); the
-boundary term M^(1-s)/(s-1), the M^(-s)/2 term, and the Bernoulli
-corrections B_2j/(2j)! * s(s+1)..(s+2j-2) * M^(1-2j-s) are differentiated
-by the Leibniz rule, with derivatives of the Pochhammer polynomial obtained
-from elementary symmetric functions of 1/(s+i) (stable for large |s|,
-unlike expanded polynomial coefficients).  The main term is summed in
-longdouble over `sums.chunks` blocks, the two halves of a block at once
-(`sums.split_map`, the upper on the shared block pool), and combined in
-block order by `sums.compensated_sum`, so memory is O(CHUNK) whatever the
-cutoff.
+The reference evaluator applies Euler-Maclaurin to the sum itself, to
+f(u) = (log u)^ell u^(-s): the integral beyond the cutoff M is
+M^(1-s) sum_i ell!/(ell-i)! (log M)^(ell-i) / (s-1)^(i+1), and f(M)/2 and
+the Bernoulli corrections B_2j/(2j)! f^(2j-1)(M) come from `sums.em_tail`,
+which forms the derivatives of f by a recursion on polynomials in log M,
+and M^(-s) with its phase reduced mod 2 pi in longdouble.  The main term is
+summed in longdouble over `sums.chunks` blocks, the two halves of a block
+at once (`sums.split_map`, the upper on the shared block pool), and
+combined in block order by `sums.compensated_sum`, so memory is O(CHUNK)
+whatever the cutoff.
 """
 
 from __future__ import annotations
@@ -33,15 +32,14 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .constants import LEMMA_WINDOW_FACTOR
 from .errors import PrecisionUnreachableError, ResourceLimitError
-from .sums import TWO_PI_LD, chunks, compensated_sum, ordered_map, split_map, unit_powers
+from .sums import (EM_BERNOULLI_TERMS, TWO_PI_LD, chunks, compensated_sum, em_tail, ordered_map,
+                   split_map, unit_powers)
 
-_EM_BERNOULLI_TERMS = 12
 _SCAN_BUDGET = 2 * 10**9  # grid_size * N term evaluations
 # scan_max keeps one float64 modulus per grid point (80 MB at this size)
 _MAX_SCAN_GRID = 10**7
@@ -152,47 +150,6 @@ def zeta_derivative_truncated(ell: int, sigma: float, t: float, N: int) -> EvalR
 # ---------------------------------------------------------------------------
 # Euler-Maclaurin reference
 
-def _bernoulli_fractions(n_pairs: int) -> list[Fraction]:
-    """B_2, B_4, .., B_{2 n_pairs} exactly (Akiyama-Tanigawa)."""
-    top = 2 * n_pairs
-    a = [Fraction(0)] * (top + 1)
-    out = []
-    for m in range(top + 1):
-        a[m] = Fraction(1, m + 1)
-        for j in range(m, 0, -1):
-            a[j - 1] = j * (a[j - 1] - a[j])
-        if m >= 2 and m % 2 == 0:
-            out.append(a[0])
-    return out
-
-
-_B2J = _bernoulli_fractions(_EM_BERNOULLI_TERMS + 1)
-
-
-def _pochhammer_derivatives(s: complex, degree: int, max_order: int) -> list[complex]:
-    """[P(s), P'(s), .., P^(max_order)(s)] for P(s) = prod_{i=0}^{degree-1} (s+i).
-
-    P^(m) = m! e_m(1/(s), .., 1/(s+degree-1)) P(s); the e_m come from power
-    sums via Newton's identities.  Stable for large |s| where expanded
-    coefficients would cancel catastrophically.
-    """
-    roots_inv = [1.0 / (s + i) for i in range(degree)]
-    p0 = 1.0 + 0j
-    for i in range(degree):
-        p0 *= s + i
-    power_sums = [sum(r**k for r in roots_inv) for k in range(1, max_order + 1)]
-    e = [1.0 + 0j]
-    for m in range(1, max_order + 1):
-        if m > degree:
-            e.append(0j)
-            continue
-        acc = 0j
-        for r in range(1, m + 1):
-            acc += (-1) ** (r - 1) * e[m - r] * power_sums[r - 1]
-        e.append(acc / m)
-    return [math.factorial(m) * e[m] * p0 for m in range(max_order + 1)]
-
-
 def _rounding_floor(t: float, M: int, mag: float) -> float:
     """Rounding floor of the reference at cutoff M and magnitude sum mag:
     float64 block sums plus longdouble phases (~1e-19 relative argument
@@ -272,23 +229,11 @@ def _main_term(ell: int, s: complex, M: int, tol: float) -> tuple[complex, float
     return value, mag
 
 
-def _bernoulli_term(ell: int, s: complex, M: int, jj: int) -> complex:
-    """d^ell of the jj-th Bernoulli correction B_2j/(2j)! s(s+1)..(s+2j-2) M^(1-2j-s)."""
-    L = math.log(M)
-    c = float(_B2J[jj - 1]) / math.factorial(2 * jj)
-    pd = _pochhammer_derivatives(s, 2 * jj - 1, min(ell, 2 * jj - 1))
-    leib = 0j
-    for i in range(min(ell, 2 * jj - 1) + 1):
-        leib += math.comb(ell, i) * pd[i] * (-L) ** (ell - i)
-    return c * leib * M ** complex(-s.real, -s.imag) * M ** (1 - 2 * jj)
-
-
-def _remainder_band(ell: int, s: complex, M: int) -> float:
-    """Bound on the Euler-Maclaurin remainder at cutoff M after
-    _EM_BERNOULLI_TERMS corrections, from the next Bernoulli term; O(1)."""
-    nxt = _bernoulli_term(ell, s, M, _EM_BERNOULLI_TERMS + 1)
-    return 2.0 * abs(nxt) * (abs(s) + 2 * _EM_BERNOULLI_TERMS + 3) / (
-        s.real + 2 * _EM_BERNOULLI_TERMS + 1
+def _remainder_band(s: complex, nxt: complex) -> float:
+    """Bound on the Euler-Maclaurin remainder after EM_BERNOULLI_TERMS
+    corrections, from the next correction nxt (`sums.em_tail`'s last)."""
+    return 2.0 * abs(nxt) * (abs(s) + 2 * EM_BERNOULLI_TERMS + 3) / (
+        s.real + 2 * EM_BERNOULLI_TERMS + 1
     )
 
 
@@ -299,39 +244,22 @@ def _em_cutoff(s: complex) -> int:
 
 def _em_zeta_derivative(ell: int, s: complex, M: int,
                         tol: float = math.inf) -> tuple[complex, float, float]:
-    """(zeta^(ell)(s) by Euler-Maclaurin at cutoff M, remainder band,
-    magnitude sum for the rounding floor); the main term fails fast on tol."""
+    """((-1)^ell zeta^(ell)(s), the module's sign, by Euler-Maclaurin at
+    cutoff M; remainder band; magnitude sum for the rounding floor).  The
+    main term fails fast on tol."""
+    main, mag = _main_term(ell, s, M, tol)
+    m_pow, half, corrections, nxt = em_tail(ell, s, np.log(np.longdouble(M)))
     L = math.log(M)
-
-    main, main_mag = _main_term(ell, s, M, tol)
-    total = -main if ell % 2 == 1 else main  # (-log n)^ell
-    if ell == 0:
-        total += 1.0  # n = 1
-    mag = main_mag + 1.0
-
-    m_pow = M ** complex(-s.real, -s.imag)  # M^{-s}
-    total += (-L) ** ell * m_pow / 2.0
-
-    # d^ell [ M^{1-s}/(s-1) ]
-    m1_pow = M * m_pow  # M^{1-s}
-    boundary = 0j
-    for i in range(ell + 1):
-        boundary += (
-            math.comb(ell, i)
-            * (-L) ** i
-            * (-1.0) ** (ell - i)
-            * math.factorial(ell - i)
-            * (s - 1.0) ** (-(ell - i) - 1)
-        )
-    total += boundary * m1_pow
-    mag += abs(boundary * m1_pow) + abs(m_pow) * L**ell / 2.0
-
-    for jj in range(1, _EM_BERNOULLI_TERMS + 1):
-        term = _bernoulli_term(ell, s, M, jj)
-        total += term
-        mag += abs(term)
-
-    return total, _remainder_band(ell, s, M), mag
+    # int_M^inf (log u)^ell u^(-s) du = M^(1-s) sum_i ell!/(ell-i)! L^(ell-i) / (s-1)^(i+1)
+    m1_pow = M * m_pow
+    tail = [math.perm(ell, i) * L ** (ell - i) / (s - 1) ** (i + 1) * m1_pow
+            for i in range(ell + 1)]
+    tail += [half, *(-c for c in corrections)]
+    value = compensated_sum(tail, main + (1.0 if ell == 0 else 0.0))  # n = 1
+    # every tail term's modulus, so that the floor counts the terms'
+    # rounding, which exceeds their sum's near the pole
+    mag += 1.0 + sum(map(abs, tail))
+    return value, _remainder_band(s, nxt), mag
 
 
 def zeta_derivative_reference(ell: int, sigma: float, t: float, tol: float = 1e-10) -> EvalResult:
@@ -341,7 +269,9 @@ def zeta_derivative_reference(ell: int, sigma: float, t: float, tol: float = 1e-
     range.  There the remainder band is below 1e-6 of the rounding floor
     (4e-16 + |t| log M 2e-19) * magnitude sum (tests/test_zeta.py sweeps the
     range), so a larger M cannot lower the error estimate by shrinking the
-    band.  The main term streams over `sums.chunks` blocks.
+    band.  The magnitude sum adds the modulus of every main-term and tail
+    term, each term of the integral beyond M apart.  The main term streams
+    over `sums.chunks` blocks.
 
     Raises PrecisionUnreachableError when band plus floor exceeds tol, and
     as soon as the floor on the magnitude summed so far does, mid-pass if
@@ -367,7 +297,7 @@ def zeta_derivative_reference(ell: int, sigma: float, t: float, tol: float = 1e-
             f"Euler-Maclaurin cannot reach tol={tol} at (ell={ell}, sigma={sigma}, t={t}): "
             f"error estimate {err:.3g} at cutoff M={M}"
         )
-    return EvalResult(value=(-1) ** ell * value, sigma=sigma, t=t, ell=ell,
+    return EvalResult(value=value, sigma=sigma, t=t, ell=ell,
                       truncation=M, error_estimate=err)
 
 

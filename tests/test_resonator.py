@@ -4,6 +4,7 @@ import random
 import tracemalloc
 
 import mpmath
+import numpy as np
 import pytest
 
 from zetamax import dickman, resonator
@@ -313,6 +314,18 @@ def test_log_power_sum_exact_small():
         math.log(2) / 2 + math.log(3) / 3 + math.log(4) / 4, rel=1e-14
     )
     assert resonator.log_power_sum(2, 0.5) == 0.0
+    # on both sides of the direct sum's end at 30, and both ends at 30; ell
+    # beyond 170, where ell! leaves float range, as proof_bookkeeping allows
+    # up to 200.  The logs are longdouble, so a term's rounding is its own.
+    for y in (1, 7.9, 29, 30, 31, 100, 10759, 2e6):
+        ks = np.arange(1, math.floor(y) + 1, dtype=np.float64)
+        logs = np.log(ks.astype(np.longdouble))
+        for ell in (0, 1, 2, 6, 20, 60, 170, 171, 200):
+            want = math.fsum((logs ** ell / ks).astype(np.float64).tolist())
+            assert resonator.log_power_sum(ell, y) == pytest.approx(want, rel=1e-14), (ell, y)
+            if y == math.floor(y):  # exp(log y) can round below y; the sum still ends at y
+                got = resonator.log_power_sum(ell, log_y=math.log(y))
+                assert got == resonator.log_power_sum(ell, y), (ell, y)
 
 
 def test_log_power_sum_asymptotic_matches_exact_at_crossover():
@@ -327,10 +340,15 @@ def test_log_power_sum_asymptotic_matches_exact_at_crossover():
 
 
 def test_log_power_sum_leading_term_at_giant_y():
-    for ell in (0, 1, 2):
+    # (log y)^(ell+1)/(ell+1) plus the Stieltjes constant, a test-only oracle
+    for ell in range(7):
         v = resonator.log_power_sum(ell, log_y=1e3)
-        lead = 1e3 ** (ell + 1) / (ell + 1)
-        assert abs(v / lead - 1.0) < 0.1
+        want = 1e3 ** (ell + 1) / (ell + 1) + float(mpmath.stieltjes(ell))
+        assert v == pytest.approx(want, rel=1e-15), ell
+    # ell = 200 at log y = 34, where (log y)^ell / ell! is near the top of
+    # float range; the dropped O((log y)^ell / y) is 1e-14 of the sum here
+    want = 34.0 ** 201 / 201 + float(mpmath.stieltjes(200))
+    assert resonator.log_power_sum(200, log_y=34.0) == pytest.approx(want, rel=1e-13)
 
 
 def test_bookkeeping_out_of_regime():

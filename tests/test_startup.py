@@ -93,6 +93,16 @@ def test_lazy_namespace_serves_every_old_name():
         zetamax.no_such_name
 
 
+def test_proof_bookkeeping_loads_no_mpmath():
+    # y = 3.3e7: S1 = log_power_sum(1, y) is summed by Euler-Maclaurin
+    r, modules = _modules_after(_RUN_CLI, "proof-bookkeeping", "--ell", "1",
+                                "--log10-T", "1e12", "--max-u", "60")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["y"] > 3e7
+    assert "zetamax.resonator" in modules
+    assert "mpmath" not in modules
+
+
 @pytest.mark.parametrize("argv", [
     ["zeta-eval", "--ell", "1", "--sigma", "1", "--t", "70", "--N", "70"],
     ["twisted-sum", "--x", "300", "--y", "5", "--twist", "unimodular", "--t", "1.5"],

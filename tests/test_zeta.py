@@ -101,6 +101,16 @@ def test_reference_against_mpmath_grid():
         ours = zeta.zeta_derivative(ref)
         other = complex(mpmath.zeta(mpmath.mpc(sigma, t), derivative=ell))
         assert abs(ours - other) <= max(ref.error_estimate, 1e-13), (ell, sigma, t)
+    # near the pole the tail is large against the value; there error_estimate
+    # alone must cover the error, with no floor under it
+    with mpmath.workprec(200):
+        for ell in range(7):
+            for sigma in (0.6, 0.8, 1.0, 1.5):
+                for t in (0.5, 2.0, 5.0, 10.0, 17.78, 30.0, 60.0, 200.0):
+                    ref = zeta.zeta_derivative_reference(ell, sigma, t, 1e-8)
+                    other = complex(mpmath.zeta(mpmath.mpc(sigma, t), 1, ell))
+                    err = abs(zeta.zeta_derivative(ref) - other)
+                    assert err <= ref.error_estimate, (ell, sigma, t, err, ref.error_estimate)
 
 
 def test_reference_stability_under_tightened_tol():
@@ -136,9 +146,10 @@ def test_oracle_agreement_in_window():
 
 def _em_zeta_derivative_one_array(ell, s, M):
     """The reference before it streamed, kept as the oracle of the streamed
-    main term: the whole of 2 <= n < M as one set of longdouble arrays."""
+    main term: the whole of 2 <= n < M as one set of longdouble arrays.  Its
+    tail comes from `sums.em_tail`, as the reference's does, so a difference
+    lies in the main term."""
     sigma, t = s.real, s.imag
-    L = math.log(M)
 
     ns = np.arange(2, M, dtype=np.int64)
     logs = np.log(ns.astype(np.longdouble))
@@ -149,45 +160,17 @@ def _em_zeta_derivative_one_array(ell, s, M):
         w = (np.longdouble(t) * logs) % sums.TWO_PI_LD
         terms = coeff * np.exp(np.longdouble(-1.0) * 1j * w)
         main = complex(np.sum(terms))
-    if ell % 2 == 1:
-        main = -main  # (-log n)^ell
-    if ell == 0:
-        main += 1.0  # n = 1
-    mag = float(np.sum(np.abs(coeff).astype(np.float64))) + 1.0
+    main_mag = float(np.sum(np.abs(coeff).astype(np.float64)))
 
-    m_pow = M ** complex(-s.real, -s.imag)  # M^{-s}
-    total = main + (-L) ** ell * m_pow / 2.0
-
-    # d^ell [ M^{1-s}/(s-1) ]
-    m1_pow = M * m_pow  # M^{1-s}
-    boundary = 0j
-    for i in range(ell + 1):
-        boundary += (
-            math.comb(ell, i)
-            * (-L) ** i
-            * (-1.0) ** (ell - i)
-            * math.factorial(ell - i)
-            * (s - 1.0) ** (-(ell - i) - 1)
-        )
-    total += boundary * m1_pow
-    mag += abs(boundary * m1_pow) + abs(m_pow) * L**ell / 2.0
-
-    def bern_term(jj: int) -> complex:
-        c = float(zeta._B2J[jj - 1]) / math.factorial(2 * jj)
-        pd = zeta._pochhammer_derivatives(s, 2 * jj - 1, min(ell, 2 * jj - 1))
-        leib = 0j
-        for i in range(min(ell, 2 * jj - 1) + 1):
-            leib += math.comb(ell, i) * pd[i] * (-L) ** (ell - i)
-        return c * leib * m_pow * M ** (1 - 2 * jj)
-
-    for jj in range(1, zeta._EM_BERNOULLI_TERMS + 1):
-        term = bern_term(jj)
-        total += term
-        mag += abs(term)
-
-    nxt = bern_term(zeta._EM_BERNOULLI_TERMS + 1)
-    band = 2.0 * abs(nxt) * (abs(s) + 2 * zeta._EM_BERNOULLI_TERMS + 3) / (
-        sigma + 2 * zeta._EM_BERNOULLI_TERMS + 1
+    m_pow, half, corrections, nxt = sums.em_tail(ell, s, np.log(np.longdouble(M)))
+    L = math.log(M)
+    tail = [math.perm(ell, i) * L ** (ell - i) / (s - 1) ** (i + 1) * (M * m_pow)
+            for i in range(ell + 1)]
+    tail += [half, *(-c for c in corrections)]
+    total = sums.compensated_sum(tail, main + (1.0 if ell == 0 else 0.0))  # n = 1
+    mag = main_mag + (1.0 + sum(map(abs, tail)))
+    band = 2.0 * abs(nxt) * (abs(s) + 2 * sums.EM_BERNOULLI_TERMS + 3) / (
+        sigma + 2 * sums.EM_BERNOULLI_TERMS + 1
     )
     return total, band, mag
 
@@ -290,8 +273,46 @@ def test_remainder_band_is_far_below_the_rounding_floor():
                 s = complex(sigma, t)
                 M = zeta._em_cutoff(s)
                 assert M <= 2e8 + 2
-                band = zeta._remainder_band(ell, s, M)
+                band = zeta._remainder_band(s, sums.em_tail(ell, s, np.log(np.longdouble(M)))[3])
                 assert band <= 1e-6 * _rounding_floor_lower_bound(ell, sigma, t, M), (ell, sigma, t)
+
+
+def _pochhammer_corrections(ell, s, M, m_pow):
+    """B_2j/(2j)! f^(2j-1)(M) for f(u) = (log u)^ell u^(-s), j = 1 .. 13, by
+    the route `sums.em_tail` replaced: f^(2j-1) = -(-d/ds)^ell of
+    (s)_(2j-1) u^(-s-2j+1), by the Leibniz rule over the derivatives of the
+    Pochhammer polynomial (s)_(2j-1), which are m! e_m(1/s, .., 1/(s+2j-2))
+    (s)_(2j-1) with the e_m from power sums by Newton's identities."""
+    L = math.log(M)
+    out, p0, power_sums = [], 1.0 + 0j, [0j] * ell
+    for j in range(1, sums.EM_BERNOULLI_TERMS + 2):
+        for i in range(max(0, 2 * j - 3), 2 * j - 1):  # the roots -i that (s)_(2j-1) adds
+            p0 *= s + i
+            power_sums = [p + (1.0 / (s + i)) ** k for k, p in enumerate(power_sums, 1)]
+        top = min(ell, 2 * j - 1)
+        e = [1.0 + 0j]
+        for m in range(1, top + 1):
+            e.append(sum((-1) ** (r - 1) * e[m - r] * power_sums[r - 1]
+                         for r in range(1, m + 1)) / m)
+        leibniz = sum(math.perm(ell, i) * e[i] * p0 * (-L) ** (ell - i) for i in range(top + 1))
+        b2j = sums._bernoulli_coefficients()[j - 1]  # B_2j / (2j)!
+        out.append(-(-1) ** ell * b2j * leibniz * m_pow * M ** (1 - 2 * j))
+    return out
+
+
+def test_em_tail_matches_the_pochhammer_route():
+    # the derivative recursion against the Leibniz rule over Pochhammer
+    # derivatives, on the band test's grid and with the same M^(-s)
+    ts = [0.0, *np.logspace(0, 8, 81)]
+    for ell in range(7):
+        for sigma in np.linspace(0.6, 4.0, 35):
+            for t in ts:
+                s = complex(sigma, t)
+                M = zeta._em_cutoff(s)
+                m_pow, _, corrections, nxt = sums.em_tail(ell, s, np.log(np.longdouble(M)))
+                want = _pochhammer_corrections(ell, s, M, m_pow)
+                diff = sum(abs(a - b) for a, b in zip([*corrections, nxt], want))
+                assert diff <= 1e-13 * sum(map(abs, want)), (ell, sigma, t)
 
 
 # ---------------------------------------------------------------------------
