@@ -214,11 +214,8 @@ def _cmd_proof_bookkeeping(args) -> None:
     from . import resonator
 
     table = _build_table(args)
-    if args.log10_T is not None:
-        log_T = args.log10_T * math.log(10.0)
-        r = resonator.proof_bookkeeping(args.ell, table, log_T=log_T)
-    else:
-        r = resonator.proof_bookkeeping(args.ell, table, args.T)
+    log_T = None if args.log10_T is None else args.log10_T * math.log(10.0)
+    r = resonator.proof_bookkeeping(args.ell, table, args.T, log_T=log_T)
     _emit_json({**asdict(r), "sum_over_predicted": (r.S1 + r.S2) / r.predicted,
                 "k2_over_predicted": r.K2_bound / r.predicted})
 

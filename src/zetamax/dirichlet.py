@@ -64,7 +64,6 @@ from .sums import chunks, cis, compensated_sum, ordered_map
 _MAX_Q = 10**7
 _MAX_N = 10**8
 _QUOTIENT_MAX_Q = 10**5
-_DLOG_BLOCK = 1 << 16  # entries per block of the discrete-log fill: 512 KB of int64
 _PERIOD_TABLE_MAX_Q = 1 << 20  # largest q given a period table: 16 MB of complex128
 
 
@@ -196,7 +195,7 @@ def build_character_table(q: int) -> CharacterTable:
     primitive root g.  The discrete logs are stored by baby and giant steps,
     dlog[g^(iB+k)] = iB + k with B = isqrt(q-1) + 1, one outer product of
     the giant steps g^(iB) and the baby steps g^k per block of about
-    _DLOG_BLOCK entries, and certified exactly by `_verify_table`."""
+    sums.CHUNK entries, and certified exactly by `_verify_table`."""
     q = int(q)
     if q < 3 or q > _MAX_Q:
         raise ValueError(f"q must lie in [3, {_MAX_Q}], got {q}")
@@ -214,7 +213,7 @@ def build_character_table(q: int) -> CharacterTable:
         giants.append(giants[-1] * giant % q)
     dlog = np.empty(q, dtype=np.int64)
     dlog[0] = -1
-    rows = max(1, _DLOG_BLOCK // B)
+    rows = max(1, sums.CHUNK // B)
     for i in range(0, len(giants), rows):
         # row-major g^(iB + k) for a block of giant steps; exact in int64,
         # since every product is below q^2 < 2^63

@@ -2,9 +2,13 @@
 
 Validation failures (bad arguments, out-of-domain points, out-of-regime
 parameters) derive from ValueError; resource and precision failures derive
-from RuntimeError.  The CLI maps the first group to exit code 2 and
-ResourceLimitError to exit code 3.
+from RuntimeError.  The CLI maps the first group to exit code 2 and the
+second to exit code 3.  `float_result` turns a result that float64 cannot
+hold into PrecisionUnreachableError, so no inf reaches a caller or the
+CLI's output.
 """
+
+import math
 
 
 class OutOfDomainError(ValueError):
@@ -29,3 +33,15 @@ class ResourceLimitError(RuntimeError):
 
 class PrecisionUnreachableError(RuntimeError):
     """The requested tolerance cannot be met by the configured precision."""
+
+
+def float_result(quantity: str, compute) -> float:
+    """compute(), or PrecisionUnreachableError naming `quantity` when the
+    value is not finite or a float power inside it overflows."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise PrecisionUnreachableError(f"{quantity} is beyond float64 range")
+    return value

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .constants import BOUND_KINDS, EXP_GAMMA
 from .dickman import DickmanTable, rho
-from .errors import TailNotCertifiedError
+from .errors import TailNotCertifiedError, float_result
 
 _MAX_ELL = 200
 
@@ -121,7 +121,8 @@ def bound_prediction(kind: str, ell: int, scale: float) -> float:
     kind selects the constant: "lower" -> Y_ell (unconditional lower bound),
     "rh-upper" -> 2^(ell+1) Y_ell (conditional upper bound),
     "conjectural-asymptotic" -> Y_ell (sharp constant under the conjectured
-    smooth-sum approximation).
+    smooth-sum approximation).  A value beyond float64 raises
+    PrecisionUnreachableError.
     """
     if kind not in BOUND_KINDS:
         raise ValueError(f"kind must be one of {BOUND_KINDS}, got {kind!r}")
@@ -130,4 +131,4 @@ def bound_prediction(kind: str, ell: int, scale: float) -> float:
     loglog = math.log(math.log(scale))
     y_ell = y_exact(ell).float_value
     c = 2.0 ** (ell + 1) * y_ell if kind == "rh-upper" else y_ell
-    return c * loglog ** (ell + 1)
+    return float_result(f"the {kind} bound at ell={ell}", lambda: c * loglog ** (ell + 1))

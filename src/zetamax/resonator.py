@@ -34,7 +34,7 @@ import numpy as np
 
 from .constants import EXP_GAMMA
 from .dickman import DickmanTable, rho
-from .errors import OutOfRegimeError, ResourceLimitError
+from .errors import OutOfRegimeError, ResourceLimitError, float_result
 from .moments import y_exact
 from .primes import sieve_primes
 from .sums import em_tail
@@ -97,6 +97,18 @@ def _log_scale(T: float | None, log_T: float | None) -> float:
     return log_T
 
 
+def _scale_map(log_T: float) -> tuple[float, float, int]:
+    """(log_2 T, y, b) with y = log T/(3 (log_2 T)^3) and b = [(log_2 T)^3].
+
+    Each caller keeps its own regime rule: `spec_from_T` needs y >= 2 and
+    b >= 2 (at least one prime, each to the power b - 1 >= 1), while
+    `proof_bookkeeping` needs only y > 1 (log y > 0), so it also accepts
+    1 < y < 2.  Which of the two the paper's range means is not settled.
+    """
+    l2 = math.log(log_T)
+    return l2, log_T / (3.0 * l2**3), math.floor(l2**3)
+
+
 def spec_from_T(T: float | None = None, *, log_T: float | None = None) -> ResonatorSpec:
     """Spec with y = log T/(3 (log_2 T)^3), b = [(log_2 T)^3].
 
@@ -109,9 +121,7 @@ def spec_from_T(T: float | None = None, *, log_T: float | None = None) -> Resona
     log_T = _log_scale(T, log_T)
     if log_T <= math.e:
         raise OutOfRegimeError(f"log T = {log_T}: iterated logs undefined")
-    l2 = math.log(log_T)
-    y = log_T / (3.0 * l2**3)
-    b = math.floor(l2**3)
+    _, y, b = _scale_map(log_T)
     if y < 2 or b < 2:
         raise OutOfRegimeError(
             f"derived y={y:.6g}, b={b}: below the y >= 2, b >= 2 regime "
@@ -344,33 +354,34 @@ def proof_bookkeeping(
         K2_bound = e^(2 gamma) (log_2 T)^(ell-1) (log_3 T)^(ell+1),
 
     and predicted = Y_ell (log_2 T)^(ell+1) is the target the two sums chase.
+    Any of S1, S2, K2_bound and predicted beyond float64 raises
+    PrecisionUnreachableError.
     """
     if ell < 0:
         raise ValueError("ell must be >= 0")
     log_T = _log_scale(T, log_T)
     if log_T < math.exp(math.e):
         raise OutOfRegimeError(f"need log T >= e^e, got {log_T}")
-    l2 = math.log(log_T)
+    l2, y, b = _scale_map(log_T)
     l3 = math.log(l2)
-    y = log_T / (3.0 * l2**3)
     if y <= 1.0:
         raise OutOfRegimeError(
             f"derived y = {y:.6g} <= 1 (log T = {log_T:.6g}; the formulas need "
             f"log T >~ 1e3)"
         )
-    b = math.floor(l2**3)
     log_y = math.log(y)
     log_R = l2 * l3
     u_R = log_R / log_y
 
-    s1 = log_power_sum(ell, y)
+    at = f" at ell={ell}, log T={log_T:.6g}"
+    s1 = float_result("S1" + at, lambda: log_power_sum(ell, y))
     i_ell = table.integrate(lambda us: us**ell, 1.0, u_R)
-    s2 = log_R**ell * rho(u_R, table) - log_y**ell + log_y ** (ell + 1) * i_ell
-    if ell > 0:
-        s2 -= ell * log_y**ell * table.integrate(lambda us: us ** (ell - 1), 1.0, u_R)
-
-    k2 = EXP_GAMMA**2 * l2 ** (ell - 1) * l3 ** (ell + 1)
-    predicted = y_exact(ell).float_value * l2 ** (ell + 1)
+    i_low = table.integrate(lambda us: us ** (ell - 1), 1.0, u_R) if ell > 0 else 0.0
+    s2 = float_result("S2" + at, lambda: log_R**ell * rho(u_R, table) - log_y**ell
+                      + log_y ** (ell + 1) * i_ell - ell * log_y**ell * i_low)
+    k2 = float_result("K2_bound" + at, lambda: EXP_GAMMA**2 * l2 ** (ell - 1) * l3 ** (ell + 1))
+    predicted = float_result("predicted" + at,
+                             lambda: y_exact(ell).float_value * l2 ** (ell + 1))
     return BookkeepingResult(
         ell=ell, log_T=log_T, log2_T=l2, log3_T=l3, y=y, b=b, u_R=u_R,
         S1=s1, S2=s2, K2_bound=k2, predicted=predicted,

@@ -30,6 +30,7 @@ bits do not depend on the threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,9 +40,10 @@ import numpy as np
 
 from .dickman import DickmanTable, build_rho_table, log_rho_asymptotic_main, rho
 from .dirichlet import CharacterTable
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, float_result
 from .primes import sieve_primes
-from .sums import CHUNK, chunks, compensated_sum, ordered_map, unit_powers
+from . import sums
+from .sums import chunks, compensated_sum, ordered_map, unit_powers
 
 _SIEVE_LIMIT = 10**8
 _SIEVE_SEGMENT = 1 << 18  # int32 entries: 1 MB, an L2-sized segment
@@ -180,20 +182,21 @@ def iter_smooth(x: float, y: float) -> Iterator[int]:
     next(), and each power's survivors are counted before the array grows,
     so a request beyond _ENUM_NODE_BUDGET numbers raises ResourceLimitError
     on the first next().  The array grows and shrinks in place
-    (`ndarray.resize`) and is handed over from its top in CHUNK-sized lists
-    of ints, each cut off once handed over, so it frees memory about as fast
-    as the consumer's copy takes it; `itertools.chain` walks each list, so
-    no Python frame resumes per number.  Requires pi(y) <= 20.
+    (`ndarray.resize`) and is handed over from its top in lists of
+    sums.CHUNK ints, each cut off once handed over, so it frees memory
+    about as fast as the consumer's copy takes it; `itertools.chain` walks
+    each list, so no Python frame resumes per number.  Requires
+    pi(y) <= 20.
     """
     return itertools.chain.from_iterable(_smooth_blocks(x, y))
 
 
 def _smooth_blocks(x: float, y: float) -> Iterator[list]:
-    """The numbers of `iter_smooth`, as lists of at most CHUNK ints."""
+    """The numbers of `iter_smooth`, as lists of at most sums.CHUNK ints."""
     primes = sieve_primes(min(int(y), _ENUM_Y_CAP))
     if len(primes) > _ENUM_PRIME_BOUND:
         raise ResourceLimitError(f"pi({y}) > {_ENUM_PRIME_BOUND}")
-    xi = math.floor(x)
+    xi, chunk = math.floor(x), sums.CHUNK
     if xi < 1:
         return
     # m <= xi // p before each multiply keeps every product <= xi: int64
@@ -212,15 +215,15 @@ def _smooth_blocks(x: float, y: float) -> Iterator[list]:
                     f"smooth enumeration exceeds {_ENUM_NODE_BUDGET} nodes")
             level.resize(hi + survivors, refcheck=False)
             end = hi
-            for start in range(lo, hi, CHUNK):
-                block = level[start : min(start + CHUNK, hi)]
+            for start in range(lo, hi, chunk):
+                block = level[start : min(start + chunk, hi)]
                 block = block[block <= bound]
                 level[end : end + block.size] = block * p
                 end += block.size
             lo, hi = hi, end
     n = level.size
     while n:
-        lo = max(n - CHUNK, 0)
+        lo = max(n - chunk, 0)
         block = level[lo:n].tolist()
         level.resize(lo, refcheck=False)
         n = lo
@@ -243,13 +246,9 @@ def _enumerated(x: float, y: float) -> np.ndarray | None:
 # ---------------------------------------------------------------------------
 # default Dickman table for the density comparison
 
-_default_table: list = [None]
-
-
+@functools.cache
 def _density_table() -> DickmanTable:
-    if _default_table[0] is None:
-        _default_table[0] = build_rho_table(40.0, 1e-12)
-    return _default_table[0]
+    return build_rho_table(40.0, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +265,8 @@ def _check_y(y: float) -> None:
         raise ValueError(f"y must be finite and >= 2, got {y}")
 
 
-def psi_count(x: float, y: float) -> SmoothCountResult:
-    """Exact Psi(x, y) together with the Dickman approximation x*rho(u).
+def _exact_count(x: float, y: float) -> int:
+    """Exact Psi(x, y), with no density table.
 
     y >= x counts every n <= x; otherwise the count is the size of the
     enumerated set when `_enumerated` returns one, and a scan of the
@@ -278,39 +277,42 @@ def psi_count(x: float, y: float) -> SmoothCountResult:
     _check_y(y)
     xi = _floor(x)
     if y >= x:
-        count = xi
-    else:
-        ns = _enumerated(x, y)
-        if ns is not None:
-            count = ns.size
-        else:
-            spf = _shared_spf(xi)  # counted in CHUNK slices: no x-byte mask
-            count = 1 + sum(int(np.count_nonzero(spf[lo : min(lo + CHUNK, xi + 1)] <= y))
-                            for lo in range(2, xi + 1, CHUNK))
+        return xi
+    ns = _enumerated(x, y)
+    if ns is not None:
+        return ns.size
+    spf, chunk = _shared_spf(xi), sums.CHUNK  # counted in block slices: no x-byte mask
+    return 1 + sum(int(np.count_nonzero(spf[lo : min(lo + chunk, xi + 1)] <= y))
+                   for lo in range(2, xi + 1, chunk))
 
+
+def psi_count(x: float, y: float) -> SmoothCountResult:
+    """Exact Psi(x, y) (`_exact_count`) together with the Dickman
+    approximation x*rho(u), read from the density table for u <= 40 and
+    from the asymptotic main term beyond it.  An x*rho(u) that underflows
+    float64 leaves the relative error beyond it, which raises
+    PrecisionUnreachableError.
+    """
+    count = _exact_count(x, y)
     u = math.log(x) / math.log(y)
     t = _density_table()
-    rho_u = rho(u, t) if u <= t.max_u else math.exp(log_rho_asymptotic_main(u))
-    approx = x * rho_u
-    rel = count / approx - 1.0 if approx > 0 else math.inf
-    return SmoothCountResult(
-        x=float(x), y=float(y), exact_count=int(count),
-        dickman_approx=approx, u=u, relative_error=rel,
-    )
+    approx = x * (rho(u, t) if u <= t.max_u else math.exp(log_rho_asymptotic_main(u)))
+    rel = float_result(f"relative_error of x rho(u) at u={u:.6g}",
+                       lambda: count / approx - 1.0 if approx > 0 else math.inf)
+    return SmoothCountResult(x=float(x), y=float(y), exact_count=count, dickman_approx=approx,
+                             u=u, relative_error=rel)
 
 
 # ---------------------------------------------------------------------------
 # twisted sums
 
 def _twist_values(ns: np.ndarray, twist: TwistSpec) -> np.ndarray:
-    if isinstance(twist, Trivial):
-        return np.ones(ns.shape, dtype=np.complex128)
-    if isinstance(twist, Unimodular):
-        if twist.t == 0.0:
-            return np.ones(ns.shape, dtype=np.complex128)
+    if isinstance(twist, Unimodular) and twist.t != 0.0:
         return unit_powers(ns, twist.t)
     if isinstance(twist, Character):
         return twist.table.chi_vector(twist.j, ns)
+    if isinstance(twist, (Trivial, Unimodular)):  # f = 1, t = 0 included
+        return np.ones(ns.shape, dtype=np.complex128)
     raise TypeError(f"not a twist spec: {twist!r}")
 
 
@@ -348,9 +350,9 @@ def smooth_twisted_sum(x: float, y: float, twist: TwistSpec) -> complex:
         # [1], then the sieve route's blocks; beyond the sieve, CHUNK entries
         # each (value boundaries would mean ~x/CHUNK mostly empty cuts)
         if xi <= _SIEVE_LIMIT:
-            cuts = np.searchsorted(ns, np.arange(2, xi + 1, CHUNK))
+            cuts = np.searchsorted(ns, np.arange(2, xi + 1, sums.CHUNK))
         else:
-            cuts = np.arange(1, ns.size, CHUNK)
+            cuts = np.arange(1, ns.size, sums.CHUNK)
         blocks = np.split(ns, cuts)
     return _twisted_block_sum(blocks, twist)
 
@@ -358,13 +360,16 @@ def smooth_twisted_sum(x: float, y: float, twist: TwistSpec) -> complex:
 def full_twisted_sum(x: float, twist: TwistSpec) -> complex:
     """Exact sum_{n <= x} f(n).
 
-    Character twists reduce over full periods: by orthogonality a period
-    sums to q - 1 for the principal character and to 0 for any other, so
-    only the partial period is summed in floats, as a running prefix sum
-    over blocks of CHUNK integers, each read through `chi_range` and each
-    block's cumsum starting from the carry of the one before (the additions
-    of one cumsum over the period, in the same order).  Unimodular twists
-    run the compensated chunked sum.  A finite x < 1 gives the empty sum.
+    Character twists reduce over full periods by orthogonality.  For the
+    principal character a period sums to q - 1 and every n in the partial
+    period 1..r (r < q) is coprime to q, so the sum is the integer
+    (x // q)(q - 1) + r, rounded once, and no chi value is evaluated.  For
+    any other character a period sums to 0, so only 1..r is summed in
+    floats, as a running prefix sum over blocks of sums.CHUNK integers,
+    each read through `chi_range` and each block's cumsum starting from the
+    carry of the one before (the additions of one cumsum over 1..r, in the
+    same order).  Unimodular twists run the compensated chunked sum.  A
+    finite x < 1 gives the empty sum.
     """
     xi = _floor(x)
     if xi < 1:
@@ -374,20 +379,15 @@ def full_twisted_sum(x: float, twist: TwistSpec) -> complex:
     if isinstance(twist, Character):
         q = twist.table.q
         full, rem = divmod(xi, q)
-        # a non-principal period sums to a rounding residue, not to 0 exactly,
-        # so only the principal character needs the whole period
-        last = q if twist.j == 0 and full else rem
-        carry, partial = 0j, 0j
-        for lo in range(1, last + 1, CHUNK):
-            hi = min(lo + CHUNK, last + 1)
-            prefix = twist.table.chi_range(twist.j, lo, hi)
+        if twist.j == 0:
+            return complex(full * (q - 1) + rem)
+        carry, chunk = 0j, sums.CHUNK
+        for lo in range(1, rem + 1, chunk):
+            prefix = twist.table.chi_range(twist.j, lo, min(lo + chunk, rem + 1))
             prefix[0] += carry
             np.cumsum(prefix, out=prefix)
-            if lo <= rem < hi:
-                partial = complex(prefix[rem - lo])
             carry = prefix[-1]
-        total = full * complex(carry) if last == q else 0j
-        return total + partial if rem else total
+        return 0j + complex(carry)  # 0j + makes a -0.0 part +0.0
     if xi > _FULL_SUM_LIMIT:
         raise ResourceLimitError(f"x={x} exceeds full-sum budget {_FULL_SUM_LIMIT}")
     return _twisted_block_sum(chunks(1, xi), twist)
@@ -417,7 +417,7 @@ def approximation_error_profile(x: float, twist: TwistSpec, y_grid) -> list[Prof
     out = []
     for y in ys:
         smooth_val = smooth_twisted_sum(x, y, twist)
-        psi = psi_count(x, y).exact_count
+        psi = _exact_count(x, y)
         disc = abs(full - smooth_val)
         out.append(ProfileRecord(y=float(y), discrepancy=disc, psi_xy=psi, ratio=disc / psi))
     return out

@@ -342,6 +342,39 @@ def _reject_constant(token):
     raise ValueError(f"non-JSON token {token}")
 
 
+# results that float64 cannot hold, with the quantity each error names
+BEYOND_FLOAT64 = [
+    (["bound", "--kind", "lower", "--ell", "200", "--scale", "1e9"], "lower bound"),
+    (["bound", "--kind", "rh-upper", "--ell", "190", "--scale", "1e300"], "rh-upper bound"),
+    (["proof-bookkeeping", "--ell", "150", "--log10-T", "1e8", "--max-u", "60"], "predicted"),
+    (["proof-bookkeeping", "--ell", "150", "--log10-T", "1e14", "--max-u", "60"], "S2"),
+    (["psi", "--x", "1e300", "--y", "2"], "relative_error"),
+]
+# their neighbours, which float64 still holds
+WITHIN_FLOAT64 = [
+    ["bound", "--kind", "lower", "--ell", "180", "--scale", "1e9"],
+    ["proof-bookkeeping", "--ell", "120", "--log10-T", "1e8", "--max-u", "60"],
+    ["proof-bookkeeping", "--ell", "100", "--log10-T", "1e14", "--max-u", "60"],
+    ["psi", "--x", "1e30", "--y", "2"],
+]
+
+
+@pytest.mark.parametrize("argv, quantity", BEYOND_FLOAT64,
+                         ids=[" ".join(argv) for argv, _ in BEYOND_FLOAT64])
+def test_result_beyond_float64_exits_3(argv, quantity, capsys):
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and quantity in err and "float64" in err, err
+
+
+@pytest.mark.parametrize("argv", WITHIN_FLOAT64, ids=" ".join)
+def test_result_within_float64_is_strict_json(argv, capsys):
+    assert cli.main(argv) == 0
+    for line in capsys.readouterr().out.splitlines():
+        json.loads(line, parse_constant=_reject_constant)
+
+
 def test_failing_reference_skips_truncated_sum(monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("truncated sum started before the reference failed")

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from zetamax import dirichlet, smooth
-from zetamax.errors import ResourceLimitError
+from zetamax import dirichlet, smooth, sums
+from zetamax.errors import PrecisionUnreachableError, ResourceLimitError
 from zetamax.primes import sieve_primes
 from zetamax.smooth import Character, Trivial, Unimodular
 
@@ -253,15 +253,15 @@ def _iter_smooth_reference(x, y):
                 raise ResourceLimitError("over budget")
             level.resize(hi + survivors, refcheck=False)
             end = hi
-            for start in range(lo, hi, smooth.CHUNK):
-                block = level[start : min(start + smooth.CHUNK, hi)]
+            for start in range(lo, hi, sums.CHUNK):
+                block = level[start : min(start + sums.CHUNK, hi)]
                 block = block[block <= bound]
                 level[end : end + block.size] = block * p
                 end += block.size
             lo, hi = hi, end
     n = level.size
     while n:
-        lo = max(n - smooth.CHUNK, 0)
+        lo = max(n - sums.CHUNK, 0)
         block = level[lo:n].tolist()
         level.resize(lo, refcheck=False)
         n = lo
@@ -299,7 +299,7 @@ def test_sieve_count_temporaries_are_a_few_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * smooth.CHUNK, peak
+    assert peak <= 4 * sums.CHUNK, peak
 
 
 def test_psi_5_smooth_at_1e12_by_exponent_loop():
@@ -434,6 +434,20 @@ def test_enumeration_and_sieve_routes_agree_bit_for_bit(x, k, twist):
     assert enum == sieved
 
 
+@pytest.mark.parametrize("chunk", [1000, 2**17])
+def test_routes_agree_bit_for_bit_at_any_block_size(monkeypatch, chunk, chi101):
+    # both routes cut their blocks at the block size sums holds when the sum runs
+    monkeypatch.setattr(sums, "CHUNK", chunk)
+    cases = [(3e5, 7, Unimodular(1e9)), (3e5 + 17, 13, Unimodular(2.5)),
+             (2.7e5, 5, Character(chi101, 17)), (4 * 10**5, 71, Trivial())]
+    for x, y, twist in cases:
+        enum = smooth.smooth_twisted_sum(x, y, twist)
+        with monkeypatch.context() as mp:
+            mp.setattr(smooth, "_ENUM_PRIME_BOUND", 0)
+            sieved = smooth.smooth_twisted_sum(x, y, twist)
+        assert enum == sieved, (chunk, x, y, twist)
+
+
 @given(x=st.integers(2, 2 * 10**5), y=st.floats(2.0, 1000.0), twist=_twists)
 def test_full_equals_smooth_plus_nonsmooth(x, y, twist):
     full = smooth.full_twisted_sum(x, twist)
@@ -472,6 +486,31 @@ def test_profile_character_mod_10007():
     # internal identity: |full - smooth| equals |sum over non-smooth n|
     non = smooth.nonsmooth_twisted_sum(10007, 500, Character(t, 1))
     assert recs[0].discrepancy == pytest.approx(abs(non), abs=1e-8)
+
+
+def test_profile_builds_no_density_table(monkeypatch, chi7):
+    # the profile reads the exact counts only, never x rho(u)
+    grid = [2, 20, 5000]
+    want = [smooth.psi_count(3000, y).exact_count for y in grid]
+
+    def no_table():
+        raise AssertionError("the density table was built")
+
+    monkeypatch.setattr(smooth, "_density_table", no_table)
+    for twist in (Trivial(), Unimodular(1.5), Character(chi7, 2)):
+        recs = smooth.approximation_error_profile(3000, twist, grid)
+        assert [r.psi_xy for r in recs] == want
+    with pytest.raises(AssertionError, match="density table"):
+        smooth.psi_count(3000, 20)
+
+
+def test_psi_count_raises_when_x_rho_u_underflows():
+    # rho(997) is far below the least float64: the count is exact, its
+    # relative error is not representable
+    with pytest.raises(PrecisionUnreachableError, match="relative_error"):
+        smooth.psi_count(1e300, 2)
+    r = smooth.psi_count(1e30, 2)  # rho(99.7) x 1e30 is still a float
+    assert r.exact_count == 100 and math.isfinite(r.relative_error)
 
 
 def test_profile_validation():
@@ -523,3 +562,47 @@ def test_full_character_sum_memory_is_a_few_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20, peak
+
+
+def _period_walk(x: float, twist: Character) -> complex:
+    # the sum as a walk over one whole period for the principal character
+    # and over 1..x mod q for any other, the prefix carried across blocks
+    q = twist.table.q
+    full, rem = divmod(math.floor(x), q)
+    last = q if twist.j == 0 and full else rem
+    carry, partial = 0j, 0j
+    for lo in range(1, last + 1, sums.CHUNK):
+        hi = min(lo + sums.CHUNK, last + 1)
+        prefix = twist.table.chi_range(twist.j, lo, hi)
+        prefix[0] += carry
+        np.cumsum(prefix, out=prefix)
+        if lo <= rem < hi:
+            partial = complex(prefix[rem - lo])
+        carry = prefix[-1]
+    total = full * complex(carry) if last == q else 0j
+    return total + partial if rem else total
+
+
+@pytest.mark.parametrize("q", [3, 5, 101, 99991, 10**6 + 3])
+def test_full_character_sum_equals_the_period_walk(q):
+    table = dirichlet.shared_character_table(q)
+    xs = [x + d for x in (1, q - 1, q, q + 1, 2 * q + 7, 10**6 + 17) for d in (0, 0.5)]
+    xs += [q - 1.5, 10**6 + 16]
+    for j in sorted({0, 1, (q - 1) // 2, q - 2}):
+        twist = Character(table, j)
+        for x in xs:
+            got, want = smooth.full_twisted_sum(x, twist), _period_walk(x, twist)
+            assert got == want and repr(got) == repr(want), (q, j, x)
+
+
+def test_principal_full_sum_evaluates_no_chi_value(monkeypatch):
+    # the principal row is the closed form (x // q)(q - 1) + x mod q
+    def no_chi(*args):
+        raise AssertionError("a chi value was evaluated")
+
+    q = 10**6 + 3
+    table = dirichlet.shared_character_table(q)
+    for name in ("chi_range", "chi_residues", "chi_vector", "chi_value"):
+        monkeypatch.setattr(dirichlet.CharacterTable, name, no_chi)
+    for x in (q - 1, 5 * 10**6, 10**15 + 7):
+        assert smooth.full_twisted_sum(x, Character(table, 0)) == x // q * (q - 1) + x % q
