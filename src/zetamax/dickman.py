@@ -219,7 +219,7 @@ def build_rho_table(max_u: float, tol: float) -> DickmanTable:
 
 def rho(u: float, table: DickmanTable) -> float:
     """Table value of rho(u); exact 1.0 on [0, 1], in (0, 1] elsewhere."""
-    if u < 0:
+    if not u >= 0:  # NaN too
         raise ValueError(f"u must be >= 0, got {u}")
     if u > table.max_u * (1 + 1e-12) + 1e-12:
         raise OutOfDomainError(f"u={u} beyond table domain [0, {table.max_u}]")

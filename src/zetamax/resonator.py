@@ -282,6 +282,8 @@ def log_power_sum(ell: int, y: float | None = None, *, log_y: float | None = Non
     the sum by less than (log y)^ell e^-709.  The absolute error there is the rounding of
     (log y)^(ell+1)/(ell+1), about 1e-16 of it, which can exceed the
     constant term (the Stieltjes constant gamma_ell).
+
+    A sum beyond float64 range raises PrecisionUnreachableError.
     """
     if ell < 0:
         raise ValueError("ell must be >= 0")
@@ -292,18 +294,26 @@ def log_power_sum(ell: int, y: float | None = None, *, log_y: float | None = Non
         # the log of an integer n comes back as n within (|log n| + 1) ulps
         if abs(y - round(y)) <= (abs(log_y) + 1) * math.ulp(y):
             y = round(y)
+    what = f"sum of (log k)^{ell}/k to y"
     if y is not None:
         n = math.floor(y)
         if n < _EM_START:
-            return math.fsum(math.log(k) ** ell / k for k in range(1, n + 1))
+            return float_result(what, lambda: math.fsum(math.log(k) ** ell / k
+                                                        for k in range(1, n + 1)))
         log_y = np.log(np.longdouble(n))
     log_n, log_start = np.longdouble(log_y), np.log(np.longdouble(_EM_START))
-    _, half_start, corr_start, _ = em_tail(ell, 1.0, log_start)
-    _, half_n, corr_n, _ = em_tail(ell, 1.0, log_n)
-    integral = (log_n ** (ell + 1) - log_start ** (ell + 1)) / (ell + 1)
-    return math.fsum([*(math.log(k) ** ell / k for k in range(1, _EM_START)), float(integral),
-                      half_start.real, half_n.real,
-                      *(-c.real for c in corr_start), *(c.real for c in corr_n)])
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum beyond float64 is caught below
+        _, half_start, corr_start, _ = em_tail(ell, 1.0, log_start)
+        _, half_n, corr_n, _ = em_tail(ell, 1.0, log_n)
+        integral = (log_n ** (ell + 1) - log_start ** (ell + 1)) / (ell + 1)
+
+    def total() -> float:
+        parts = [*(math.log(k) ** ell / k for k in range(1, _EM_START)), float(integral),
+                 half_start.real, half_n.real,
+                 *(-c.real for c in corr_start), *(c.real for c in corr_n)]
+        return math.fsum(parts) if all(map(math.isfinite, parts)) else math.inf
+
+    return float_result(what, total)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +367,7 @@ def proof_bookkeeping(
     Any of S1, S2, K2_bound and predicted beyond float64 raises
     PrecisionUnreachableError.
     """
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
+    y_ell = y_exact(ell).float_value  # rejects ell < 0 and ell > 200 before any sum
     log_T = _log_scale(T, log_T)
     if log_T < math.exp(math.e):
         raise OutOfRegimeError(f"need log T >= e^e, got {log_T}")
@@ -374,14 +383,14 @@ def proof_bookkeeping(
     u_R = log_R / log_y
 
     at = f" at ell={ell}, log T={log_T:.6g}"
-    s1 = float_result("S1" + at, lambda: log_power_sum(ell, y))
+    s1 = log_power_sum(ell, y)
     i_ell = table.integrate(lambda us: us**ell, 1.0, u_R)
     i_low = table.integrate(lambda us: us ** (ell - 1), 1.0, u_R) if ell > 0 else 0.0
     s2 = float_result("S2" + at, lambda: log_R**ell * rho(u_R, table) - log_y**ell
                       + log_y ** (ell + 1) * i_ell - ell * log_y**ell * i_low)
     k2 = float_result("K2_bound" + at, lambda: EXP_GAMMA**2 * l2 ** (ell - 1) * l3 ** (ell + 1))
     predicted = float_result("predicted" + at,
-                             lambda: y_exact(ell).float_value * l2 ** (ell + 1))
+                             lambda: y_ell * l2 ** (ell + 1))
     return BookkeepingResult(
         ell=ell, log_T=log_T, log2_T=l2, log3_T=l3, y=y, b=b, u_R=u_R,
         S1=s1, S2=s2, K2_bound=k2, predicted=predicted,

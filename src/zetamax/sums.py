@@ -5,19 +5,20 @@ L^(ell)(1, chi), Psi(x, y; f)).
 `chunks` cuts a summation range into blocks of CHUNK = 2^16 integers, the
 caller turns each block into an array of terms and sums it, and
 `compensated_sum` combines the block sums.  At that size a complex128
-temporary of a block takes 1 MB and a clongdouble one (the Euler-Maclaurin
-main term) 2 MB, so a sum holds a few MB however long it is; at 2^20 each
-took 16-32 MB.  Long sums of unit-modulus complex terms (up to 1e8 of them)
-lose digits under naive accumulation; the Neumaier variant of the two-sum
-error-free transformation keeps the running error O(1) ulp.
+temporary of a block takes 1 MB, and so does a clongdouble one of the
+Euler-Maclaurin main term, whose blocks hold CHUNK / 2 integers, so a sum
+holds a few MB however long it is; at 2^20 each took 16-32 MB.  Long sums
+of unit-modulus complex terms (up to 1e8 of them) lose digits under naive
+accumulation; the Neumaier variant of the two-sum error-free
+transformation keeps the running error O(1) ulp.
 
 `ordered_map` evaluates the blocks of a long sum two at a time on a shared
 two-worker thread pool (numpy releases the GIL inside its loops) and hands
 the results back in block order, so the combination, and with it every
-bit of every result, is the same as in a serial pass.  `split_map` keeps
-one block in flight and runs the two halves of its elementwise work at
-once, the upper on the same pool, for sums whose blocks are too large to
-hold two of (the Euler-Maclaurin main term, longdouble).  A sum of fewer
+bit of every result, is the same as in a serial pass.  The half-length
+blocks of the Euler-Maclaurin main term, whose clongdouble terms take
+twice the bytes of complex128 ones, count as full, so its two blocks in
+flight hold what one block of CHUNK of its terms would.  A sum of fewer
 than two full blocks, or any sum in a process allowed one CPU, runs
 inline; the pool is made when a sum draws its second full block, so only
 a process that draws one imports concurrent.futures.
@@ -80,11 +81,13 @@ class NeumaierSum:
         return self._s + self._c
 
 
-def chunks(first: int, last: int) -> Iterator[np.ndarray]:
-    """first..last as ascending int64 blocks of CHUNK integers (the last may
-    be shorter)."""
-    for lo in range(first, last + 1, CHUNK):
-        yield np.arange(lo, min(lo + CHUNK, last + 1), dtype=np.int64)
+def chunks(first: int, last: int, length: int | None = None) -> Iterator[np.ndarray]:
+    """first..last as ascending int64 blocks of `length` integers, CHUNK as
+    it reads when the blocks are drawn by default (the last may be
+    shorter)."""
+    step = CHUNK if length is None else length
+    for lo in range(first, last + 1, step):
+        yield np.arange(lo, min(lo + step, last + 1), dtype=np.int64)
 
 
 def compensated_sum(block_sums: Iterable, start: complex = 0j) -> complex:
@@ -119,36 +122,27 @@ def _executor():
     return _pool[0]
 
 
-def _after_second_full(blocks: Iterable, size: Callable) -> Iterator:
-    """(block, pool) for every block: pool is None until the second full
-    block (`size` at least CHUNK) is drawn, and _executor() from that block
-    on.  The pool is made when that block is drawn, so a sum of fewer full
-    blocks never imports concurrent.futures."""
-    full, pool = 0, None
-    for block in blocks:
-        if full < 2 and size(block) >= CHUNK:
-            full += 1
-            if full == 2:
-                pool = _executor()
-        yield block, pool
-
-
 def ordered_map(fn: Callable, blocks: Iterable, size: Callable = len) -> Iterator:
     """fn(block) for every block, yielded in block order.
 
     Blocks run inline until a second full block (`size` counts a block's
-    terms, full meaning at least CHUNK) is drawn; that block and the rest
-    run on the shared pool with at most two in flight: block k + 1 is drawn
-    and submitted before the result of block k is handed back.  A sum with
+    terms, a clongdouble term as two, full meaning at least CHUNK) is
+    drawn, when the pool is made; that block and the rest run on the
+    shared pool with at most two in flight: block k + 1 is drawn and
+    submitted before the result of block k is handed back.  A sum with
     fewer full blocks (every sum over sieve-thinned blocks among them), or
     any sum in a process on one CPU, is a plain map(fn, blocks).  The blocks
     are drawn in the calling thread; fn must only run numpy code, read
     arrays that nothing writes while it runs, and not call ordered_map (a
     worker would wait on its own pool).
     """
-    pending = deque()
+    pending, full, pool = deque(), 0, None
     try:
-        for block, pool in _after_second_full(blocks, size):
+        for block in blocks:
+            if full < 2 and size(block) >= CHUNK:
+                full += 1
+                if full == 2:
+                    pool = _executor()
             if pool is None:  # nothing is pending before the pool is used
                 yield fn(block)
                 continue
@@ -163,38 +157,6 @@ def ordered_map(fn: Callable, blocks: Iterable, size: Callable = len) -> Iterato
         for future in pending:
             if not future.cancel():
                 future.exception()
-
-
-def split_map(fn: Callable, blocks: Iterable) -> Iterator:
-    """fn(block, run) for every block, yielded in block order, one block at
-    a time.
-
-    fn makes its block's output arrays and calls run(fill, n), where
-    fill(lo, hi) computes entries lo..hi-1 of them by elementwise numpy
-    operations; fn then reduces the arrays.  The bits do not depend on the
-    split only if fill's operations give the same bits on any range, which
-    holds for the longdouble fills of the Euler-Maclaurin main term but not
-    for every numpy operation: numpy multiplies a one-element complex array
-    in place by a scalar path that can differ from its vector loop in the
-    last bit.  run calls fill(0, n) wherever `ordered_map` would run the
-    block inline; from the second full block on, where the pool is made, it
-    submits the upper half to the shared pool and runs the lower half in the
-    calling thread.  A block therefore holds the memory
-    of a serial pass, where `ordered_map` holds two blocks'.  fill has the
-    same limits as ordered_map's fn.
-    """
-    for block, pool in _after_second_full(blocks, len):
-        def run(fill: Callable, n: int) -> None:
-            if pool is None:
-                return fill(0, n)
-            upper = pool.submit(fill, n // 2, n)
-            try:
-                fill(0, n // 2)
-            finally:
-                upper.exception()  # wait for the upper half whatever the lower did
-            upper.result()
-
-        yield fn(block, run)
 
 
 def cis(theta: np.ndarray) -> np.ndarray:

@@ -21,8 +21,8 @@ M^(1-s) sum_i ell!/(ell-i)! (log M)^(ell-i) / (s-1)^(i+1), and f(M)/2 and
 the Bernoulli corrections B_2j/(2j)! f^(2j-1)(M) come from `sums.em_tail`,
 which forms the derivatives of f by a recursion on polynomials in log M,
 and M^(-s) with its phase reduced mod 2 pi in longdouble.  The main term is
-summed in longdouble over `sums.chunks` blocks, the two halves of a block
-at once (`sums.split_map`, the upper on the shared block pool), and
+summed in longdouble over `sums.chunks` blocks of half the usual length,
+two at a time (`sums.ordered_map`, on the shared block pool), and
 combined in block order by `sums.compensated_sum`, so memory is O(CHUNK)
 whatever the cutoff.
 """
@@ -37,8 +37,9 @@ import numpy as np
 
 from .constants import LEMMA_WINDOW_FACTOR
 from .errors import PrecisionUnreachableError, ResourceLimitError
+from . import sums
 from .sums import (EM_BERNOULLI_TERMS, TWO_PI_LD, chunks, compensated_sum, em_tail, ordered_map,
-                   split_map, unit_powers)
+                   unit_powers)
 
 _SCAN_BUDGET = 2 * 10**9  # grid_size * N term evaluations
 # scan_max keeps one float64 modulus per grid point (80 MB at this size)
@@ -162,10 +163,10 @@ def _main_term(ell: int, s: complex, M: int, tol: float) -> tuple[complex, float
     the main term without the sign (-1)^ell and the n = 1 term, and its
     magnitude sum.
 
-    Summed over `chunks` blocks in longdouble, one block at a time with the
-    two halves of its terms computed at once (`sums.split_map`): from the
-    second full block on, the upper half runs on the shared block pool,
-    which is made when that block is drawn.  Memory stays at a few
+    Summed in longdouble over `chunks` blocks of ceil(CHUNK / 2) terms, two
+    at a time (`sums.ordered_map`): a clongdouble term takes the bytes of
+    two complex128 ones, so a block counts its terms twice and the shared
+    block pool takes over from the second block.  Memory stays at a few
     block-length arrays whatever M.  The block magnitudes are added in
     block order, and after each it raises PrecisionUnreachableError
     once the rounding floor of cutoff M on the magnitude so far exceeds tol:
@@ -174,48 +175,43 @@ def _main_term(ell: int, s: complex, M: int, tol: float) -> tuple[complex, float
     """
     sigma, t = s.real, s.imag
 
-    def block(ns: np.ndarray, run) -> tuple:
-        """(sum of the block's terms, sum of their magnitudes)."""
-        mags = np.empty(ns.size)  # float64, coeff > 0
-        terms = None if t == 0.0 else np.empty(ns.size, dtype=np.clongdouble)
-
-        def fill(lo: int, hi: int) -> None:
-            # a range holds its logs and coeff; its phases w = t log n mod
-            # 2 pi go into the imaginary part of its terms as -w, with real
-            # part +0: the bits of (-1) 1j w
-            logs = ns[lo:hi].astype(np.longdouble)
-            np.log(logs, out=logs)
-            z = None if terms is None else terms[lo:hi]
-            if z is not None:
-                w = z.imag
-                np.multiply(np.longdouble(t), logs, out=w)
-                np.remainder(w, TWO_PI_LD, out=w)
-                np.negative(w, out=w)
-                z.real = 0.0
-                np.exp(z, out=z)
-            coeff = -sigma * logs
-            np.exp(coeff, out=coeff)
-            if ell:
-                logs **= ell
-                coeff *= logs
-            del logs
-            mags[lo:hi] = coeff
-            if z is not None:
-                # z * coeff part by part: the complex product's bits (coeff
-                # is real; at most a zero part could differ in sign),
-                # without its cast of coeff to a complex buffer
-                np.multiply(z.real, coeff, out=z.real)
-                np.multiply(z.imag, coeff, out=z.imag)
-
-        run(fill, ns.size)
-        mag = np.sum(mags)
-        return (mag if terms is None else np.sum(terms)), float(mag)
+    def block(ns: np.ndarray) -> tuple:
+        """(sum of the block's terms, float sum of their magnitudes)."""
+        logs = ns.astype(np.longdouble)
+        np.log(logs, out=logs)
+        if t != 0.0:
+            # the phases w = t log n mod 2 pi go into the imaginary part of
+            # the terms as -w, with real part +0: the bits of (-1) 1j w
+            z = np.empty(ns.size, dtype=np.clongdouble)
+            w = z.imag
+            np.multiply(np.longdouble(t), logs, out=w)
+            np.remainder(w, TWO_PI_LD, out=w)
+            np.negative(w, out=w)
+            z.real = 0.0
+            np.exp(z, out=z)
+        coeff = -sigma * logs
+        np.exp(coeff, out=coeff)
+        if ell:
+            logs **= ell
+            coeff *= logs
+        del logs
+        mag = np.sum(coeff.astype(np.float64))  # coeff > 0
+        if t == 0.0:
+            return mag, float(mag)
+        # z * coeff part by part: the complex product's bits (coeff is real;
+        # at most a zero part could differ in sign), without its cast of
+        # coeff to a complex buffer
+        np.multiply(z.real, coeff, out=z.real)
+        np.multiply(z.imag, coeff, out=z.imag)
+        return np.sum(z), float(mag)
 
     mag = 0.0
+    length = -(-sums.CHUNK // 2)  # ceil, so at least 1 term
 
     def block_sums():
         nonlocal mag
-        for value, block_mag in split_map(block, chunks(2, M - 1)):
+        for value, block_mag in ordered_map(block, chunks(2, M - 1, length),
+                                            lambda ns: 2 * ns.size):
             mag += block_mag
             floor = _rounding_floor(t, M, mag + 1.0)
             if floor > tol:

@@ -43,8 +43,8 @@ def chi101():
 @pytest.fixture
 def parallel_blocks(monkeypatch):
     """Long sums run in parallel whatever the machine's CPU count; the list
-    gets "pool" for every task submitted to the block pool: a whole block
-    (`sums.ordered_map`) or the upper half of one (`sums.split_map`)."""
+    gets "pool" for every block submitted to the block pool
+    (`sums.ordered_map`)."""
     monkeypatch.setattr(sums.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     pool = sums._executor()
     blocks = []

@@ -348,6 +348,8 @@ BEYOND_FLOAT64 = [
     (["bound", "--kind", "rh-upper", "--ell", "190", "--scale", "1e300"], "rh-upper bound"),
     (["proof-bookkeeping", "--ell", "150", "--log10-T", "1e8", "--max-u", "60"], "predicted"),
     (["proof-bookkeeping", "--ell", "150", "--log10-T", "1e14", "--max-u", "60"], "S2"),
+    (["proof-bookkeeping", "--ell", "200", "--log10-T", "1e100", "--max-u", "60"],
+     "(log k)^200/k"),
     (["psi", "--x", "1e300", "--y", "2"], "relative_error"),
 ]
 # their neighbours, which float64 still holds
@@ -373,6 +375,14 @@ def test_result_within_float64_is_strict_json(argv, capsys):
     assert cli.main(argv) == 0
     for line in capsys.readouterr().out.splitlines():
         json.loads(line, parse_constant=_reject_constant)
+
+
+def test_bookkeeping_names_the_ell_guard_first(capsys):
+    # S1 at ell = 250 leaves float range too; the guard on ell is named first
+    argv = ["proof-bookkeeping", "--ell", "250", "--log10-T", "1e15", "--max-u", "60"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: invalid-argument: ell > 200: coefficient growth guard\n")
 
 
 def test_failing_reference_skips_truncated_sum(monkeypatch, capsys):

@@ -171,6 +171,8 @@ def test_build_validation():
 def test_rho_domain_errors(table12):
     with pytest.raises(ValueError):
         dickman.rho(-0.5, table12)
+    with pytest.raises(ValueError, match="u must be >= 0, got nan"):
+        dickman.rho(math.nan, table12)
     with pytest.raises(OutOfDomainError):
         dickman.rho(12.5, table12)
 

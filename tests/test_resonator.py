@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 from zetamax import dickman, resonator
 from zetamax.constants import EXP_GAMMA
-from zetamax.errors import OutOfDomainError, OutOfRegimeError, ResourceLimitError
+from zetamax.errors import (OutOfDomainError, OutOfRegimeError, PrecisionUnreachableError,
+                            ResourceLimitError)
 from zetamax.moments import complete_bell
 
 LOG10 = math.log(10.0)
@@ -349,6 +351,28 @@ def test_log_power_sum_leading_term_at_giant_y():
     # float range; the dropped O((log y)^ell / y) is 1e-14 of the sum here
     want = 34.0 ** 201 / 201 + float(mpmath.stieltjes(200))
     assert resonator.log_power_sum(200, log_y=34.0) == pytest.approx(want, rel=1e-13)
+
+
+def test_log_power_sum_beyond_float64_raises():
+    # past the top of float range on both routes: the direct sum below 30,
+    # where a float power overflows, and Euler-Maclaurin beyond, where the
+    # integral and the half-terms do; no warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ell, y in ((1000, 29), (250, 1e15), (200, 1e100)):
+            with pytest.raises(PrecisionUnreachableError, match="float64"):
+                resonator.log_power_sum(ell, y)
+        assert math.isfinite(resonator.log_power_sum(200, 1e14))
+
+
+def test_bookkeeping_checks_ell_before_any_sum(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("S1 summed before ell was checked")
+
+    monkeypatch.setattr(resonator, "log_power_sum", no_work)
+    with pytest.raises(ValueError, match="ell > 200: coefficient growth guard"):
+        resonator.proof_bookkeeping(250, dickman.build_rho_table(4, 1e-10),
+                                    log_T=1e15 * math.log(10))
 
 
 def test_bookkeeping_out_of_regime():

@@ -1,7 +1,6 @@
-"""Block sums evaluated two blocks at a time (`sums.ordered_map`) or one
-block at a time in two halves (`sums.split_map`): results in block order,
-at most two blocks in flight, small sums inline, and every routed sum
-bit-identical to a serial pass."""
+"""Block sums evaluated two blocks at a time (`sums.ordered_map`): results
+in block order, at most two blocks in flight, small sums inline, and every
+routed sum bit-identical to a serial pass."""
 
 import concurrent.futures
 import sys
@@ -83,9 +82,8 @@ def test_worker_errors_reach_the_caller(parallel_blocks):
         list(sums.ordered_map(fail_on_third, blocks))
 
 
-# every long sum the package routes through ordered_map (the reference's main
-# term through split_map), large enough to run in parallel; each returns plain
-# values or arrays
+# every long sum the package routes through ordered_map, large enough to run
+# in parallel; each returns plain values or arrays
 ROUTED = {
     "zeta-truncated": lambda: zeta.zeta_derivative_truncated(1, 1.0, 1e7, 300_000).value,
     "zeta-reference": lambda: (lambda r: (r.value, r.error_estimate))(
@@ -211,68 +209,14 @@ def test_callers_that_arrive_together_make_one_pool(monkeypatch):
             pool.shutdown()
 
 
-def _split_blocks(sizes):
-    """Blocks of the given sizes, each filled by split_map into an array of
-    (entry index, filling thread) pairs."""
-    def fn(block, run):
-        index = np.full(block.size, -1)
-        thread = [None] * block.size
-
-        def fill(lo, hi):
-            index[lo:hi] = np.arange(lo, hi)
-            thread[lo:hi] = [threading.current_thread()] * (hi - lo)
-
-        run(fill, block.size)
-        return index, thread
-
-    return list(sums.split_map(fn, _blocks(sizes)))
-
-
-def test_split_blocks_fill_every_entry_once_in_block_order(parallel_blocks):
-    sizes = [7, sums.CHUNK, sums.CHUNK, 1000, sums.CHUNK + 1]
-    results = _split_blocks(sizes)
-    assert [index.size for index, _ in results] == sizes
-    for index, _ in results:
-        assert np.array_equal(index, np.arange(index.size))
-    # from the second full block on, the upper half runs on the pool
-    assert parallel_blocks == ["pool"] * 3
-    caller = threading.current_thread()
-    for k, (_, thread) in enumerate(results):
-        half = len(thread) // 2
-        assert set(thread[:half]) == {caller}
-        assert (caller in thread[half:]) == (k < 2), k
-
-
-def test_split_blocks_run_inline_on_one_cpu(parallel_blocks, monkeypatch):
-    monkeypatch.setattr(sums.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    results = _split_blocks([sums.CHUNK] * 4)
-    assert parallel_blocks == []
-    assert {t for _, thread in results for t in thread} == {threading.current_thread()}
-
-
-@pytest.mark.parametrize("failing_half", ["lower", "upper"])
-def test_errors_in_either_half_reach_the_caller(parallel_blocks, failing_half):
-    def fn(block, run):
-        def fill(lo, hi):
-            if (lo == 0) == (failing_half == "lower") and block[0] == 2:
-                raise ValueError(f"{failing_half} half of block 2")
-
-        run(fill, block.size)
-        return int(block[0])
-
-    blocks = [np.full(sums.CHUNK, k) for k in range(4)]
-    with pytest.raises(ValueError, match=f"{failing_half} half of block 2"):
-        list(sums.split_map(fn, blocks))
-
-
-@pytest.mark.parametrize("call", [
-    lambda: zeta._em_zeta_derivative(2, complex(1, 1e6), 2_000_001),
-    lambda: zeta.zeta_derivative_truncated(1, 1.0, 1e7, 2 * 10**6),
+@pytest.mark.parametrize("call, pooled", [
+    (lambda: zeta._em_zeta_derivative(2, complex(1, 1e6), 2_000_001), 61),
+    (lambda: zeta.zeta_derivative_truncated(1, 1.0, 1e7, 2 * 10**6), 30),
 ], ids=["reference-main-term", "truncated"])
-def test_long_sums_stay_small_in_parallel(parallel_blocks, call):
+def test_long_sums_stay_small_in_parallel(parallel_blocks, call, pooled):
     # the calls of test_zeta.py::test_default_blocks_keep_long_sums_small and
-    # its bound, with every block but the first run in parallel (two blocks
-    # in flight for the truncated sum, halves of one for the reference)
+    # its bound, with every block but the first run in parallel, two blocks
+    # in flight (blocks of CHUNK / 2 terms for the reference, 62 of them)
     tracemalloc.start()
     try:
         call()
@@ -280,4 +224,4 @@ def test_long_sums_stay_small_in_parallel(parallel_blocks, call):
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20, peak
-    assert len(parallel_blocks) == 30
+    assert len(parallel_blocks) == pooled

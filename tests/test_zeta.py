@@ -180,18 +180,35 @@ SMALL_CHUNK = 2**14
 
 @pytest.mark.parametrize("ell, sigma, t", [(0, 2.0, 0.0), (1, 1.0, 3e4), (3, 0.6, 50.0)])
 def test_streamed_reference_matches_one_array_oracle(monkeypatch, ell, sigma, t):
-    # blocks start at n = 2, so CHUNK +- 1 is one block, CHUNK + 3 ends in a
-    # one-term block and 3 CHUNK in a partial one
+    # the main term's blocks hold B = CHUNK / 2 terms from n = 2, so B +- 1
+    # is one block, B + 3 ends in a one-term block and 3 B in a partial one
     monkeypatch.setattr(sums, "CHUNK", SMALL_CHUNK)
+    B = SMALL_CHUNK // 2
     s = complex(sigma, t)
-    for M in (SMALL_CHUNK - 1, SMALL_CHUNK + 1, SMALL_CHUNK + 3, 3 * SMALL_CHUNK):
+    for M in (B - 1, B + 1, B + 3, 3 * B):
         want, want_band, want_mag = _em_zeta_derivative_one_array(ell, s, M)
         got, band, mag = zeta._em_zeta_derivative(ell, s, M)
         assert band == want_band
-        if M <= SMALL_CHUNK + 1:  # one block: the oracle's arithmetic exactly
+        if M <= B + 1:  # one block: the oracle's arithmetic exactly
             assert (got, mag) == (want, want_mag), M
         assert mag == pytest.approx(want_mag, rel=1e-14)
         assert abs(got - want) <= 4e-16 * want_mag, M
+
+
+@pytest.mark.parametrize("chunk", [1, 1001])
+def test_odd_and_tiny_block_lengths(parallel_blocks, monkeypatch, chunk):
+    # the main term's blocks hold ceil(CHUNK / 2) terms, one at CHUNK = 1
+    # (a floor would step by 0), and every block from the second goes to
+    # the pool
+    monkeypatch.setattr(sums, "CHUNK", chunk)
+    B = (chunk + 1) // 2
+    s = complex(1.0, 3e4)
+    M = 5 * B + 3
+    want, _, want_mag = _em_zeta_derivative_one_array(2, s, M)
+    got, _, mag = zeta._em_zeta_derivative(2, s, M)
+    assert abs(got - want) <= 4e-16 * want_mag
+    assert mag == pytest.approx(want_mag, rel=1e-14)
+    assert len(parallel_blocks) == -(-(M - 2) // B) - 1
 
 
 def test_reference_memory_is_flat_in_the_cutoff(monkeypatch):
@@ -235,8 +252,8 @@ def summed_blocks(monkeypatch):
     """Sizes of the blocks the reference's main term takes from `chunks`."""
     sizes = []
 
-    def counting(first, last):
-        for ns in sums.chunks(first, last):
+    def counting(first, last, length=None):
+        for ns in sums.chunks(first, last, length):
             sizes.append(ns.size)
             yield ns
 
