@@ -214,8 +214,7 @@ def _cmd_proof_bookkeeping(args) -> None:
     from . import resonator
 
     table = _build_table(args)
-    log_T = None if args.log10_T is None else args.log10_T * math.log(10.0)
-    r = resonator.proof_bookkeeping(args.ell, table, args.T, log_T=log_T)
+    r = resonator.proof_bookkeeping(args.ell, table, log_T=args.log10_T * math.log(10.0))
     _emit_json({**asdict(r), "sum_over_predicted": (r.S1 + r.S2) / r.predicted,
                 "k2_over_predicted": r.K2_bound / r.predicted})
 
@@ -285,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dickman function, smooth sums, divisor resonators and "
                     "truncated zeta/L-derivative evaluation.",
     )
-    ap.add_argument("--format", choices=["json", "csv"], default="json")
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("rho", help="evaluate the Dickman function")
@@ -332,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_twist_opts(p)
     p.add_argument("--y-grid", dest="y_grid", type=str, required=True,
                    help="comma-separated smoothness bounds")
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_error_profile)
 
     p = sub.add_parser("zeta-eval", help="truncated zeta-derivative series")
@@ -363,10 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("proof-bookkeeping", help="S1/S2/K2 decomposition on the log scale")
     p.add_argument("--ell", type=int, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--T", type=float, default=None)
-    group.add_argument("--log10-T", dest="log10_T", type=float, default=None,
-                       help="log10 of T, for scales beyond float range")
+    p.add_argument("--log10-T", dest="log10_T", type=float, required=True,
+                   help="log10 of the scale T")
     _add_table_opts(p, 40.0)
     p.set_defaults(func=_cmd_proof_bookkeeping)
 

@@ -19,8 +19,8 @@ its error bound is known before it runs.
 
 Parameters derived from a scale T use y = log T / (3 (log log T)^3) and
 b = floor((log log T)^3); such T exceed floating-point range long before
-y >= 2, so the derivation also accepts log T directly and all bookkeeping
-works on the (log T, log_2 T, log_3 T) scale.
+y >= 2, so the scale enters as log T only and all bookkeeping works on the
+(log T, log_2 T, log_3 T) scale.
 """
 
 from __future__ import annotations
@@ -49,17 +49,15 @@ PRECISION_BITS = 256  # working precision of ratio_factorized
 @dataclass(frozen=True)
 class ResonatorSpec:
     """Primes p <= y with multiplicity cap b; the divisor set M of
-    prod p^(b-1) is implicit.  source_log_t records log T when the spec was
-    derived from a scale T."""
+    prod p^(b-1) is implicit."""
 
     y: float
     b: int
     primes: tuple
     w: int
-    source_log_t: float | None = None
 
 
-def make_spec(y: float, b: int, *, source_log_t: float | None = None) -> ResonatorSpec:
+def make_spec(y: float, b: int) -> ResonatorSpec:
     """Spec of the primes p <= y.  y above 1e8 raises ResourceLimitError
     before the sieve (y + 1 bytes): such a spec has more than
     pi(1e8) = 5761455 primes, beyond every evaluator's budget
@@ -74,20 +72,12 @@ def make_spec(y: float, b: int, *, source_log_t: float | None = None) -> Resonat
     if y > _MAX_SPEC_Y:
         raise ResourceLimitError(f"y={y} exceeds the prime sieve budget {_MAX_SPEC_Y}")
     primes = tuple(sieve_primes(int(y)))
-    return ResonatorSpec(y=float(y), b=int(b), primes=primes, w=len(primes),
-                         source_log_t=source_log_t)
+    return ResonatorSpec(y=float(y), b=int(b), primes=primes, w=len(primes))
 
 
-def _log_scale(T: float | None, log_T: float | None) -> float:
-    """log T from exactly one of T, log_T, as a float.  A log T of inf or nan
-    (T = inf, or a log_T that overflowed) or an integer log_T beyond float
-    range raises OutOfRegimeError: the derived y and b would be inf or nan."""
-    if (T is None) == (log_T is None):
-        raise ValueError("pass exactly one of T, log_T")
-    if T is not None:
-        if not T > 1:
-            raise OutOfRegimeError(f"need T > 1, got T={T}")
-        log_T = math.log(T)
+def _log_scale(log_T: float) -> float:
+    """log T as a float.  An integer beyond float range, inf or nan raises
+    OutOfRegimeError: the derived y and b would be inf or nan."""
     try:
         log_T = float(log_T)
     except OverflowError:
@@ -109,16 +99,15 @@ def _scale_map(log_T: float) -> tuple[float, float, int]:
     return l2, log_T / (3.0 * l2**3), math.floor(l2**3)
 
 
-def spec_from_T(T: float | None = None, *, log_T: float | None = None) -> ResonatorSpec:
+def spec_from_T(*, log_T: float) -> ResonatorSpec:
     """Spec with y = log T/(3 (log_2 T)^3), b = [(log_2 T)^3].
 
-    Pass log_T for scales beyond floating-point range.  The derivation only
-    enters its regime (y >= 2, b >= 2) around log T ~ 3.4e3, i.e. for no
-    representable T; float T therefore always raises OutOfRegimeError, which
-    is itself informative.  The invariant P(y, b) <= sqrt(T), i.e.
-    (b-1) * sum_{p<=y} log p <= (log T)/2, is checked on every returned spec.
+    The scale enters as log T only: the derivation enters its regime
+    (y >= 2, b >= 2) around log T ~ 3.4e3, i.e. for no float T.  The
+    invariant P(y, b) <= sqrt(T), i.e. (b-1) * sum_{p<=y} log p <= (log T)/2,
+    is checked on every returned spec.
     """
-    log_T = _log_scale(T, log_T)
+    log_T = _log_scale(log_T)
     if log_T <= math.e:
         raise OutOfRegimeError(f"log T = {log_T}: iterated logs undefined")
     _, y, b = _scale_map(log_T)
@@ -127,7 +116,7 @@ def spec_from_T(T: float | None = None, *, log_T: float | None = None) -> Resona
             f"derived y={y:.6g}, b={b}: below the y >= 2, b >= 2 regime "
             f"(needs log T >~ 3.4e3)"
         )
-    spec = make_spec(y, b, source_log_t=log_T)
+    spec = make_spec(y, b)
     theta = math.fsum(math.log(p) for p in spec.primes)
     if (b - 1) * theta > log_T / 2.0:
         raise OutOfRegimeError(
@@ -264,7 +253,7 @@ def ratio_factorized(spec: ResonatorSpec, ell: int) -> float:
 _EM_START = 30  # log_power_sum sums k < 30 directly
 
 
-def log_power_sum(ell: int, y: float | None = None, *, log_y: float | None = None) -> float:
+def log_power_sum(ell: int, y: float) -> float:
     """sum_{k <= y} (log k)^ell / k.
 
     Below y = 30 a direct sum.  Beyond, the direct sum over k < 30 plus
@@ -273,35 +262,23 @@ def log_power_sum(ell: int, y: float | None = None, *, log_y: float | None = Non
     `sums.em_tail`'s half-terms and Bernoulli corrections at both ends, all
     formed from log 30 and log n.  The work is O(ell) whatever y, and the
     result agrees with an fsum of the terms to 1e-14 relative for ell <= 200
-    and y <= 2e6 (tests/test_resonator.py).
+    and y <= 2e6 (tests/test_resonator.py).  At giant y the absolute error
+    is the rounding of (log n)^(ell+1)/(ell+1), about 1e-16 of it, which can
+    exceed the constant term (the Stieltjes constant gamma_ell).
 
-    Pass log_y for y beyond float range.  Up to log_y = 709 the sum runs to
-    the floor of y = e^log_y rounded to a float, or to an integer that y
-    is within the rounding of log and exp of, so that log_y = log n sums to
-    n; beyond, to n = e^log_y itself, whose distance from floor(y) changes
-    the sum by less than (log y)^ell e^-709.  The absolute error there is the rounding of
-    (log y)^(ell+1)/(ell+1), about 1e-16 of it, which can exceed the
-    constant term (the Stieltjes constant gamma_ell).
-
-    A sum beyond float64 range raises PrecisionUnreachableError.
+    A non-finite y raises ValueError, and a sum beyond float64 range raises
+    PrecisionUnreachableError.
     """
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    if (y is None) == (log_y is None):
-        raise ValueError("pass exactly one of y, log_y")
-    if y is None and log_y < 709.0:  # e^log_y is a float
-        y = math.exp(log_y)
-        # the log of an integer n comes back as n within (|log n| + 1) ulps
-        if abs(y - round(y)) <= (abs(log_y) + 1) * math.ulp(y):
-            y = round(y)
+    if not math.isfinite(y):
+        raise ValueError(f"y must be finite, got {y}")
     what = f"sum of (log k)^{ell}/k to y"
-    if y is not None:
-        n = math.floor(y)
-        if n < _EM_START:
-            return float_result(what, lambda: math.fsum(math.log(k) ** ell / k
-                                                        for k in range(1, n + 1)))
-        log_y = np.log(np.longdouble(n))
-    log_n, log_start = np.longdouble(log_y), np.log(np.longdouble(_EM_START))
+    n = math.floor(y)
+    if n < _EM_START:
+        return float_result(what, lambda: math.fsum(math.log(k) ** ell / k
+                                                    for k in range(1, n + 1)))
+    log_n, log_start = np.log(np.longdouble(n)), np.log(np.longdouble(_EM_START))
     with np.errstate(over="ignore", invalid="ignore"):  # a sum beyond float64 is caught below
         _, half_start, corr_start, _ = em_tail(ell, 1.0, log_start)
         _, half_n, corr_n, _ = em_tail(ell, 1.0, log_n)
@@ -338,15 +315,9 @@ class BookkeepingResult:
     k1_inner_floor: float
 
 
-def proof_bookkeeping(
-    ell: int,
-    table: DickmanTable,
-    T: float | None = None,
-    *,
-    log_T: float | None = None,
-) -> BookkeepingResult:
+def proof_bookkeeping(ell: int, table: DickmanTable, *, log_T: float) -> BookkeepingResult:
     """The S1/S2/K2 decomposition of the resonance-ratio lower bound,
-    evaluated on the logarithmic scale.
+    evaluated on the logarithmic scale: the scale enters as log T only.
 
     S1 = sum_{k <= y} (log k)^ell / k.  S2 is the partial-summation integral
     with the smooth-count replaced by its Dickman model x*rho(log x/log y):
@@ -368,7 +339,7 @@ def proof_bookkeeping(
     PrecisionUnreachableError.
     """
     y_ell = y_exact(ell).float_value  # rejects ell < 0 and ell > 200 before any sum
-    log_T = _log_scale(T, log_T)
+    log_T = _log_scale(log_T)
     if log_T < math.exp(math.e):
         raise OutOfRegimeError(f"need log T >= e^e, got {log_T}")
     l2, y, b = _scale_map(log_T)

@@ -48,7 +48,11 @@ def test_unknown_flag_exits_2_without_output():
                  ("--threads", "1", "moments", "--ell", "3"),
                  ("--precision-bits", "256", "moments", "--ell", "3"),
                  ("zeta-scan", "--ell", "0", "--t-lo", "30", "--t-hi", "31", "--step", "0.5",
-                  "--N", "64", "--budget", "5")):
+                  "--N", "64", "--budget", "5"),
+                 # --format is an error-profile option only, and log10 T the one scale
+                 ("--format", "csv", "rho", "--u", "2", "--max-u", "8"),
+                 ("moments", "--ell", "3", "--format", "csv"),
+                 ("proof-bookkeeping", "--ell", "1", "--T", "1e300", "--max-u", "20")):
         r = run_cli(*argv)
         assert r.returncode == 2, argv
         assert r.stdout == b"", argv
@@ -230,7 +234,7 @@ def test_subcommands_byte_deterministic(args):
 
 
 def test_error_profile_csv_format():
-    r = run_cli("--format", "csv", "error-profile", "--x", "100",
+    r = run_cli("error-profile", "--format", "csv", "--x", "100",
                 "--twist", "trivial", "--y-grid", "2,10")
     assert r.returncode == 0
     lines = r.stdout.decode().strip().split("\n")
@@ -282,8 +286,8 @@ def test_l_max_prediction_field():
     assert {"q", "ell", "N", "j_star", "modulus", "y_ell_prediction"} <= set(doc)
 
 
-# one argv per subcommand with a float option (two for proof-bookkeeping's
-# exclusive scales); together they name every float option of the parser
+# one argv per subcommand with a float option; together they name every
+# float option of the parser
 FLOAT_OPTION_BASES = [
     ("rho", "--u", "2.5", "--max-u", "8", "--tol", "1e-10"),
     ("laplace-check", "--s", "0.5", "--quad-tol", "1e-10", "--max-u", "25", "--tol", "1e-10"),
@@ -298,7 +302,6 @@ FLOAT_OPTION_BASES = [
     ("zeta-scan", "--ell", "0", "--t-lo", "40", "--t-hi", "41", "--step", "0.5", "--N", "64"),
     ("resonator-ratio", "--y", "3", "--b", "2", "--ell", "1"),
     ("proof-bookkeeping", "--ell", "1", "--log10-T", "1e4", "--max-u", "20", "--tol", "1e-10"),
-    ("proof-bookkeeping", "--ell", "1", "--T", "1e300", "--max-u", "20", "--tol", "1e-10"),
     ("resonance-quotient", "--q", "101", "--ell", "0", "--y", "3", "--b", "2"),
 ]
 

@@ -163,19 +163,17 @@ def test_ratio_direct_streams_the_divisor_set():
 
 
 def test_spec_from_T_below_regime():
-    # even e^(e^4) derives y < 2: the asymptotic regime opens absurdly late
+    # even T = e^(e^4) derives y < 2: the asymptotic regime opens absurdly late
     with pytest.raises(OutOfRegimeError):
-        resonator.spec_from_T(math.exp(math.exp(4.0)))
+        resonator.spec_from_T(log_T=math.exp(4.0))
     with pytest.raises(OutOfRegimeError):
-        resonator.spec_from_T(1e300)
+        resonator.spec_from_T(log_T=300 * LOG10)
     with pytest.raises(OutOfRegimeError):
-        resonator.spec_from_T(2.0)
+        resonator.spec_from_T(log_T=math.log(2.0))
     # non-finite scales: the derived b = floor((log_2 T)^3) would be inf/nan
     for bad in (math.inf, math.nan):
         with pytest.raises(OutOfRegimeError):
             resonator.spec_from_T(log_T=bad)
-        with pytest.raises(OutOfRegimeError):
-            resonator.spec_from_T(bad)
     # an integer log T beyond float range
     with pytest.raises(OutOfRegimeError):
         resonator.spec_from_T(log_T=10**400)
@@ -183,14 +181,20 @@ def test_spec_from_T_below_regime():
 
 def test_spec_from_T_log_scale():
     for k in (4, 5, 6):
-        sp = resonator.spec_from_T(log_T=10**k * LOG10)
+        log_T = 10**k * LOG10
+        sp = resonator.spec_from_T(log_T=log_T)
         assert sp.y >= 2 and sp.b >= 2
-        assert sp.source_log_t == 10**k * LOG10
         # P(y, b) <= sqrt(T) in logs
         theta = math.fsum(math.log(p) for p in sp.primes)
-        assert (sp.b - 1) * theta <= sp.source_log_t / 2
-    with pytest.raises(ValueError):
-        resonator.spec_from_T(10.0, log_T=5.0)
+        assert (sp.b - 1) * theta <= log_T / 2
+
+
+def test_scale_enters_as_log_T_by_keyword_only():
+    # a positional T cannot be read as log T
+    with pytest.raises(TypeError):
+        resonator.spec_from_T(1e300)
+    with pytest.raises(TypeError):
+        resonator.proof_bookkeeping(1, dickman.build_rho_table(4, 1e-10), 1e300)
 
 
 def test_lower_bound_witness_trend(table60_unused=None):
@@ -325,9 +329,6 @@ def test_log_power_sum_exact_small():
         for ell in (0, 1, 2, 6, 20, 60, 170, 171, 200):
             want = math.fsum((logs ** ell / ks).astype(np.float64).tolist())
             assert resonator.log_power_sum(ell, y) == pytest.approx(want, rel=1e-14), (ell, y)
-            if y == math.floor(y):  # exp(log y) can round below y; the sum still ends at y
-                got = resonator.log_power_sum(ell, log_y=math.log(y))
-                assert got == resonator.log_power_sum(ell, y), (ell, y)
 
 
 def test_log_power_sum_asymptotic_matches_exact_at_crossover():
@@ -341,16 +342,27 @@ def test_log_power_sum_asymptotic_matches_exact_at_crossover():
     assert exact == pytest.approx(asym, abs=1e-5)
 
 
+def _leading_term(ell: int, y: float) -> float:
+    """(log n)^(ell+1)/(ell+1) plus the Stieltjes constant at n = floor(y),
+    a test-only oracle with log n from mpmath."""
+    log_n = mpmath.log(math.floor(y))
+    return float(log_n ** (ell + 1) / (ell + 1) + mpmath.stieltjes(ell))
+
+
 def test_log_power_sum_leading_term_at_giant_y():
-    # (log y)^(ell+1)/(ell+1) plus the Stieltjes constant, a test-only oracle
     for ell in range(7):
-        v = resonator.log_power_sum(ell, log_y=1e3)
-        want = 1e3 ** (ell + 1) / (ell + 1) + float(mpmath.stieltjes(ell))
-        assert v == pytest.approx(want, rel=1e-15), ell
+        assert resonator.log_power_sum(ell, 1e300) == pytest.approx(
+            _leading_term(ell, 1e300), rel=1e-15), ell
     # ell = 200 at log y = 34, where (log y)^ell / ell! is near the top of
     # float range; the dropped O((log y)^ell / y) is 1e-14 of the sum here
-    want = 34.0 ** 201 / 201 + float(mpmath.stieltjes(200))
-    assert resonator.log_power_sum(200, log_y=34.0) == pytest.approx(want, rel=1e-13)
+    y = math.exp(34.0)
+    assert resonator.log_power_sum(200, y) == pytest.approx(_leading_term(200, y), rel=1e-13)
+
+
+def test_log_power_sum_rejects_non_finite_y():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="y must be finite"):
+            resonator.log_power_sum(1, bad)
 
 
 def test_log_power_sum_beyond_float64_raises():
@@ -377,7 +389,8 @@ def test_bookkeeping_checks_ell_before_any_sum(monkeypatch):
 
 def test_bookkeeping_out_of_regime():
     with pytest.raises(OutOfRegimeError):
-        resonator.proof_bookkeeping(0, dickman.build_rho_table(4, 1e-10), 100.0)
+        # log T below e^e
+        resonator.proof_bookkeeping(0, dickman.build_rho_table(4, 1e-10), log_T=math.log(100.0))
     with pytest.raises(OutOfRegimeError):
         # log T just above e^e but y <= 1
         resonator.proof_bookkeeping(0, dickman.build_rho_table(4, 1e-10), log_T=20.0)
@@ -386,8 +399,6 @@ def test_bookkeeping_out_of_regime():
     for bad in (1e308 * LOG10, math.inf, math.nan, 10**400):
         with pytest.raises(OutOfRegimeError):
             resonator.proof_bookkeeping(1, table, log_T=bad)
-    with pytest.raises(OutOfRegimeError):
-        resonator.proof_bookkeeping(1, table, math.inf)
 
 
 def test_bookkeeping_rejects_u_R_beyond_table():
