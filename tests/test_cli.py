@@ -302,6 +302,8 @@ FLOAT_OPTION_BASES = [
     ("zeta-scan", "--ell", "0", "--t-lo", "40", "--t-hi", "41", "--step", "0.5", "--N", "64"),
     ("resonator-ratio", "--y", "3", "--b", "2", "--ell", "1"),
     ("proof-bookkeeping", "--ell", "1", "--log10-T", "1e4", "--max-u", "20", "--tol", "1e-10"),
+    # T = 10^300 is below the regime (y <= 1): each non-finite value meets that scale
+    ("proof-bookkeeping", "--ell", "0", "--log10-T", "300", "--max-u", "20", "--tol", "1e-10"),
     ("resonance-quotient", "--q", "101", "--ell", "0", "--y", "3", "--b", "2"),
 ]
 
