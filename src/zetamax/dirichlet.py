@@ -51,6 +51,7 @@ transform of length P, not of length q - 1.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -59,7 +60,7 @@ import numpy as np
 from .errors import PrincipalCharacterError, ResourceLimitError
 from .primes import is_prime, prime_factors
 from . import sums
-from .sums import chunks, cis, compensated_sum, ordered_map
+from .sums import chunks, cis, compensated_sum, ordered_map, spans
 
 _MAX_Q = 10**7
 _MAX_N = 10**8
@@ -213,27 +214,23 @@ def build_character_table(q: int) -> CharacterTable:
         giants.append(giants[-1] * giant % q)
     dlog = np.empty(q, dtype=np.int64)
     dlog[0] = -1
-    rows = max(1, sums.CHUNK // B)
-    for i in range(0, len(giants), rows):
+    for lo, hi in spans(0, len(giants) - 1, max(1, sums.CHUNK // B)):
         # row-major g^(iB + k) for a block of giant steps; exact in int64,
         # since every product is below q^2 < 2^63
-        block = np.multiply.outer(np.array(giants[i : i + rows], dtype=np.int64), small)
-        vals = _mod(block, q).ravel()[: q - 1 - i * B]
-        dlog[vals] = np.arange(i * B, i * B + vals.size)
+        block = np.multiply.outer(np.array(giants[lo:hi], dtype=np.int64), small)
+        vals = _mod(block, q).ravel()[: q - 1 - lo * B]
+        dlog[vals] = np.arange(lo * B, lo * B + vals.size)
     table = CharacterTable(q=q, generator=g, dlog=dlog, order=q - 1)
     _verify_table(table)
     return table
 
 
-_table_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=2)
 def shared_character_table(q: int) -> CharacterTable:
-    if q not in _table_cache:
-        if len(_table_cache) > 8:
-            _table_cache.clear()
-        _table_cache[q] = build_character_table(q)
-    return _table_cache[q]
+    """`build_character_table(q)`, kept for the two moduli used last: a CLI
+    request reads one modulus and a library session may alternate between
+    two, while each table holds 8q bytes of discrete logs."""
+    return build_character_table(q)
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +278,12 @@ def _period_table(table: CharacterTable, j: int, N: int) -> np.ndarray | None:
     q is beyond _PERIOD_TABLE_MAX_Q.  CHUNK is read per call, as `chunks`
     reads it.  The table is filled block by block, so its temporaries are
     O(CHUNK)."""
-    q, chunk = table.q, sums.CHUNK
+    q = table.q
     if N < 2 * q or q > _PERIOD_TABLE_MAX_Q:
         return None
-    longest = min(chunk, N)
+    longest = min(sums.CHUNK, N)
     period = np.empty(q + longest, dtype=np.complex128)
-    for lo in range(0, q, chunk):
-        hi = min(lo + chunk, q)
+    for lo, hi in spans(0, q - 1):
         period[lo:hi] = table.chi_residues(j, lo, hi)
     period[q:] = np.resize(period[:q], longest)  # the period repeated
     period.flags.writeable = False  # shared with the block workers
@@ -332,6 +328,12 @@ def _l_values_all_characters(ell: int, table: CharacterTable, N: int) -> np.ndar
     Cooley-Tukey step); entry j equals the direct sum for character j
     (exactly the same quantity, different association order).  The caller
     checks (ell, N).
+
+    The residue sums are plain float sums of about N/q terms each, so their
+    rounding grows with N/q.  Against residue sums by fsum, combined with
+    the characters at 40 digits, the moduli were off by 2.0e-12 at
+    (q, N, ell) = (5, 1e7, 1) and by 2.5e-12 at (101, 1e7, 2), where
+    `l_derivative_truncated` was off by 6.5e-15 and 1.7e-13.
     """
     q = table.q
     by_residue = np.zeros(q, dtype=np.float64)  # entry r: the terms with k = r mod q
@@ -437,9 +439,6 @@ def max_over_characters(ell: int, q: int, N: int) -> MaxCharResult:
                          modulus=float(all_moduli[j_star - 1]), all_moduli=all_moduli)
 
 
-_CSV_BLOCK = 1 << 16
-
-
 def moduli_to_csv(result: MaxCharResult, out) -> None:
     """Write the `j,modulus` rows to the text stream `out`, one block of
     rows at a time, so no string of the whole table is ever built.  The
@@ -456,8 +455,8 @@ def moduli_to_csv(result: MaxCharResult, out) -> None:
 
     out.write("j,modulus\n")
     packed = []
-    for lo in range(0, half, _CSV_BLOCK):
-        texts = [repr(m) for m in moduli[lo : min(lo + _CSV_BLOCK, half)].tolist()]
+    for lo, hi in spans(0, half - 1):
+        texts = [repr(m) for m in moduli[lo:hi].tolist()]
         write_rows(lo + 1, texts)
         packed.append("\n".join(texts))
     # rows half+1 .. size mirror rows size-half .. 1: the middle row of an

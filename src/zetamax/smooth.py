@@ -43,7 +43,7 @@ from .dirichlet import CharacterTable
 from .errors import ResourceLimitError, float_result
 from .primes import sieve_primes
 from . import sums
-from .sums import chunks, compensated_sum, ordered_map, unit_powers
+from .sums import chunks, compensated_sum, ordered_map, spans, unit_powers
 
 _SIEVE_LIMIT = 10**8
 _SIEVE_SEGMENT = 1 << 18  # int32 entries: 1 MB, an L2-sized segment
@@ -125,7 +125,7 @@ def spf_sieve(limit: int) -> np.ndarray:
     """
     limit = int(limit)
     if limit < 2 or limit > _SIEVE_LIMIT:
-        raise ResourceLimitError(f"sieve limit {limit} outside [2, {_SIEVE_LIMIT}]")
+        raise ResourceLimitError(f"sieve limit {limit:.6g} outside [2, {_SIEVE_LIMIT}]")
     table = np.zeros(limit + 1, dtype=np.int32)
     table[1] = 1
     r = math.isqrt(limit)
@@ -134,8 +134,7 @@ def spf_sieve(limit: int) -> np.ndarray:
     # pi(x) < 1.25506 x / log x for x > 1 (Rosser-Schoenfeld)
     large = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int32)
     found = 0
-    for lo in range(0, limit + 1, _SIEVE_SEGMENT):
-        hi = min(lo + _SIEVE_SEGMENT, limit + 1)
+    for lo, hi in spans(0, limit, _SIEVE_SEGMENT):
         segment = table[lo:hi]
         starts = np.maximum(small, -(-lo // small) * small) - lo
         for p, start in zip(small.tolist(), starts.tolist()):
@@ -196,7 +195,7 @@ def _smooth_blocks(x: float, y: float) -> Iterator[list]:
     primes = sieve_primes(min(int(y), _ENUM_Y_CAP))
     if len(primes) > _ENUM_PRIME_BOUND:
         raise ResourceLimitError(f"pi({y}) > {_ENUM_PRIME_BOUND}")
-    xi, chunk = math.floor(x), sums.CHUNK
+    xi = math.floor(x)
     if xi < 1:
         return
     # m <= xi // p before each multiply keeps every product <= xi: int64
@@ -215,13 +214,13 @@ def _smooth_blocks(x: float, y: float) -> Iterator[list]:
                     f"smooth enumeration exceeds {_ENUM_NODE_BUDGET} nodes")
             level.resize(hi + survivors, refcheck=False)
             end = hi
-            for start in range(lo, hi, chunk):
-                block = level[start : min(start + chunk, hi)]
+            for start, stop in spans(lo, hi - 1):
+                block = level[start:stop]
                 block = block[block <= bound]
                 level[end : end + block.size] = block * p
                 end += block.size
             lo, hi = hi, end
-    n = level.size
+    n, chunk = level.size, sums.CHUNK
     while n:
         lo = max(n - chunk, 0)
         block = level[lo:n].tolist()
@@ -281,9 +280,8 @@ def _exact_count(x: float, y: float) -> int:
     ns = _enumerated(x, y)
     if ns is not None:
         return ns.size
-    spf, chunk = _shared_spf(xi), sums.CHUNK  # counted in block slices: no x-byte mask
-    return 1 + sum(int(np.count_nonzero(spf[lo : min(lo + chunk, xi + 1)] <= y))
-                   for lo in range(2, xi + 1, chunk))
+    spf = _shared_spf(xi)  # counted in block slices: no x-byte mask
+    return 1 + sum(int(np.count_nonzero(spf[lo:hi] <= y)) for lo, hi in spans(2, xi))
 
 
 def psi_count(x: float, y: float) -> SmoothCountResult:
@@ -381,9 +379,9 @@ def full_twisted_sum(x: float, twist: TwistSpec) -> complex:
         full, rem = divmod(xi, q)
         if twist.j == 0:
             return complex(full * (q - 1) + rem)
-        carry, chunk = 0j, sums.CHUNK
-        for lo in range(1, rem + 1, chunk):
-            prefix = twist.table.chi_range(twist.j, lo, min(lo + chunk, rem + 1))
+        carry = 0j
+        for lo, hi in spans(1, rem):
+            prefix = twist.table.chi_range(twist.j, lo, hi)
             prefix[0] += carry
             np.cumsum(prefix, out=prefix)
             carry = prefix[-1]

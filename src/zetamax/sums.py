@@ -2,15 +2,17 @@
 kernels of every Dirichlet-type sum in the package (zeta^(ell),
 L^(ell)(1, chi), Psi(x, y; f)).
 
-`chunks` cuts a summation range into blocks of CHUNK = 2^16 integers, the
-caller turns each block into an array of terms and sums it, and
-`compensated_sum` combines the block sums.  At that size a complex128
-temporary of a block takes 1 MB, and so does a clongdouble one of the
-Euler-Maclaurin main term, whose blocks hold CHUNK / 2 integers, so a sum
-holds a few MB however long it is; at 2^20 each took 16-32 MB.  Long sums
-of unit-modulus complex terms (up to 1e8 of them) lose digits under naive
-accumulation; the Neumaier variant of the two-sum error-free
-transformation keeps the running error O(1) ulp.
+`spans` cuts a range into the bounds of blocks of CHUNK = 2^16 integers,
+and every block walk of the package goes through it: the sums, the sieve
+segments, the scan's row blocks and the CSV writers.  `chunks` hands its
+blocks over as int64 arrays; the caller turns each block into an array of
+terms and sums it, and `compensated_sum` combines the block sums.  At that
+size a complex128 temporary of a block takes 1 MB, and so does a
+clongdouble one of the Euler-Maclaurin main term, whose blocks hold
+CHUNK / 2 integers, so a sum holds a few MB however long it is; at 2^20
+each took 16-32 MB.  Long sums of unit-modulus complex terms (up to 1e8
+of them) lose digits under naive accumulation; the Neumaier variant of
+the two-sum error-free transformation keeps the running error O(1) ulp.
 
 `ordered_map` evaluates the blocks of a long sum two at a time on a shared
 two-worker thread pool (numpy releases the GIL inside its loops) and hands
@@ -81,13 +83,19 @@ class NeumaierSum:
         return self._s + self._c
 
 
-def chunks(first: int, last: int, length: int | None = None) -> Iterator[np.ndarray]:
-    """first..last as ascending int64 blocks of `length` integers, CHUNK as
-    it reads when the blocks are drawn by default (the last may be
-    shorter)."""
+def spans(first: int, last: int, length: int | None = None) -> Iterator[tuple[int, int]]:
+    """The half-open bounds (lo, hi) that cut first..last into ascending
+    blocks of `length` integers, CHUNK as it reads when the blocks are
+    drawn by default (the last may be shorter)."""
     step = CHUNK if length is None else length
     for lo in range(first, last + 1, step):
-        yield np.arange(lo, min(lo + step, last + 1), dtype=np.int64)
+        yield lo, min(lo + step, last + 1)
+
+
+def chunks(first: int, last: int, length: int | None = None) -> Iterator[np.ndarray]:
+    """The blocks of `spans` as int64 arrays."""
+    for lo, hi in spans(first, last, length):
+        yield np.arange(lo, hi, dtype=np.int64)
 
 
 def compensated_sum(block_sums: Iterable, start: complex = 0j) -> complex:

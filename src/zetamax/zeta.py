@@ -39,7 +39,7 @@ from .constants import LEMMA_WINDOW_FACTOR
 from .errors import PrecisionUnreachableError, ResourceLimitError
 from . import sums
 from .sums import (EM_BERNOULLI_TERMS, TWO_PI_LD, chunks, compensated_sum, em_tail, ordered_map,
-                   unit_powers)
+                   spans, unit_powers)
 
 _SCAN_BUDGET = 2 * 10**9  # grid_size * N term evaluations
 # scan_max keeps one float64 modulus per grid point (80 MB at this size)
@@ -49,10 +49,6 @@ _MAX_SCAN_GRID = 10**7
 _MAX_SCAN_N = 10**7
 
 _MIN_SIGMA = 0.6
-
-# Terms per scan_max row block; not sums.CHUNK, as 2^16 slows a fresh-process scan ~20%.
-_SCAN_BLOCK_TERMS = 1 << 20
-_CSV_BLOCK = 1 << 16  # rows per write of scan_result_to_csv
 
 
 @dataclass(frozen=True)
@@ -340,8 +336,6 @@ def scan_max(
     ns = np.arange(2, N + 1, dtype=np.int64)
     coeff = _coefficients(ns, ell, 1.0)
     base = 1.0 if ell == 0 else 0.0  # n = 1 term
-    t_block = max(1, min(grid_size, _SCAN_BLOCK_TERMS // len(ns) + 1))
-    starts = range(0, grid_size, t_block)
 
     def row_moduli(ts):
         # in place, so each of the two row blocks in flight holds at most the
@@ -350,11 +344,13 @@ def scan_max(
         vals *= coeff
         return np.abs(vals.sum(axis=1) + base)
 
-    row_blocks = (t_lo + step * np.arange(lo, min(lo + t_block, grid_size)) for lo in starts)
-    moduli = np.empty(grid_size)
-    for lo, block in zip(starts, ordered_map(row_moduli, row_blocks,
-                                             lambda ts: ts.size * ns.size)):
-        moduli[lo : lo + block.size] = block
+    # CHUNK // ns.size + 1 rows make more than CHUNK terms: a full block
+    rows = spans(0, grid_size - 1, sums.CHUNK // ns.size + 1)
+    row_blocks = (t_lo + step * np.arange(lo, hi) for lo, hi in rows)
+    moduli, filled = np.empty(grid_size), 0
+    for block in ordered_map(row_moduli, row_blocks, lambda ts: ts.size * ns.size):
+        moduli[filled : filled + block.size] = block
+        filled += block.size
     i = int(np.argmax(moduli))  # first occurrence = smallest t
     return ScanResult(
         t_star=float(t_lo + step * i), value_modulus=float(moduli[i]), grid_size=grid_size,
@@ -370,8 +366,8 @@ def scan_result_to_csv(result: ScanResult, out) -> None:
     the whole grid is ever built."""
     out.write("t,modulus\n")
     t_lo, step = result.t_lo, result.step
-    for lo in range(0, result.grid_size, _CSV_BLOCK):
-        rows = result.moduli[lo : lo + _CSV_BLOCK].tolist()
+    for lo, hi in spans(0, result.grid_size - 1):
+        rows = result.moduli[lo:hi].tolist()
         out.write("".join(f"{t_lo + step * i!r},{m!r}\n" for i, m in enumerate(rows, lo)))
 
 

@@ -193,6 +193,12 @@ def test_resource_limit_exits_3(argv):
     assert lines[0].startswith("error: resource-limit: ")
 
 
+def test_sieve_limit_is_named_in_short_form(capsys):
+    assert cli.main(["psi", "--x", "1e200", "--y", "100"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: resource-limit: sieve limit 1e+200 outside [2, 100000000]\n")
+
+
 def test_character_twist_beyond_int64_exits_0():
     # the enumeration keeps Python ints above 2^63; their residues mod q
     # must still index the character table

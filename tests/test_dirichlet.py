@@ -117,7 +117,7 @@ def test_family_arguments_are_checked_before_any_table_is_built(monkeypatch):
     def no_table(q):
         raise AssertionError(f"table mod {q} built before the arguments were checked")
 
-    monkeypatch.setattr(dirichlet, "_table_cache", {})
+    dirichlet.shared_character_table.cache_clear()
     monkeypatch.setattr(dirichlet, "build_character_table", no_table)
     for ell, N, error in [(0, 1, ValueError), (1, 10**9, ResourceLimitError),
                           (5, 100, ValueError)]:  # 5 > log 100
@@ -552,7 +552,7 @@ def test_moduli_csv_stream_matches_row_join():
         assert res.all_moduli.size == q - 2
         rows = ["j,modulus"] + [f"{j},{float(m)!r}" for j, m in enumerate(res.all_moduli, start=1)]
         assert _moduli_csv_text(res) == "\n".join(rows) + "\n"
-    assert res.all_moduli.size > dirichlet._CSV_BLOCK
+    assert res.all_moduli.size > sums.CHUNK
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 508, 509])
@@ -561,7 +561,7 @@ def test_moduli_csv_does_not_depend_on_the_block(monkeypatch, block):
     # blocks, and the middle row may end a block of its own
     res = dirichlet.max_over_characters(1, 1019, 5000)
     rows = ["j,modulus"] + [f"{j},{float(m)!r}" for j, m in enumerate(res.all_moduli, start=1)]
-    monkeypatch.setattr(dirichlet, "_CSV_BLOCK", block)
+    monkeypatch.setattr(sums, "CHUNK", block)
     assert _moduli_csv_text(res) == "\n".join(rows) + "\n"
 
 

@@ -1,8 +1,11 @@
-"""Block sums evaluated two blocks at a time (`sums.ordered_map`): results
-in block order, at most two blocks in flight, small sums inline, and every
-routed sum bit-identical to a serial pass."""
+"""Block walks (`sums.spans`): each range covered once, and outputs that
+do not depend on the block length.  Block sums evaluated two blocks at a
+time (`sums.ordered_map`): results in block order, at most two blocks in
+flight, small sums inline, and every routed sum bit-identical to a serial
+pass."""
 
 import concurrent.futures
+import io
 import sys
 import threading
 import time
@@ -13,6 +16,39 @@ import pytest
 
 from zetamax import dirichlet, smooth, sums, zeta
 from zetamax.smooth import Character, Trivial, Unimodular
+
+
+@pytest.mark.parametrize("first, last, length", [
+    (0, 0, 1), (1, 10, 3), (2, 9, 4), (0, 99, 100), (0, 99, 1000), (5, 4, 2)])
+def test_spans_cover_the_range_once_and_only_the_last_is_short(first, last, length):
+    bounds = list(sums.spans(first, last, length))
+    assert [n for lo, hi in bounds for n in range(lo, hi)] == list(range(first, last + 1))
+    assert all(hi - lo == length for lo, hi in bounds[:-1])
+    assert all(0 < hi - lo <= length for lo, hi in bounds[-1:])
+
+
+def test_spans_read_the_block_length_when_drawn(monkeypatch):
+    walk, blocks = sums.spans(1, 10), sums.chunks(1, 6)
+    monkeypatch.setattr(sums, "CHUNK", 4)
+    assert list(walk) == [(1, 5), (5, 9), (9, 11)]
+    assert [ns.tolist() for ns in blocks] == [[1, 2, 3, 4], [5, 6]]
+
+
+def _scan_and_csv_bytes():
+    scan = zeta.scan_max(1, 1e3, 1e3 + 0.25 * 40, 0.25, 300)
+    scan_csv, lmax_csv = io.StringIO(), io.StringIO()
+    zeta.scan_result_to_csv(scan, scan_csv)
+    dirichlet.moduli_to_csv(dirichlet.max_over_characters(1, 1019, 5000), lmax_csv)
+    return scan.moduli.tobytes(), scan_csv.getvalue(), lmax_csv.getvalue()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000, 2**17])
+def test_scan_and_csv_bytes_do_not_depend_on_the_block_length(monkeypatch, chunk):
+    # 41 scan rows of 299 terms: one row per block below CHUNK = 299, four
+    # at 1000, all of them in one block at 2^17
+    want = _scan_and_csv_bytes()
+    monkeypatch.setattr(sums, "CHUNK", chunk)
+    assert _scan_and_csv_bytes() == want
 
 
 def _blocks(sizes):
