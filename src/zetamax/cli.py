@@ -24,6 +24,7 @@ from .errors import (
 )
 
 SCHEMA_VERSION = 1
+_MAX_SAMPLE = 10**5  # largest char-table --sample: one dict per dlog entry printed
 
 
 def _emit_json(doc: dict) -> None:
@@ -222,6 +223,10 @@ def _cmd_proof_bookkeeping(args) -> None:
 def _cmd_char_table(args) -> None:
     from . import dirichlet
 
+    if args.sample < 0:
+        raise ValueError(f"--sample must be >= 0, got {args.sample}")
+    if args.sample > _MAX_SAMPLE:
+        raise ResourceLimitError(f"--sample {args.sample} exceeds budget {_MAX_SAMPLE}")
     table = dirichlet.build_character_table(args.q)
     sample = [{"a": a, "dlog": int(table.dlog[a])} for a in range(1, min(args.sample, table.q))]
     _emit_json({"q": table.q, "generator": table.generator, "order": table.order,

@@ -8,15 +8,11 @@ form
 
     u * rho(u) = integral_{u-1}^{u} rho(t) dt,
 
-solved interval by interval on [k, k+1] with a fixed-point iteration over a
-Chebyshev interpolant.  Because rho has a derivative kink at u = 1 (and
+solved interval by interval on [k, k+1] over a Chebyshev interpolant.  The
+equation is linear in the interpolant's node values, so each interval is one
+linear solve.  Because rho has a derivative kink at u = 1 (and
 progressively weaker kinks at the larger integers), intervals are aligned to
-integer breakpoints so no interpolant spans a kink.  The iteration stops when
-a step falls below its test, after 200 steps, or when it meets a state it has
-held before: the update reads the state alone, so from there it cycles (at
-degree 16 interval 2 alternates between two states one ulp apart), and the
-builder takes the state that step 200 would hold.  The table is the same as
-the plain 200-step loop's, in far fewer Chebyshev fits.
+integer breakpoints so no interpolant spans a kink.
 
 DickmanTable.integrate evaluates every Gauss-Legendre panel of a range in one
 Clenshaw pass over the zero-padded coefficient stack, with one weight call;
@@ -45,7 +41,6 @@ from .errors import OutOfDomainError, PrecisionUnreachableError, TailNotCertifie
 
 DEFAULT_DEGREE = 16
 _MAX_DEGREE = 40
-_FIXED_POINT_STEPS = 200  # updates of the interval fixed point at most
 _GL_NODES, _GL_WEIGHTS = L.leggauss(32)
 
 
@@ -141,23 +136,10 @@ def _build_interval(k: int, prev_coeffs: np.ndarray, degree: int) -> tuple[np.nd
     phi_prev = _interval_antiderivative(prev_coeffs)
     a_vals = C.chebval(1.0, phi_prev) - C.chebval(xs, phi_prev)
 
-    vals = np.full(m, C.chebval(1.0, prev_coeffs))  # continuity seed
-    seen, hist = {}, []  # state bytes -> first step, and the states by step
-    for i in range(_FIXED_POINT_STEPS):
-        s = seen.setdefault(vals.tobytes(), i)
-        if s < i:
-            # the update reads vals alone, so the states repeat with period
-            # i - s and never meet the stopping test: take the final state
-            vals = hist[s + (_FIXED_POINT_STEPS - s) % (i - s)]
-            break
-        hist.append(vals)
-        coeffs = C.chebfit(xs, vals, degree)
-        phi = _interval_antiderivative(coeffs)
-        new_vals = (a_vals + C.chebval(xs, phi) - C.chebval(-1.0, phi)) / us
-        delta = float(np.max(np.abs(new_vals - vals)))
-        vals = new_vals
-        if delta < 1e-18 + 1e-16 * float(np.max(np.abs(vals))):
-            break
+    # K maps node values to int_k^{u_i} of their interpolant
+    K = C.chebvander(xs, m) - C.chebvander(-1.0, m)
+    K = K @ _interval_antiderivative(np.linalg.inv(C.chebvander(xs, degree)))
+    vals = np.linalg.solve(np.diag(us) - K, a_vals)
     coeffs = C.chebfit(xs, vals, degree)
 
     # residual of the integral identity on a denser grid

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from zetamax import cli, zeta
+from zetamax import cli, dirichlet, zeta
 from zetamax.errors import PrecisionUnreachableError
 
 CLI = [sys.executable, "-m", "zetamax.cli"]
@@ -211,6 +211,29 @@ def test_character_twist_beyond_int64_exits_0():
 def test_composite_modulus_rejected():
     r = run_cli("char-table", "--q", "15")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("sample, code, message", [
+    ("-3", 2, "error: invalid-argument: --sample must be >= 0, got -3\n"),
+    ("100001", 3, "error: resource-limit: --sample 100001 exceeds budget 100000\n"),
+    ("1000003", 3, "error: resource-limit: --sample 1000003 exceeds budget 100000\n"),
+], ids=["negative", "above-budget", "all-of-q"])
+def test_char_table_sample_is_checked_before_the_table_is_built(monkeypatch, capsys, sample,
+                                                                  code, message):
+    # unchecked, a negative sample printed an empty list and a huge one held
+    # every entry of the table as a dict at once
+    def no_table(q):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(dirichlet, "build_character_table", no_table)
+    assert cli.main(["char-table", "--q", "1000003", "--sample", sample]) == code
+    assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("sample, size", [("0", 0), ("100000", 10)])
+def test_char_table_sample_within_budget(capsys, sample, size):
+    assert cli.main(["char-table", "--q", "11", "--sample", sample]) == 0
+    assert len(json.loads(capsys.readouterr().out)["sample"]) == size
 
 
 @pytest.mark.parametrize("args", [

@@ -105,6 +105,14 @@ def test_cross_method(table60):
         assert moments.y_quadrature(ell, table60).method == "quadrature"
 
 
+@pytest.mark.parametrize("ell", [10, 15, 20, 25, 30])
+def test_quadrature_matches_exact_relatively(table60, ell):
+    # the weight u^ell reads rho far out, where it lies far below the
+    # table's absolute certificate: the pieces must be right in relative terms
+    qu = moments.y_quadrature(ell, table60, 1e-9).float_value
+    assert qu == pytest.approx(moments.y_exact(ell).float_value, rel=1e-13, abs=0.0)
+
+
 def test_quadrature_tail_guard(table12):
     with pytest.raises(TailNotCertifiedError):
         moments.y_quadrature(11, table12, 1e-9)  # ell too large for [0, 12]
