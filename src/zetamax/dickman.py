@@ -10,20 +10,22 @@ form
 
 solved interval by interval on [k, k+1] over a Chebyshev interpolant.  The
 equation is linear in the interpolant's node values, so each interval is one
-linear solve.  Because rho has a derivative kink at u = 1 (and
-progressively weaker kinks at the larger integers), intervals are aligned to
-integer breakpoints so no interpolant spans a kink.
+linear solve, and the inverse Vandermonde matrix that sets up the solve turns
+the node values into coefficients.  Because rho has a derivative kink at
+u = 1 (and progressively weaker kinks at the larger integers), intervals are
+aligned to integer breakpoints so no interpolant spans a kink.
 
 DickmanTable.integrate evaluates every Gauss-Legendre panel of a range in one
-Clenshaw pass over the zero-padded coefficient stack, with one weight call;
-both act elementwise, so the result has the bits of one call per panel.
+Clenshaw pass over the zero-padded coefficient stack, with one weight call,
+and combines the per-panel row sums by one fsum.
 
 Error certification: if e_k is the absolute error of interpolant k and r_k
 the residual of the integral identity on interval k, the identity gives
 ||e_1|| <= ||r_1|| (Gronwall) and ||e_k|| <= (||e_{k-1}|| + ||r_k||)/(k-1)
-for k >= 2, so errors are contracted rather than amplified.  Tail bounds use
-the rigorous monotonicity consequence rho(u) <= rho(u-1)/u, i.e. the table
-value at the domain end certifies everything beyond it.
+for k >= 2, so errors are contracted rather than amplified.
+DickmanTable.tail_bound uses the rigorous consequence rho(u) <= rho(u-1)/u of
+the integral form: the table value at U certifies all of int_U^infty u^ell rho
+by a geometric series.
 """
 
 from __future__ import annotations
@@ -73,24 +75,38 @@ class DickmanTable:
         stack.flags.writeable = False
         object.__setattr__(self, "coeff_stack", stack)
 
-    def end_error_bound(self) -> float:
-        return self.interval_tols[-1]
+    def tail_bound(self, from_u: float, ell: int = 0) -> float:
+        """Certified bound on int_U^infty u^ell rho(u) du, U = from_u.
+
+        rho(u) <= rho(u-1)/u gives rho(U+j) <= rho(U)/(U+1)^j, and
+        (U+j+1)^ell <= (U+1)^ell e^(ell j/(U+1)), so the unit pieces from U
+        on are dominated by a geometric series of ratio e^(ell/(U+1))/(U+1)
+        whose first term is (U+1)^ell times rho(U) plus its interval's
+        certified error.  inf for U < 2 or a ratio that is not below 1.
+        """
+        ratio = math.exp(ell / (from_u + 1.0)) / (from_u + 1.0) if from_u >= 2.0 else math.inf
+        if not ratio < 1.0:
+            return math.inf
+        k = min(int(math.floor(from_u)), len(self.intervals) - 1)
+        top = rho(from_u, self) + self.interval_tols[k]
+        return (from_u + 1.0) ** ell * top / (1.0 - ratio)
 
     def integrate(self, weight, a: float, b: float, panels: int = 1) -> float:
         """int_a^b weight(u) rho(u) du for 0 <= a <= b <= max_u.
 
         weight maps an array of u to an array of the same shape.  Each unit
         interval [k, k+1] that [a, b] meets is cut into `panels` equal panels,
-        each integrated by 32-node Gauss-Legendre against the interval's
-        Chebyshev piece; the panel sums accumulate in float within an
-        interval and the interval sums are combined by math.fsum.  b may
-        exceed max_u by the same 1e-12 slack rho allows.
+        an int >= 1, each integrated by 32-node Gauss-Legendre against the
+        interval's Chebyshev piece.  b may exceed max_u by the same 1e-12
+        slack rho allows.
 
         Every panel's nodes form one row of a 2-D array: one Clenshaw pass
         over the zero-padded coefficient stack evaluates all the pieces at
-        once, and weight is called once.  Both act elementwise, so each row
-        has the bits that one call per panel would give.
+        once, and weight is called once.  Each row's weighted sum is that
+        panel's integral, and one math.fsum combines the per-panel row sums.
         """
+        if not (isinstance(panels, int) and panels >= 1):
+            raise ValueError(f"panels must be an int >= 1, got {panels!r}")
         if not 0.0 <= a <= b <= self.max_u * (1 + 1e-12) + 1e-12:
             raise OutOfDomainError(
                 f"integration range [{a}, {b}] outside table domain [0, {self.max_u}]"
@@ -107,13 +123,8 @@ class DickmanTable:
         us = mid[:, None] + half[:, None] * _GL_NODES  # one row per (interval, panel)
         k = np.repeat(ks, panels)[:, None]
         vals = C.chebval(2.0 * (us - k) - 1.0, self.coeff_stack[:, k], tensor=False) * weight(us)
-        pieces = []
-        for i in range(0, len(vals), panels):
-            total = 0.0
-            for j in range(i, i + panels):
-                total += half[j] * float(np.dot(_GL_WEIGHTS, vals[j]))
-            pieces.append(total)
-        return math.fsum(pieces)
+        vals *= _GL_WEIGHTS
+        return math.fsum(half * vals.sum(axis=1))
 
 
 def _interval_antiderivative(coeffs: np.ndarray) -> np.ndarray:
@@ -138,9 +149,9 @@ def _build_interval(k: int, prev_coeffs: np.ndarray, degree: int) -> tuple[np.nd
 
     # K maps node values to int_k^{u_i} of their interpolant
     K = C.chebvander(xs, m) - C.chebvander(-1.0, m)
-    K = K @ _interval_antiderivative(np.linalg.inv(C.chebvander(xs, degree)))
-    vals = np.linalg.solve(np.diag(us) - K, a_vals)
-    coeffs = C.chebfit(xs, vals, degree)
+    inverse = np.linalg.inv(C.chebvander(xs, degree))  # node values -> coefficients
+    K = K @ _interval_antiderivative(inverse)
+    coeffs = inverse @ np.linalg.solve(np.diag(us) - K, a_vals)
 
     # residual of the integral identity on a denser grid
     xd = np.cos(np.pi * (2 * np.arange(4 * m) + 1) / (8 * m))
@@ -167,36 +178,20 @@ def build_rho_table(max_u: float, tol: float) -> DickmanTable:
     if tol < 1e-14:
         raise ValueError(f"tol below the certifiable floor 1e-14: {tol}")
 
-    n_intervals = max(1, math.ceil(max_u))
-    degree = DEFAULT_DEGREE
-    while True:
+    for degree in range(DEFAULT_DEGREE, _MAX_DEGREE + 1, 8):
         intervals = [np.array([1.0])]  # rho = 1 on [0, 1]
         certs = [0.0]  # per-interval certified error bounds
-        worst = 0.0
-        ok = True
-        for k in range(1, n_intervals):
+        for k in range(1, math.ceil(max_u)):
             coeffs, res = _build_interval(k, intervals[k - 1], degree)
-            res *= 2.0  # grid-sampled residual safety factor
-            cert = (certs[-1] + res) if k == 1 else (certs[-1] + res) / (k - 1)
-            worst = max(worst, cert)
-            if worst > tol:
-                ok = False
+            # twice the grid-sampled residual, as a safety factor
+            certs.append((certs[-1] + 2 * res) / max(k - 1, 1))
+            if certs[-1] > tol:
                 break
             intervals.append(coeffs)
-            certs.append(cert)
-        if ok:
-            return DickmanTable(
-                max_u=float(max_u),
-                degree=degree,
-                tol=max(worst, 1e-16),
-                intervals=tuple(np.asarray(c) for c in intervals),
-                interval_tols=tuple(certs),
-            )
-        if degree >= _MAX_DEGREE:
-            raise PrecisionUnreachableError(
-                f"cannot certify tol={tol} at degree <= {_MAX_DEGREE}"
-            )
-        degree += 8
+        else:
+            return DickmanTable(max_u=float(max_u), degree=degree, tol=max(*certs, 1e-16),
+                                intervals=tuple(intervals), interval_tols=tuple(certs))
+    raise PrecisionUnreachableError(f"cannot certify tol={tol} at degree <= {_MAX_DEGREE}")
 
 
 def rho(u: float, table: DickmanTable) -> float:
@@ -220,15 +215,6 @@ def log_rho_asymptotic_main(u: float) -> float:
     return -u * (math.log(u) + math.log(math.log(u + 2.0)) - 1.0)
 
 
-def _tail_mass_bound(table: DickmanTable, from_u: float) -> float:
-    """Certified bound on int_{from_u}^infty rho, via rho(u) <= rho(u-1)/u."""
-    if from_u < 2.0:
-        return math.inf
-    k = min(int(math.floor(from_u)), len(table.intervals) - 1)
-    top = rho(from_u, table) + table.interval_tols[k]
-    return top * from_u / (from_u - 1.0)
-
-
 def laplace_lhs(s: float, table: DickmanTable, tol: float) -> float:
     """int_0^infty rho(u) e^{-u s} du by table.integrate plus a certified
     truncation bound.
@@ -243,7 +229,7 @@ def laplace_lhs(s: float, table: DickmanTable, tol: float) -> float:
     if not tol > 0:
         raise ValueError("tol must be positive")
     u_end = table.max_u
-    tail = _tail_mass_bound(table, u_end) * math.exp(-s * u_end)
+    tail = table.tail_bound(u_end) * math.exp(-s * u_end)
     if not (tail < tol / 2):
         raise TailNotCertifiedError(
             f"tail bound {tail:.3e} at U={u_end} exceeds tol/2={tol / 2:.3e}"
@@ -251,7 +237,7 @@ def laplace_lhs(s: float, table: DickmanTable, tol: float) -> float:
 
     stop = next(
         (k for k in range(3, math.floor(u_end) + 1)
-         if _tail_mass_bound(table, float(k)) * math.exp(-s * k) < tol / 4),
+         if table.tail_bound(float(k)) * math.exp(-s * k) < tol / 4),
         u_end,
     )
     panels = max(1, math.ceil(s / 4.0))

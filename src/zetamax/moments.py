@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constants import BOUND_KINDS, EXP_GAMMA
-from .dickman import DickmanTable, rho
+from .dickman import DickmanTable, rho  # noqa: F401 - perfbench rebinds moments.rho
 from .errors import TailNotCertifiedError, float_result
 
 _MAX_ELL = 200
@@ -89,13 +89,14 @@ def y_exact(ell: int) -> MomentValue:
 def y_quadrature(ell: int, table: DickmanTable, tol: float = 1e-10) -> MomentValue:
     """Y_ell as table.integrate of u^ell rho(u) over [0, table.max_u].
 
-    The tail beyond U = table.max_u is bounded by the superfactorial decay
-    rho(u) <= rho(u-1)/u; raises TailNotCertifiedError when that bound does
-    not reach tol (ell too large for the table domain).  tol bounds that
-    tail only: the error of the table's pieces, weighted by u^ell, is not
-    certified, and u^ell magnifies it.  Pieces solved to an absolute floor
-    only (1e-18) put Y_30 from build_rho_table(60, 1e-12) at tol=1e-9 off
-    by 2.1e-5 relative, and nothing raised.
+    The tail beyond U = table.max_u is bounded by table.tail_bound(U, ell),
+    from the superfactorial decay rho(u) <= rho(u-1)/u; raises
+    TailNotCertifiedError when that bound does not reach tol (ell too large
+    for the table domain).  tol bounds that tail only: the error of the
+    table's pieces, weighted by u^ell, is not certified, and u^ell magnifies
+    it.  Pieces solved to an absolute floor only (1e-18) put Y_30 from
+    build_rho_table(60, 1e-12) at tol=1e-9 off by 2.1e-5 relative, and
+    nothing raised.
     """
     if ell < 0:
         raise ValueError("ell must be >= 0")
@@ -106,10 +107,7 @@ def y_quadrature(ell: int, table: DickmanTable, tol: float = 1e-10) -> MomentVal
         raise TailNotCertifiedError(
             f"table domain [0, {u_end}] too short for moment ell={ell}"
         )
-    top = rho(u_end, table) + table.end_error_bound()
-    # terms (U+j+1)^ell * rho(U+j) are dominated by a geometric series
-    ratio = math.exp(ell / (u_end + 1.0)) / (u_end + 1.0)
-    tail = (u_end + 1.0) ** ell * top / (1.0 - ratio)
+    tail = table.tail_bound(u_end, ell)
     if not (tail < tol / 2):
         raise TailNotCertifiedError(
             f"tail bound {tail:.3e} for ell={ell} at U={u_end} exceeds tol/2"

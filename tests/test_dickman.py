@@ -182,8 +182,9 @@ def test_integrate_matches_chebyshev_antiderivative(table60, ell, a, b, panels):
 
 
 def _integrate_reference(table, weight, a: float, b: float, panels: int) -> float:
-    """The integrator as one Chebyshev evaluation and one weight call per
-    panel; DickmanTable.integrate must give exactly its bits."""
+    """The integrator as one Chebyshev evaluation, one weight call and one
+    weighted sum per panel, the panels combined by one math.fsum;
+    DickmanTable.integrate must give exactly its bits."""
     b = min(b, table.max_u)
     pieces = []
     for k in range(math.floor(a), math.ceil(b)):
@@ -191,13 +192,11 @@ def _integrate_reference(table, weight, a: float, b: float, panels: int) -> floa
         if hi <= lo:
             continue
         edges = [lo + (hi - lo) * j / panels for j in range(panels)] + [hi]
-        total = 0.0
         for pa, pb in zip(edges, edges[1:]):
             mid, half = 0.5 * (pa + pb), 0.5 * (pb - pa)
             us = mid + half * dickman._GL_NODES
             vals = C.chebval(2.0 * (us - k) - 1.0, table.intervals[k]) * weight(us)
-            total += half * float(np.dot(dickman._GL_WEIGHTS, vals))
-        pieces.append(total)
+            pieces.append(half * (vals * dickman._GL_WEIGHTS).sum())
     return math.fsum(pieces)
 
 
@@ -251,6 +250,33 @@ def test_coefficient_stack_is_the_padded_pieces(ragged_table):
 def test_integrate_domain_errors(table60, a, b):
     with pytest.raises(OutOfDomainError):
         table60.integrate(lambda us: us, a, b)
+
+
+@pytest.mark.parametrize("panels", [0, -1, 1.5])
+def test_integrate_rejects_panels_that_are_not_a_positive_int(table60, panels):
+    with pytest.raises(ValueError, match="panels"):
+        table60.integrate(lambda us: us, 1.0, 2.0, panels)
+
+
+@pytest.mark.parametrize("u", [2.0, 2.5, 4.0, 7.3, 10.0, 20.0, 29.0])
+def test_tail_bound_bounds_the_tail(table60, u):
+    # the tail beyond u holds at least int_u^60, which the antiderivative
+    # oracle gives; the bound is only claimed where its ratio is below 1
+    checked = 0
+    for ell in range(11):
+        if math.exp(ell / (u + 1.0)) / (u + 1.0) >= 1.0:
+            assert table60.tail_bound(u, ell) == math.inf
+            continue
+        want, scale = _antiderivative_oracle(table60, ell, u, 60.0)
+        assert want + 1e-13 * scale <= table60.tail_bound(u, ell) < math.inf, ell
+        checked += 1
+    assert checked >= 3
+
+
+@pytest.mark.parametrize("u", [0.0, 1.0, 1.5, math.nextafter(2.0, 0.0)])
+def test_tail_bound_is_infinite_below_two(table60, u):
+    assert table60.tail_bound(u) == math.inf
+    assert table60.tail_bound(u, 3) == math.inf
 
 
 def test_integrate_empty_range_and_slack(table60):

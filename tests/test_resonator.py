@@ -90,7 +90,7 @@ def test_factorized_matches_direct_random_specs():
         for ell in ells:
             d = resonator.ratio_direct(sp, ell)
             f = resonator.ratio_factorized(sp, ell)
-            assert f == pytest.approx(d, rel=1e-13), (y, b, ell)
+            assert f == pytest.approx(d, rel=1e-13, abs=0.0), (y, b, ell)
             # beyond ell = 5 the ratio reaches 9e5, where one float step is 1.2e-10
             if ell <= 5:
                 assert f == pytest.approx(d, abs=1e-10), (y, b, ell)
@@ -276,7 +276,7 @@ def test_factorized_matches_cumulant_bell_oracle():
         for ell in (0, 1, 2, 6, 10):
             with mpmath.workprec(256):
                 oracle = float(_ratio_factorized_at(sp, ell))
-            assert resonator.ratio_factorized(sp, ell) == pytest.approx(oracle, rel=1e-14), (k, ell)
+            assert resonator.ratio_factorized(sp, ell) == pytest.approx(oracle, rel=1e-14, abs=0.0), (k, ell)
 
 
 def test_factorized_budget_counts_alpha_terms():
@@ -328,7 +328,7 @@ def test_log_power_sum_exact_small():
         logs = np.log(ks.astype(np.longdouble))
         for ell in (0, 1, 2, 6, 20, 60, 170, 171, 200):
             want = math.fsum((logs ** ell / ks).astype(np.float64).tolist())
-            assert resonator.log_power_sum(ell, y) == pytest.approx(want, rel=1e-14), (ell, y)
+            assert resonator.log_power_sum(ell, y) == pytest.approx(want, rel=1e-14, abs=0.0), (ell, y)
 
 
 def test_log_power_sum_asymptotic_matches_exact_at_crossover():

@@ -191,7 +191,7 @@ def test_streamed_reference_matches_one_array_oracle(monkeypatch, ell, sigma, t)
         assert band == want_band
         if M <= B + 1:  # one block: the oracle's arithmetic exactly
             assert (got, mag) == (want, want_mag), M
-        assert mag == pytest.approx(want_mag, rel=1e-14)
+        assert mag == pytest.approx(want_mag, rel=1e-14, abs=0.0)
         assert abs(got - want) <= 4e-16 * want_mag, M
 
 
@@ -207,7 +207,7 @@ def test_odd_and_tiny_block_lengths(parallel_blocks, monkeypatch, chunk):
     want, _, want_mag = _em_zeta_derivative_one_array(2, s, M)
     got, _, mag = zeta._em_zeta_derivative(2, s, M)
     assert abs(got - want) <= 4e-16 * want_mag
-    assert mag == pytest.approx(want_mag, rel=1e-14)
+    assert mag == pytest.approx(want_mag, rel=1e-14, abs=0.0)
     assert len(parallel_blocks) == -(-(M - 2) // B) - 1
 
 
