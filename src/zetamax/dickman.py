@@ -10,10 +10,11 @@ form
 
 solved interval by interval on [k, k+1] over a Chebyshev interpolant.  The
 equation is linear in the interpolant's node values, so each interval is one
-linear solve, and the inverse Vandermonde matrix that sets up the solve turns
-the node values into coefficients.  Because rho has a derivative kink at
-u = 1 (and progressively weaker kinks at the larger integers), intervals are
-aligned to integer breakpoints so no interpolant spans a kink.
+linear solve (the inverse Vandermonde matrix sets it up), and a second solve
+against the Vandermonde matrix turns the node values into coefficients.
+Because rho has a derivative kink at u = 1 (and progressively weaker kinks
+at the larger integers), intervals are aligned to integer breakpoints so no
+interpolant spans a kink.
 
 DickmanTable.integrate evaluates every Gauss-Legendre panel of a range in one
 Clenshaw pass over the zero-padded coefficient stack, with one weight call,
@@ -21,8 +22,13 @@ and combines the per-panel row sums by one fsum.
 
 Error certification: if e_k is the absolute error of interpolant k and r_k
 the residual of the integral identity on interval k, the identity gives
-||e_1|| <= ||r_1|| (Gronwall) and ||e_k|| <= (||e_{k-1}|| + ||r_k||)/(k-1)
-for k >= 2, so errors are contracted rather than amplified.
+||e_1|| <= ||e_0|| + ||r_1|| (Gronwall; e_0 = 0 for the exact piece 1 on
+[0, 1]) and ||e_k|| <= (||e_{k-1}|| + ||r_k||)/(k-1) for k >= 2, so errors
+are contracted rather than amplified.  A DickmanTable derives that chain
+from its own pieces when it is made, built or loaded: sup |r_k| is bounded
+by the absolute Chebyshev coefficients of r_k, formed exactly from the
+stored floats (each an integer over a power of two), and every link is
+rounded up to a float.
 DickmanTable.tail_bound uses the rigorous consequence rho(u) <= rho(u-1)/u of
 the integral form: the table value at U certifies all of int_U^infty u^ell rho
 by a geometric series.
@@ -51,21 +57,24 @@ class DickmanTable:
     """Piecewise-Chebyshev representation of rho on [0, max_u].
 
     intervals[k] holds the Chebyshev coefficients of rho on [k, k+1] in the
-    local variable x = 2*(u - k) - 1.  tol is the certified absolute error
-    bound of the whole representation; interval_tols[k] the (much smaller,
-    superfactorially decaying) certified bound on interval k alone, which is
-    what tail certification at the domain end relies on.  coeff_stack[:, k]
-    is intervals[k] zero-padded at the high end to the longest piece; the
-    padding leaves Clenshaw's recurrence unchanged.  Immutable (coeff_stack
-    is a read-only array); evaluations are pure and safe to share across
-    workers.
+    local variable x = 2*(u - k) - 1.  The table certifies itself from those
+    pieces: interval_tols[k] bounds the absolute error on interval k alone
+    (superfactorially decaying; tail certification at the domain end relies
+    on it), from the exact residual of each piece and the chain in the
+    module docstring, every link rounded up; tol, their maximum (at least
+    1e-16), bounds the whole representation.  A built and a loaded table
+    get them the same way, and neither a caller nor a file can set them.
+    coeff_stack[:, k] is intervals[k] zero-padded at the high end to the
+    longest piece; the padding leaves Clenshaw's recurrence unchanged.
+    Immutable (coeff_stack is a read-only array); evaluations are pure and
+    safe to share across workers.
     """
 
     max_u: float
     degree: int
-    tol: float
     intervals: tuple
-    interval_tols: tuple
+    tol: float = field(init=False)
+    interval_tols: tuple = field(init=False)
     coeff_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -74,6 +83,14 @@ class DickmanTable:
             stack[:len(coeffs), k] = coeffs
         stack.flags.writeable = False
         object.__setattr__(self, "coeff_stack", stack)
+        (first,), den = _as_integers([self.intervals[0]], len(self.intervals[0]))
+        tols = [_round_up(abs(first[0] - den) + sum(map(abs, first[1:])), den)]  # rho = 1
+        for k in range(1, len(self.intervals)):
+            (p, q), (r, s) = (tols[-1].as_integer_ratio(),
+                              _residual_bound(k, *self.intervals[k - 1:k + 1]).as_integer_ratio())
+            tols.append(_round_up(p * s + r * q, q * s * max(k - 1, 1)))
+        object.__setattr__(self, "interval_tols", tuple(tols))
+        object.__setattr__(self, "tol", max(*tols, 1e-16))
 
     def tail_bound(self, from_u: float, ell: int = 0) -> float:
         """Certified bound on int_U^infty u^ell rho(u) du, U = from_u.
@@ -132,8 +149,8 @@ def _interval_antiderivative(coeffs: np.ndarray) -> np.ndarray:
     return C.chebint(coeffs, m=1, scl=0.5)
 
 
-def _build_interval(k: int, prev_coeffs: np.ndarray, degree: int) -> tuple[np.ndarray, float]:
-    """Solve u*rho(u) = A(u) + int_k^u rho on [k, k+1]; return (coeffs, residual).
+def _build_interval(k: int, prev_coeffs: np.ndarray, degree: int) -> np.ndarray:
+    """Solve u*rho(u) = A(u) + int_k^u rho on [k, k+1]; return the coefficients.
 
     A(u) = int_{u-1}^{k} rho_{k-1}; the point u-1 has the same local
     coordinate in interval k-1 as u has in interval k, so A evaluates from
@@ -148,28 +165,66 @@ def _build_interval(k: int, prev_coeffs: np.ndarray, degree: int) -> tuple[np.nd
     a_vals = C.chebval(1.0, phi_prev) - C.chebval(xs, phi_prev)
 
     # K maps node values to int_k^{u_i} of their interpolant
+    vander = C.chebvander(xs, degree)
     K = C.chebvander(xs, m) - C.chebvander(-1.0, m)
-    inverse = np.linalg.inv(C.chebvander(xs, degree))  # node values -> coefficients
-    K = K @ _interval_antiderivative(inverse)
-    coeffs = inverse @ np.linalg.solve(np.diag(us) - K, a_vals)
+    K = K @ _interval_antiderivative(np.linalg.inv(vander))
+    return np.linalg.solve(vander, np.linalg.solve(np.diag(us) - K, a_vals))
 
-    # residual of the integral identity on a denser grid
-    xd = np.cos(np.pi * (2 * np.arange(4 * m) + 1) / (8 * m))
-    xd = np.concatenate(([-1.0], np.sort(xd), [1.0]))
-    ud = (k + 0.5) + 0.5 * xd
-    phi = _interval_antiderivative(coeffs)
-    a_dense = C.chebval(1.0, phi_prev) - C.chebval(xd, phi_prev)
-    lhs = ud * C.chebval(xd, coeffs)
-    rhs = a_dense + C.chebval(xd, phi) - C.chebval(-1.0, phi)
-    residual = float(np.max(np.abs(lhs - rhs)))
-    return coeffs, residual
+
+def _as_integers(pieces, n: int, factor: int = 1) -> tuple[list, int]:
+    """The pieces' coefficients times one scale, as ints zero-padded to n
+    terms, and that scale: factor times the largest of their denominators,
+    which are all powers of two."""
+    ratios = [[float(c).as_integer_ratio() for c in piece] for piece in pieces]
+    scale = factor * max(q for piece in ratios for _, q in piece)
+    return [[p * (scale // q) for p, q in piece] + [0] * (n - len(piece))
+            for piece in ratios], scale
+
+
+def _round_up(num: int, den: int) -> float:
+    """The least float >= num/den, for num >= 0 and den > 0."""
+    x = num / den  # int / int is correctly rounded
+    p, q = x.as_integer_ratio()
+    return x if p * den >= num * q else math.nextafter(x, math.inf)
+
+
+def _residual_bound(k: int, prev, cur) -> float:
+    """Upper bound on sup |r_k| over interval k, where r_k(x) = u p_k(x) -
+    [P_{k-1}(1) - P_{k-1}(x)] - [P_k(x) - P_k(-1)] for the pieces p and
+    their antiderivatives P in u.
+
+    The bound is the sum of |coefficients| of r_k's Chebyshev series,
+    formed exactly: scaled by 4 lcm(1..n) times the largest denominator,
+    every coefficient is an int, and so is every step of x T_j = (T_{j+1} +
+    T_{j-1})/2 and of chebint's recurrence.  The sum is rounded up once.
+    """
+    n = max(len(prev), len(cur))
+    (a, b), scale = _as_integers([prev, cur], n + 1, 4 * math.lcm(*range(1, n + 1)))
+
+    def antiderivative(c):  # in u, up to a constant: half of chebint's recurrence
+        out = [0, c[0] // 2] + [c[j - 1] // (4 * j) for j in range(2, n + 1)]
+        for j in range(2, n):
+            out[j - 1] -= c[j] // (4 * (j - 1))
+        return out
+
+    pa, pb = antiderivative(a), antiderivative(b)
+    # (k + 1/2) p_k + (1/2) x p_k + P_{k-1} - P_k - P_{k-1}(1) + P_k(-1)
+    r = [(2 * k + 1) * bj // 2 + x - y for bj, x, y in zip(b, pa, pb)]
+    r[0] += sum(pb[::2]) - sum(pb[1::2]) - sum(pa)
+    r[1] += b[0] // 2  # x T_0 = T_1
+    for j in range(1, n):
+        r[j - 1] += b[j] // 4
+        r[j + 1] += b[j] // 4
+    return _round_up(sum(map(abs, r)), scale)
 
 
 def build_rho_table(max_u: float, tol: float) -> DickmanTable:
     """Build a certified table of rho on [0, max_u].
 
     max_u in [1, 1e3]; tol in [1e-14, inf).  Construction is sequential
-    (interval k depends on k-1); the returned table is immutable.
+    (interval k depends on k-1); the returned table is immutable.  The
+    pieces are built at degree 16, then 24, 32 and 40, until the table's
+    own certificate reaches tol.
     """
     if not (max_u >= 1.0) or max_u > 1e3:
         raise ValueError(f"max_u must lie in [1, 1e3], got {max_u}")
@@ -180,17 +235,11 @@ def build_rho_table(max_u: float, tol: float) -> DickmanTable:
 
     for degree in range(DEFAULT_DEGREE, _MAX_DEGREE + 1, 8):
         intervals = [np.array([1.0])]  # rho = 1 on [0, 1]
-        certs = [0.0]  # per-interval certified error bounds
         for k in range(1, math.ceil(max_u)):
-            coeffs, res = _build_interval(k, intervals[k - 1], degree)
-            # twice the grid-sampled residual, as a safety factor
-            certs.append((certs[-1] + 2 * res) / max(k - 1, 1))
-            if certs[-1] > tol:
-                break
-            intervals.append(coeffs)
-        else:
-            return DickmanTable(max_u=float(max_u), degree=degree, tol=max(*certs, 1e-16),
-                                intervals=tuple(intervals), interval_tols=tuple(certs))
+            intervals.append(_build_interval(k, intervals[k - 1], degree))
+        table = DickmanTable(float(max_u), degree, tuple(intervals))
+        if table.tol <= tol:
+            return table
     raise PrecisionUnreachableError(f"cannot certify tol={tol} at degree <= {_MAX_DEGREE}")
 
 
@@ -309,8 +358,6 @@ def save_table(table: DickmanTable, path: str) -> None:
         "schema_version": 1,
         "max_u": table.max_u,
         "degree": table.degree,
-        "tol": table.tol,
-        "interval_tols": [float(t) for t in table.interval_tols],
         "intervals": [
             {"k": k, "coeffs": [float(c) for c in coeffs]}
             for k, coeffs in enumerate(table.intervals)
@@ -323,8 +370,9 @@ def save_table(table: DickmanTable, path: str) -> None:
 
 def load_table(path: str) -> DickmanTable:
     """Table written by save_table.  A file with a missing, mistyped or
-    inconsistent entry, or a tol or interval_tols entry that is not finite
-    and >= 0, raises ValueError."""
+    inconsistent entry raises ValueError.  The table certifies itself from
+    its pieces, so a "tol" or "interval_tols" entry, as files written before
+    they were derived carry, is ignored."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     try:
@@ -334,8 +382,8 @@ def load_table(path: str) -> DickmanTable:
         if not 1.0 <= max_u <= 1e3:
             raise ValueError(f"table file max_u must lie in [1, 1e3], got {max_u}")
         n = math.ceil(max_u)
-        if len(doc["intervals"]) != n or len(doc["interval_tols"]) != n:
-            raise ValueError(f"table file needs {n} intervals and interval_tols for max_u={max_u}")
+        if len(doc["intervals"]) != n:
+            raise ValueError(f"table file needs {n} intervals for max_u={max_u}")
         degree = int(doc["degree"])
         intervals = [None] * n
         for item in doc["intervals"]:
@@ -348,16 +396,6 @@ def load_table(path: str) -> DickmanTable:
                 raise ValueError(f"table file interval k={k} needs a flat list of 1 to "
                                  f"degree + 1 = {degree + 1} finite coefficients")
             intervals[k] = coeffs
-        # both feed certified bounds: a NaN, infinite or negative one would
-        # pass through them unnoticed
-        tol = float(doc["tol"])
-        if not 0.0 <= tol < math.inf:
-            raise ValueError(f"table file tol must be finite and >= 0, got {tol}")
-        interval_tols = tuple(float(t) for t in doc["interval_tols"])
-        for k, t in enumerate(interval_tols):
-            if not 0.0 <= t < math.inf:
-                raise ValueError(f"table file interval_tols[{k}] must be finite and >= 0, got {t}")
-        return DickmanTable(max_u=max_u, degree=degree, tol=tol, intervals=tuple(intervals),
-                            interval_tols=interval_tols)
-    except (AttributeError, KeyError, TypeError) as e:
+        return DickmanTable(max_u, degree, tuple(intervals))
+    except (AttributeError, KeyError, OverflowError, TypeError) as e:
         raise ValueError(f"malformed table file {path!r}: {type(e).__name__}: {e}") from None

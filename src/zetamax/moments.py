@@ -94,9 +94,7 @@ def y_quadrature(ell: int, table: DickmanTable, tol: float = 1e-10) -> MomentVal
     TailNotCertifiedError when that bound does not reach tol (ell too large
     for the table domain).  tol bounds that tail only: the error of the
     table's pieces, weighted by u^ell, is not certified, and u^ell magnifies
-    it.  Pieces solved to an absolute floor only (1e-18) put Y_30 from
-    build_rho_table(60, 1e-12) at tol=1e-9 off by 2.1e-5 relative, and
-    nothing raised.
+    it.
     """
     if ell < 0:
         raise ValueError("ell must be >= 0")

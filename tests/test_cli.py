@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from zetamax import cli, dirichlet, zeta
+from zetamax import cli, dickman, dirichlet, zeta
 from zetamax.errors import PrecisionUnreachableError
 
 CLI = [sys.executable, "-m", "zetamax.cli"]
@@ -126,9 +126,6 @@ def test_inconsistent_table_file_exits_2(tmp_path):
     def drop_coeffs(doc):
         del doc["intervals"][3]["coeffs"]
 
-    def drop_tol(doc):
-        del doc["tol"]
-
     # a malformed piece: unchecked, it loaded, and rho on its interval ended
     # in a traceback (exit 1) or printed rho = nan
     def empty_piece(doc):
@@ -143,25 +140,30 @@ def test_inconsistent_table_file_exits_2(tmp_path):
     def piece_beyond_degree(doc):
         doc["intervals"][3]["coeffs"].append(0.0)
 
-    # a tolerance that is not finite and >= 0: unchecked, a NaN tol printed
-    # "table_tol": NaN with exit 0
-    def nan_tol(doc):
-        doc["tol"] = math.nan
-
-    def infinite_tol(doc):
-        doc["tol"] = math.inf
-
-    def negative_interval_tol(doc):
-        doc["interval_tols"][-1] = -1e-13
-
-    for edit in (renumber_last_interval, drop_coeffs, drop_tol, empty_piece, nested_piece,
-                 nan_in_piece, piece_beyond_degree, nan_tol, infinite_tol,
-                 negative_interval_tol):
+    for edit in (renumber_last_interval, drop_coeffs, empty_piece, nested_piece,
+                 nan_in_piece, piece_beyond_degree):
         doc = json.loads(saved.read_text())
         edit(doc)
         path = tmp_path / f"{edit.__name__}.json"
         path.write_text(json.dumps(doc))
         _assert_invalid_argument(run_cli("rho", "--u", "5", "--table", str(path)))
+
+
+def test_forged_table_file_prints_a_certificate_that_covers_its_error(tmp_path):
+    # a file whose interval 3 is off by 1e-3 and whose stored tolerances
+    # all read 0, in the format that stored them: while the file set the
+    # certificate, rho --u 3.5 printed "table_tol": 0.0 with exit 0
+    path = tmp_path / "forged.json"
+    dickman.save_table(dickman.build_rho_table(8.0, 1e-6), str(path))
+    doc = json.loads(path.read_text())
+    doc["intervals"][3]["coeffs"][0] += 1e-3
+    doc.update(tol=0.0, interval_tols=[0.0] * len(doc["intervals"]))
+    path.write_text(json.dumps(doc))
+    r = run_cli("rho", "--u", "3.5", "--table", str(path))
+    assert r.returncode == 0, r.stderr.decode()
+    out = json.loads(r.stdout)
+    fresh = dickman.rho(3.5, dickman.build_rho_table(8.0, 1e-12))
+    assert out["table_tol"] >= abs(out["rho"] - fresh) >= 1e-3 - 1e-12
 
 
 @pytest.mark.parametrize("argv", [

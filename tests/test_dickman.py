@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -108,14 +109,96 @@ def test_build_degree(max_u, tol, degree):
 
 
 @pytest.mark.parametrize("u, want, rel", [
-    (10.0, 2.77017183772596e-11, 1e-13),
+    (10.0, 2.77017183772596e-11, 1e-14),
     (20.0, 2.4617828e-29, 3e-8),  # 8 tabulated digits
 ], ids=["u=10", "u=20"])
 def test_rho_matches_tabulated_values_relatively(table60, u, want, rel):
     # tabulated since van de Lune and Wattel, Math. Comp. 23 (1969).  The
-    # table's certificate is absolute (~6e-14), far above these values, so
+    # table's certificate is absolute (~2e-14), far above these values, so
     # only pieces solved to rounding in relative terms meet them.
     assert dickman.rho(u, table60) == pytest.approx(want, rel=rel, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the table's own certificate
+
+def _sampled_residual(table, k: int) -> tuple[float, float]:
+    """max |r_k| over 4m + 2 points of interval k (m = degree + 1), a dense
+    sample of the residual of the integral identity, and an allowance for
+    its rounding.
+
+    Not a bound, but any bound lies above it.  It runs in long double: the
+    pieces are solved to rounding, so on some intervals r_k is 1e-15 of
+    u p_k, and a float64 sample there is mostly its own rounding.  The
+    allowance is 16 eps of the evaluation type times max |u p_k|; with an
+    80-bit long double it is below 4e-3 of the bound on every interval."""
+    m = table.degree + 1
+    xd = np.cos(np.pi * (2 * np.arange(4 * m) + 1) / (8 * m))
+    xd = np.concatenate(([-1.0], np.sort(xd), [1.0])).astype(np.longdouble)
+    prev, cur = (np.asarray(table.intervals[j], dtype=np.longdouble) for j in (k - 1, k))
+    phi_prev, phi = C.chebint(prev, scl=0.5), C.chebint(cur, scl=0.5)
+    one = np.longdouble(1.0)
+    lhs = (k + 0.5 + 0.5 * xd) * C.chebval(xd, cur)
+    rhs = (C.chebval(one, phi_prev) - C.chebval(xd, phi_prev)
+           + C.chebval(xd, phi) - C.chebval(-one, phi))
+    allowance = 16 * np.finfo(np.longdouble).eps * np.max(np.abs(lhs))
+    return float(np.max(np.abs(lhs - rhs))), float(allowance)
+
+
+def _exact_residual_coefficient_sum(table, k: int) -> Fraction:
+    """The sum of |Chebyshev coefficients| of r_k, by numpy's chebint and
+    chebmulx over Fractions: the same quantity as the table's integer route,
+    by a second one."""
+    half = Fraction(1, 2)
+    p, q = (np.array([Fraction(float(c)) for c in table.intervals[j]], dtype=object)
+            for j in (k - 1, k))
+    big_p, big_q = C.chebint(p, scl=half), C.chebint(q, scl=half)
+    r = C.chebadd(C.chebadd(C.chebmulx(q) * half, q * Fraction(2 * k + 1, 2)),
+                  C.chebsub(big_p, big_q))  # u p_k + P_{k-1}(x) - P_k(x)
+    r[0] += C.chebval(-1, big_q) - C.chebval(1, big_p)
+    return sum(abs(c) for c in r)
+
+
+@pytest.fixture(scope="module", params=[(8.0, 1e-12), (60.0, 1e-12), (25.0, 1e-14)],
+                ids=["8-1e-12", "60-1e-12", "25-1e-14"])
+def certified_table(request):
+    return dickman.build_rho_table(*request.param)
+
+
+def test_residual_bound_is_the_exact_coefficient_sum_rounded_up(certified_table):
+    for k in range(1, len(certified_table.intervals)):
+        bound = dickman._residual_bound(k, *certified_table.intervals[k - 1:k + 1])
+        exact = _exact_residual_coefficient_sum(certified_table, k)
+        assert Fraction(math.nextafter(bound, -math.inf)) < exact <= Fraction(bound), k
+
+
+def test_residual_bound_lies_above_the_sampled_residual(certified_table):
+    for k in range(1, len(certified_table.intervals)):
+        bound = dickman._residual_bound(k, *certified_table.intervals[k - 1:k + 1])
+        sampled, allowance = _sampled_residual(certified_table, k)
+        assert bound >= sampled - allowance, k
+
+
+def test_interval_tols_follow_the_chain_rounded_up(certified_table):
+    # e_0 = 0 for the exact piece 1; e_k = (e_{k-1} + r_k)/max(k - 1, 1),
+    # each link the least float at or above its exact value
+    tols = certified_table.interval_tols
+    assert tols[0] == 0.0
+    for k in range(1, len(tols)):
+        bound = dickman._residual_bound(k, *certified_table.intervals[k - 1:k + 1])
+        exact = (Fraction(tols[k - 1]) + Fraction(bound)) / max(k - 1, 1)
+        assert Fraction(math.nextafter(tols[k], -math.inf)) < exact <= Fraction(tols[k]), k
+    assert certified_table.tol == max(tols)
+
+
+def test_certificate_bounds_a_perturbed_first_piece():
+    # interval 0 is not trusted to be rho = 1: its distance from 1 starts
+    # the chain
+    table = dickman.build_rho_table(6.0, 1e-12)
+    first = np.array([1.0 + 2.0**-30, 2.0**-40])
+    forged = dickman.DickmanTable(table.max_u, table.degree, (first, *table.intervals[1:]))
+    assert forged.interval_tols[0] == 2.0**-30 + 2.0**-40
+    assert forged.interval_tols[1] >= forged.interval_tols[0]
 
 
 def test_closed_form_on_second_interval(table12):
@@ -425,16 +508,8 @@ def _repeat_interval(doc):
     doc["intervals"][-1]["k"] = 3
 
 
-def _cut_interval_tols(doc):
-    doc["interval_tols"] = doc["interval_tols"][:3]
-
-
 def _drop_coeffs(doc):
     del doc["intervals"][3]["coeffs"]
-
-
-def _drop_tol(doc):
-    del doc["tol"]
 
 
 def _intervals_not_a_list(doc):
@@ -468,30 +543,34 @@ def test_load_rejects_malformed_piece(tmp_path, edit):
 
 
 @pytest.mark.parametrize("edit", [_set_max_u, _renumber_last_interval, _repeat_interval,
-                                  _cut_interval_tols, _drop_coeffs, _drop_tol,
-                                  _intervals_not_a_list])
+                                  _drop_coeffs, _intervals_not_a_list])
 def test_load_rejects_inconsistent_table(tmp_path, edit):
-    # each edit leaves max_u, the interval keys and interval_tols inconsistent,
-    # or removes or mistypes an entry
+    # each edit leaves max_u and the interval keys inconsistent, or removes
+    # or mistypes an entry
     with pytest.raises(ValueError):
         dickman.load_table(_edited_table_file(tmp_path, edit))
 
 
-def _nan_tol(doc):
-    doc["tol"] = math.nan
+@pytest.mark.parametrize("edit", [
+    lambda doc: None,
+    lambda doc: doc.update(interval_tols=doc["interval_tols"][:3]),
+    lambda doc: doc.pop("tol"),
+    lambda doc: doc.update(tol=math.nan),
+    lambda doc: doc.update(tol=math.inf),
+    lambda doc: doc.update(interval_tols=doc["interval_tols"][:-1] + [-1e-13]),
+    lambda doc: doc.update(tol=0.0, interval_tols=[0.0] * len(doc["interval_tols"])),
+], ids=["as-saved", "cut-interval-tols", "drop-tol", "nan-tol", "infinite-tol",
+        "negative-interval-tol", "zero-tols"])
+def test_load_ignores_stored_tolerances(tmp_path, edit):
+    # a file as save_table wrote it while tolerances were stored, edited:
+    # the loaded table derives tol and interval_tols from its pieces, so
+    # whatever the file says of them, they are those of the saved table
+    table = dickman.build_rho_table(10.0, 1e-12)
 
+    def stored_then_edited(doc):
+        doc.update(tol=table.tol, interval_tols=list(table.interval_tols))
+        edit(doc)
 
-def _infinite_tol(doc):
-    doc["tol"] = math.inf
-
-
-def _negative_interval_tol(doc):
-    doc["interval_tols"][-1] = -1e-13
-
-
-@pytest.mark.parametrize("edit, field", [(_nan_tol, "tol"), (_infinite_tol, "tol"),
-                                         (_negative_interval_tol, r"interval_tols\[9\]")])
-def test_load_rejects_a_tolerance_that_is_not_finite_and_non_negative(tmp_path, edit, field):
-    # unchecked, a NaN tol loaded and `rho --table` printed "table_tol": NaN
-    with pytest.raises(ValueError, match=f"table file {field} must be finite and >= 0"):
-        dickman.load_table(_edited_table_file(tmp_path, edit))
+    back = dickman.load_table(_edited_table_file(tmp_path, stored_then_edited))
+    assert back.tol == table.tol
+    assert back.interval_tols == table.interval_tols

@@ -110,7 +110,7 @@ def test_quadrature_matches_exact_relatively(table60, ell):
     # the weight u^ell reads rho far out, where it lies far below the
     # table's absolute certificate: the pieces must be right in relative terms
     qu = moments.y_quadrature(ell, table60, 1e-9).float_value
-    assert qu == pytest.approx(moments.y_exact(ell).float_value, rel=1e-13, abs=0.0)
+    assert qu == pytest.approx(moments.y_exact(ell).float_value, rel=1e-14, abs=0.0)
 
 
 def test_quadrature_tail_guard(table12):
