@@ -370,7 +370,8 @@ def save_table(table: DickmanTable, path: str) -> None:
 
 def load_table(path: str) -> DickmanTable:
     """Table written by save_table.  A file with a missing, mistyped or
-    inconsistent entry raises ValueError.  The table certifies itself from
+    inconsistent entry, or a degree above the builder's 40, raises
+    ValueError.  The table certifies itself from
     its pieces, so a "tol" or "interval_tols" entry, as files written before
     they were derived carry, is ignored."""
     with open(path, "r", encoding="utf-8") as f:
@@ -385,6 +386,8 @@ def load_table(path: str) -> DickmanTable:
         if len(doc["intervals"]) != n:
             raise ValueError(f"table file needs {n} intervals for max_u={max_u}")
         degree = int(doc["degree"])
+        if not 0 <= degree <= _MAX_DEGREE:  # the certificate's cost grows as degree^2
+            raise ValueError(f"table file degree must lie in 0..{_MAX_DEGREE}, got {degree}")
         intervals = [None] * n
         for item in doc["intervals"]:
             k = item["k"]

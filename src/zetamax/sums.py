@@ -56,8 +56,9 @@ EM_BERNOULLI_TERMS = 12
 PHASE_EXTENDED_THRESHOLD = 1e8
 
 
-def two_sum(a: float, b: float) -> tuple[float, float]:
-    """Error-free transformation: a + b = s + e exactly."""
+def two_sum(a, b):
+    """Error-free transformation: a + b = s + e exactly, for floats, and
+    part by part for complex numbers and numpy arrays."""
     s = a + b
     bp = s - a
     e = (a - (s - bp)) + (b - bp)

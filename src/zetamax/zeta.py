@@ -1,9 +1,13 @@
 """Truncated Dirichlet-series evaluation of zeta derivatives on and right of
 the 1-line, an independent Euler-Maclaurin reference, and window scans.
 
-The pointwise evaluator and the scan share the coefficients (log n)^ell
-n^(-sigma) and the phase kernel `sums.phases`; the scan keeps the modulus at
-every grid point, and its CSV stream is written from that same array.
+The pointwise evaluator and the scan sum through one kernel,
+`_truncated_rows`: tiles of about CHUNK terms (a block of n against a block
+of rows of t) on the shared block pool, each row's tile sums added in block
+order with compensation.  So a grid modulus is the modulus of the pointwise
+value at that t, bit for bit, and memory is a few tiles whatever N.  The
+scan keeps the modulus at every grid point, and its CSV stream is written
+from that same array.
 
 Sign convention: both evaluators return the signed quantity
 
@@ -39,14 +43,13 @@ from .constants import LEMMA_WINDOW_FACTOR
 from .errors import PrecisionUnreachableError, ResourceLimitError
 from . import sums
 from .sums import (EM_BERNOULLI_TERMS, TWO_PI_LD, chunks, compensated_sum, em_tail, ordered_map,
-                   spans, unit_powers)
+                   spans, two_sum, unit_powers)
 
 _SCAN_BUDGET = 2 * 10**9  # grid_size * N term evaluations
 # scan_max keeps one float64 modulus per grid point (80 MB at this size)
 _MAX_SCAN_GRID = 10**7
-# ns, the coefficients and each of the two row blocks in flight are O(N)
-# arrays: a scan at this N and t = 1e7 (longdouble phases) peaks at 930 MB RSS
-_MAX_SCAN_N = 10**7
+# terms of one truncated sum: the package's budget (dirichlet._MAX_N)
+_MAX_N = 10**8
 
 _MIN_SIGMA = 0.6
 
@@ -94,7 +97,7 @@ def truncation_error_estimate(ell: int, sigma: float, N: int) -> float:
 
 
 def _coefficients(ns: np.ndarray, ell: int, sigma: float) -> np.ndarray:
-    """(log n)^ell n^(-sigma), shared by the pointwise evaluator and the scan."""
+    """(log n)^ell n^(-sigma) over one block of terms."""
     # in place, in the order of logs**ell * exp(-sigma logs)
     logs = ns.astype(np.float64)
     np.log(logs, out=logs)
@@ -106,8 +109,9 @@ def _coefficients(ns: np.ndarray, ell: int, sigma: float) -> np.ndarray:
 
 
 def check_truncated_args(ell: int, sigma: float, t: float, N: int) -> None:
-    """ValueError unless `zeta_derivative_truncated` accepts (ell, sigma, t, N);
-    no work, so a caller can check before starting other work."""
+    """ValueError unless `zeta_derivative_truncated` accepts (ell, sigma, t, N),
+    and ResourceLimitError for N above 1e8 terms; no work, so a caller can
+    check before starting other work."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
     if not _MIN_SIGMA <= sigma < math.inf:
@@ -118,28 +122,53 @@ def check_truncated_args(ell: int, sigma: float, t: float, N: int) -> None:
         raise ValueError(f"N must be an integer >= 2, got {N!r}")
     if sigma == 1.0 and t == 0.0:
         raise ValueError("(sigma, t) = (1, 0) is the pole")
+    if N > _MAX_N:
+        raise ResourceLimitError(f"N = {N} exceeds {_MAX_N} terms")
+
+
+def _truncated_rows(ell: int, sigma: float, ts: np.ndarray, N: int):
+    """(first_row, values) for consecutive blocks of rows of ts: values[i] is
+    sum_{n <= N} (log n)^ell / n^(sigma + i t) at t = ts[first_row + i].
+
+    A tile is one `spans(2, N)` block of terms against ceil(CHUNK / min(N - 1,
+    CHUNK)) rows, so it holds about CHUNK terms; the tiles run rows first on
+    one `ordered_map` stream.  Each row adds its tile sums in block order to
+    the n = 1 term by `sums.two_sum`, the steps of `NeumaierSum.add` on each
+    part, so a t gets the same bits alone or on a grid.  A tile copies its
+    rows when drawn, and a block is yielded after all its tiles are drawn,
+    so the caller may overwrite those rows of ts.
+    """
+    def tile_sums(tile):
+        rows, ns = tile
+        vals = unit_powers(ns, rows)
+        vals *= _coefficients(ns, ell, sigma)
+        return vals.sum(axis=1)
+
+    height = -(-sums.CHUNK // min(N - 1, sums.CHUNK))
+    tiles = ((ts[lo:hi, None].copy(), ns)
+             for lo, hi in spans(0, ts.size - 1, height) for ns in chunks(2, N))
+    results = ordered_map(tile_sums, tiles, lambda tile: tile[0].size * tile[1].size)
+    blocks = -(-(N - 1) // sums.CHUNK)
+    for lo, hi in spans(0, ts.size - 1, height):
+        total, err = np.full(hi - lo, 1.0 if ell == 0 else 0.0, dtype=complex), 0.0
+        for _ in range(blocks):
+            total, e = two_sum(total, next(results))
+            err += e
+        yield lo, total + err
 
 
 def zeta_derivative_truncated(ell: int, sigma: float, t: float, N: int) -> EvalResult:
-    """sum_{n <= N} (log n)^ell / n^(sigma + i t), compensated and chunked.
+    """sum_{n <= N} (log n)^ell / n^(sigma + i t), compensated and chunked:
+    `_truncated_rows` on the one row t, as `scan_max` sums each grid point.
+    N above 1e8 raises ResourceLimitError before any work.
 
     The attached error_estimate (ell!/eps^ell) N^(-sigma+eps) is meaningful
     inside the window t in [N, 6.28 N]; outside it the sum is exploratory.
     """
     check_truncated_args(ell, sigma, t, N)
-
-    def block_sum(ns):
-        coeff = _coefficients(ns, ell, sigma)
-        if t == 0.0:
-            return np.sum(coeff)
-        vals = unit_powers(ns, t)
-        vals *= coeff
-        return np.sum(vals)
-
-    n1_term = 1.0 if ell == 0 else 0.0
-    value = compensated_sum(ordered_map(block_sum, chunks(2, N)), n1_term)
+    (_, values), = _truncated_rows(ell, sigma, np.array([float(t)]), N)
     return EvalResult(
-        value=value, sigma=float(sigma), t=float(t), ell=int(ell),
+        value=complex(values[0]), sigma=float(sigma), t=float(t), ell=int(ell),
         truncation=int(N), error_estimate=truncation_error_estimate(ell, sigma, N),
     )
 
@@ -303,13 +332,17 @@ def scan_max(
     step: float,
     N: int,
 ) -> ScanResult:
-    """Grid argmax of |truncated value| over t = t_lo, t_lo+step, ..;
-    deterministic tie-break toward the smallest t.  `moduli` holds the
-    modulus at every grid point, in grid order.
+    """Grid argmax of |truncated value| at sigma = 1 over t = t_lo,
+    t_lo+step, ..; deterministic tie-break toward the smallest t.  `moduli`
+    holds the modulus at every grid point, in grid order: np.abs of
+    `zeta_derivative_truncated` at that t, bit for bit, since both sum
+    through `_truncated_rows`.
 
     Work is grid_size * N term evaluations; more than 2e9 of them, a grid of
-    more than 1e7 points, or N above 1e7 raises ResourceLimitError before
-    any work is done or memory allocated.
+    more than 1e7 points, or N above 1e8 raises ResourceLimitError before
+    any work is done or memory allocated.  Memory is `moduli` (which holds
+    the grid's t until its rows are summed) and a few tiles of about CHUNK
+    terms, whatever N.
     """
     if not all(map(math.isfinite, (t_lo, t_hi, step))):
         raise ValueError(f"t_lo, t_hi and step must be finite, got {t_lo}, {t_hi}, {step}")
@@ -317,40 +350,24 @@ def scan_max(
         raise ValueError(f"need 0 < t_lo <= t_hi, got [{t_lo}, {t_hi}]")
     if not step > 0:
         raise ValueError("step must be positive")
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    if N < 2:
-        raise ValueError("N must be >= 2")
+    check_truncated_args(ell, 1.0, t_lo, N)
 
     span = (t_hi - t_lo) / step  # inf when it overflows, hence the min
     grid_size = int(math.floor(min(span, _MAX_SCAN_GRID) + 1e-9)) + 1
     if grid_size > _MAX_SCAN_GRID:
         raise ResourceLimitError(f"grid of {span:.6g} steps exceeds {_MAX_SCAN_GRID} points")
-    if N > _MAX_SCAN_N:
-        raise ResourceLimitError(f"N = {N} exceeds {_MAX_SCAN_N} terms")
     if grid_size * N > _SCAN_BUDGET:
         raise ResourceLimitError(
             f"grid_size*N = {grid_size}*{N} exceeds budget {_SCAN_BUDGET}"
         )
 
-    ns = np.arange(2, N + 1, dtype=np.int64)
-    coeff = _coefficients(ns, ell, 1.0)
-    base = 1.0 if ell == 0 else 0.0  # n = 1 term
-
-    def row_moduli(ts):
-        # in place, so each of the two row blocks in flight holds at most the
-        # phases and one complex array
-        vals = unit_powers(ns, ts[:, None])
-        vals *= coeff
-        return np.abs(vals.sum(axis=1) + base)
-
-    # CHUNK // ns.size + 1 rows make more than CHUNK terms: a full block
-    rows = spans(0, grid_size - 1, sums.CHUNK // ns.size + 1)
-    row_blocks = (t_lo + step * np.arange(lo, hi) for lo, hi in rows)
-    moduli, filled = np.empty(grid_size), 0
-    for block in ordered_map(row_moduli, row_blocks, lambda ts: ts.size * ns.size):
-        moduli[filled : filled + block.size] = block
-        filled += block.size
+    # the grid's t, with the bits of t_lo + step * np.arange(grid_size); each
+    # block of rows takes its moduli once summed
+    moduli = np.arange(grid_size, dtype=np.float64)
+    moduli *= step
+    moduli += t_lo
+    for lo, values in _truncated_rows(ell, 1.0, moduli, N):
+        moduli[lo : lo + values.size] = np.abs(values)
     i = int(np.argmax(moduli))  # first occurrence = smallest t
     return ScanResult(
         t_star=float(t_lo + step * i), value_modulus=float(moduli[i]), grid_size=grid_size,

@@ -140,8 +140,12 @@ def test_inconsistent_table_file_exits_2(tmp_path):
     def piece_beyond_degree(doc):
         doc["intervals"][3]["coeffs"].append(0.0)
 
+    # a degree the builder never reaches: its certificate would cost degree^2
+    def degree_beyond_builder(doc):
+        doc["degree"] = 41
+
     for edit in (renumber_last_interval, drop_coeffs, empty_piece, nested_piece,
-                 nan_in_piece, piece_beyond_degree):
+                 nan_in_piece, piece_beyond_degree, degree_beyond_builder):
         doc = json.loads(saved.read_text())
         edit(doc)
         path = tmp_path / f"{edit.__name__}.json"
@@ -174,11 +178,12 @@ def test_forged_table_file_prints_a_certificate_that_covers_its_error(tmp_path):
     ("twisted-sum", "--x", "1e10", "--y", "2e9", "--twist", "trivial"),
     # the rounding floor at the first cutoff M = 2e7 + 1 exceeds --ref-tol
     ("zeta-eval", "--ell", "3", "--sigma", "1", "--t", "1e7", "--N", "100", "--reference"),
-    # one grid point times N = 2e9 is within the grid*N budget, but ns and
-    # the coefficients would take 16 GB each
+    # one grid point times N = 2e9 is within the grid*N budget, but N is
+    # beyond the term budget of one truncated sum (1e8)
     ("zeta-scan", "--ell", "1", "--t-lo", "1e4", "--t-hi", "1e4", "--step", "1",
      "--N", "2000000000"),
-], ids=["zeta-scan", "psi", "twisted-sum", "zeta-eval-reference", "zeta-scan-N"])
+    ("zeta-eval", "--ell", "1", "--sigma", "1", "--t", "1e4", "--N", "2000000000"),
+], ids=["zeta-scan", "psi", "twisted-sum", "zeta-eval-reference", "zeta-scan-N", "zeta-eval-N"])
 def test_resource_limit_exits_3(argv):
     # under a 4 GiB address-space cap, a request that slips past its budget
     # fails its first large allocation at once (MemoryError, exit 1) instead

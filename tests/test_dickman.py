@@ -551,6 +551,19 @@ def test_load_rejects_inconsistent_table(tmp_path, edit):
         dickman.load_table(_edited_table_file(tmp_path, edit))
 
 
+@pytest.mark.parametrize("degree", [41, 1600])
+def test_load_rejects_a_degree_beyond_the_builder(tmp_path, degree):
+    # the certificate of a piece costs about degree^2: at 1600 a 60-interval
+    # file took 1.7 s to load; the builder never goes past 40
+    def pad(doc):
+        doc["degree"] = degree
+        for item in doc["intervals"]:
+            item["coeffs"] += [0.0] * (degree + 1 - len(item["coeffs"]))
+
+    with pytest.raises(ValueError, match=f"degree must lie in 0..40, got {degree}"):
+        dickman.load_table(_edited_table_file(tmp_path, pad))
+
+
 @pytest.mark.parametrize("edit", [
     lambda doc: None,
     lambda doc: doc.update(interval_tols=doc["interval_tols"][:3]),

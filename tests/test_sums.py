@@ -34,21 +34,23 @@ def test_spans_read_the_block_length_when_drawn(monkeypatch):
     assert [ns.tolist() for ns in blocks] == [[1, 2, 3, 4], [5, 6]]
 
 
-def _scan_and_csv_bytes():
-    scan = zeta.scan_max(1, 1e3, 1e3 + 0.25 * 40, 0.25, 300)
+def _csv_bytes(scan):
     scan_csv, lmax_csv = io.StringIO(), io.StringIO()
     zeta.scan_result_to_csv(scan, scan_csv)
     dirichlet.moduli_to_csv(dirichlet.max_over_characters(1, 1019, 5000), lmax_csv)
-    return scan.moduli.tobytes(), scan_csv.getvalue(), lmax_csv.getvalue()
+    return scan_csv.getvalue(), lmax_csv.getvalue()
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1000, 2**17])
-def test_scan_and_csv_bytes_do_not_depend_on_the_block_length(monkeypatch, chunk):
-    # 41 scan rows of 299 terms: one row per block below CHUNK = 299, four
-    # at 1000, all of them in one block at 2^17
-    want = _scan_and_csv_bytes()
+def test_csv_bytes_do_not_depend_on_the_block_length(monkeypatch, chunk):
+    # the scan CSV is written from one scan's 41 moduli in blocks of rows:
+    # one row per block at CHUNK = 1, all of them in one block at 2^17.
+    # The moduli themselves are summed in the pointwise evaluator's blocks
+    # (tests/test_zeta.py::test_scan_rows_equal_pointwise_at_any_block_length)
+    scan = zeta.scan_max(1, 1e3, 1e3 + 0.25 * 40, 0.25, 300)
+    want = _csv_bytes(scan)
     monkeypatch.setattr(sums, "CHUNK", chunk)
-    assert _scan_and_csv_bytes() == want
+    assert _csv_bytes(scan) == want
 
 
 def _blocks(sizes):
