@@ -60,10 +60,9 @@ import numpy as np
 from .errors import PrincipalCharacterError, ResourceLimitError
 from .primes import is_prime, prime_factors
 from . import sums
-from .sums import chunks, cis, compensated_sum, ordered_map, spans
+from .sums import MAX_TERMS, chunks, cis, compensated_sum, ordered_map, spans
 
 _MAX_Q = 10**7
-_MAX_N = 10**8
 _QUOTIENT_MAX_Q = 10**5
 _PERIOD_TABLE_MAX_Q = 1 << 20  # largest q given a period table: 16 MB of complex128
 
@@ -258,8 +257,8 @@ def check_sum_args(ell: int, N: int) -> None:
         raise ValueError("ell must be >= 0")
     if N < 2:
         raise ValueError("N must be >= 2")
-    if N > _MAX_N:
-        raise ResourceLimitError(f"N={N} exceeds budget {_MAX_N}")
+    if N > MAX_TERMS:
+        raise ResourceLimitError(f"N={N} exceeds budget {MAX_TERMS}")
     if ell > math.log(N):
         raise ValueError(f"need ell <= log N, got ell={ell}, log N={math.log(N):.3f}")
 

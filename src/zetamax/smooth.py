@@ -43,11 +43,10 @@ from .dirichlet import CharacterTable
 from .errors import ResourceLimitError, float_result
 from .primes import sieve_primes
 from . import sums
-from .sums import chunks, compensated_sum, ordered_map, spans, unit_powers
+from .sums import MAX_TERMS, chunks, compensated_sum, ordered_map, spans, unit_powers
 
 _SIEVE_LIMIT = 10**8
 _SIEVE_SEGMENT = 1 << 18  # int32 entries: 1 MB, an L2-sized segment
-_FULL_SUM_LIMIT = 10**8
 _ENUM_PRIME_BOUND = 20  # the enumeration engages when pi(y) <= 20
 _ENUM_Y_CAP = 73  # the 21st prime: pi(min(y, 73)) <= 20 exactly when pi(y) <= 20
 _ENUM_NODE_BUDGET = 10**7
@@ -386,8 +385,8 @@ def full_twisted_sum(x: float, twist: TwistSpec) -> complex:
             np.cumsum(prefix, out=prefix)
             carry = prefix[-1]
         return 0j + complex(carry)  # 0j + makes a -0.0 part +0.0
-    if xi > _FULL_SUM_LIMIT:
-        raise ResourceLimitError(f"x={x} exceeds full-sum budget {_FULL_SUM_LIMIT}")
+    if xi > MAX_TERMS:
+        raise ResourceLimitError(f"x={x} exceeds full-sum budget {MAX_TERMS}")
     return _twisted_block_sum(chunks(1, xi), twist)
 
 

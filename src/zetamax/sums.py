@@ -6,13 +6,15 @@ L^(ell)(1, chi), Psi(x, y; f)).
 and every block walk of the package goes through it: the sums, the sieve
 segments, the scan's row blocks and the CSV writers.  `chunks` hands its
 blocks over as int64 arrays; the caller turns each block into an array of
-terms and sums it, and `compensated_sum` combines the block sums.  At that
+terms and sums it, and `compensated_sum` combines the block sums (numbers,
+or arrays of them with one entry per row of a scan).  At that
 size a complex128 temporary of a block takes 1 MB, and so does a
 clongdouble one of the Euler-Maclaurin main term, whose blocks hold
 CHUNK / 2 integers, so a sum holds a few MB however long it is; at 2^20
-each took 16-32 MB.  Long sums of unit-modulus complex terms (up to 1e8
-of them) lose digits under naive accumulation; the Neumaier variant of
-the two-sum error-free transformation keeps the running error O(1) ulp.
+each took 16-32 MB.  Long sums of unit-modulus complex terms (up to
+MAX_TERMS = 1e8 of them, the package's budget) lose digits under naive
+accumulation; the Neumaier variant of the two-sum error-free
+transformation keeps the running error O(1) ulp.
 
 `ordered_map` evaluates the blocks of a long sum two at a time on a shared
 two-worker thread pool (numpy releases the GIL inside its loops) and hands
@@ -33,7 +35,6 @@ their Bernoulli corrections from it.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import threading
@@ -43,6 +44,10 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 CHUNK = 1 << 16
+
+# terms of one sum: the budget of the truncated zeta^(ell) and L^(ell) sums
+# and of the full twisted sum
+MAX_TERMS = 10**8
 
 # 2*pi to longdouble precision; reducing phases mod the float64 constant
 # would leak (wrap count) * 2.4e-16 of phase error.
@@ -66,15 +71,16 @@ def two_sum(a, b):
 
 
 class NeumaierSum:
-    """Running compensated sum of floats."""
+    """Running compensated sum of floats, complex numbers or numpy arrays of
+    them, part by part and entry by entry."""
 
     __slots__ = ("_s", "_c")
 
-    def __init__(self, value: float = 0.0):
-        self._s = float(value)
+    def __init__(self, value=0.0):
+        self._s = value
         self._c = 0.0
 
-    def add(self, x: float) -> None:
+    def add(self, x) -> None:
         s, e = two_sum(self._s, x)
         self._s = s
         self._c += e
@@ -99,14 +105,16 @@ def chunks(first: int, last: int, length: int | None = None) -> Iterator[np.ndar
         yield np.arange(lo, hi, dtype=np.int64)
 
 
-def compensated_sum(block_sums: Iterable, start: complex = 0j) -> complex:
-    """start + every value in `block_sums` (each the numpy sum of one block),
-    combined in order with compensation."""
-    re, im = NeumaierSum(), NeumaierSum()
-    for z in itertools.chain([start], map(complex, block_sums)):
-        re.add(z.real)
-        im.add(z.imag)
-    return complex(re.value, im.value)
+def compensated_sum(block_sums: Iterable, start=0j):
+    """start + every value in `block_sums`, combined in order with
+    compensation.  The values are numbers (each the numpy sum of one block,
+    taken as a complex) or complex128 arrays (an entry per row, with
+    `start` an array too): the steps are the same part by part, so an entry
+    of an array gets the bits it would get alone."""
+    total = NeumaierSum(start)
+    for z in block_sums:
+        total.add(z if isinstance(z, np.ndarray) else complex(z))
+    return total.value
 
 
 _pool: list = [None]  # the shared two-worker executor, made when a sum first needs it

@@ -3,9 +3,11 @@ the 1-line, an independent Euler-Maclaurin reference, and window scans.
 
 The pointwise evaluator and the scan sum through one kernel,
 `_truncated_rows`: tiles of about CHUNK terms (a block of n against a block
-of rows of t) on the shared block pool, each row's tile sums added in block
-order with compensation.  So a grid modulus is the modulus of the pointwise
-value at that t, bit for bit, and memory is a few tiles whatever N.  The
+of rows of t) on the shared block pool, each block of n's coefficients
+formed once for its tiles, and each row's block sums added in block order
+by `sums.compensated_sum`.  So a grid modulus is the modulus of the
+pointwise value at that t, bit for bit, and memory is a few tiles and the
+block sums of CHUNK rows (about 1 MB) whatever N.  The
 scan keeps the modulus at every grid point, and its CSV stream is written
 from that same array.
 
@@ -42,14 +44,12 @@ import numpy as np
 from .constants import LEMMA_WINDOW_FACTOR
 from .errors import PrecisionUnreachableError, ResourceLimitError
 from . import sums
-from .sums import (EM_BERNOULLI_TERMS, TWO_PI_LD, chunks, compensated_sum, em_tail, ordered_map,
-                   spans, two_sum, unit_powers)
+from .sums import (EM_BERNOULLI_TERMS, MAX_TERMS, TWO_PI_LD, chunks, compensated_sum, em_tail,
+                   ordered_map, spans, unit_powers)
 
 _SCAN_BUDGET = 2 * 10**9  # grid_size * N term evaluations
 # scan_max keeps one float64 modulus per grid point (80 MB at this size)
 _MAX_SCAN_GRID = 10**7
-# terms of one truncated sum: the package's budget (dirichlet._MAX_N)
-_MAX_N = 10**8
 
 _MIN_SIGMA = 0.6
 
@@ -122,39 +122,49 @@ def check_truncated_args(ell: int, sigma: float, t: float, N: int) -> None:
         raise ValueError(f"N must be an integer >= 2, got {N!r}")
     if sigma == 1.0 and t == 0.0:
         raise ValueError("(sigma, t) = (1, 0) is the pole")
-    if N > _MAX_N:
-        raise ResourceLimitError(f"N = {N} exceeds {_MAX_N} terms")
+    if N > MAX_TERMS:
+        raise ResourceLimitError(f"N = {N} exceeds {MAX_TERMS} terms")
 
 
 def _truncated_rows(ell: int, sigma: float, ts: np.ndarray, N: int):
-    """(first_row, values) for consecutive blocks of rows of ts: values[i] is
-    sum_{n <= N} (log n)^ell / n^(sigma + i t) at t = ts[first_row + i].
+    """(first_row, values) for consecutive blocks of CHUNK rows of ts:
+    values[i] is sum_{n <= N} (log n)^ell / n^(sigma + i t) at t = ts[first_row + i].
 
-    A tile is one `spans(2, N)` block of terms against ceil(CHUNK / min(N - 1,
-    CHUNK)) rows, so it holds about CHUNK terms; the tiles run rows first on
-    one `ordered_map` stream.  Each row adds its tile sums in block order to
-    the n = 1 term by `sums.two_sum`, the steps of `NeumaierSum.add` on each
-    part, so a t gets the same bits alone or on a grid.  A tile copies its
-    rows when drawn, and a block is yielded after all its tiles are drawn,
-    so the caller may overwrite those rows of ts.
+    A tile is one `spans(2, N)` block of terms against ceil(CHUNK / min(N -
+    1, CHUNK)) rows, so it holds about CHUNK terms.  Each block of rows
+    walks the blocks of terms in order and forms a block's coefficients
+    once for all its tiles; the tiles run on one `ordered_map` stream.  A
+    row adds its block sums in block order to the n = 1 term by
+    `sums.compensated_sum` on arrays, so a t gets the same bits alone or on
+    a grid.  A tile copies its rows when drawn, and a block of rows is
+    yielded after all its tiles are drawn, so the caller may overwrite
+    those rows of ts.
     """
+    height = -(-sums.CHUNK // min(N - 1, sums.CHUNK))
+
     def tile_sums(tile):
-        rows, ns = tile
+        rows, ns, coeff = tile
         vals = unit_powers(ns, rows)
-        vals *= _coefficients(ns, ell, sigma)
+        vals *= _coefficients(ns, ell, sigma) if coeff is None else coeff
         return vals.sum(axis=1)
 
-    height = -(-sums.CHUNK // min(N - 1, sums.CHUNK))
-    tiles = ((ts[lo:hi, None].copy(), ns)
-             for lo, hi in spans(0, ts.size - 1, height) for ns in chunks(2, N))
-    results = ordered_map(tile_sums, tiles, lambda tile: tile[0].size * tile[1].size)
-    blocks = -(-(N - 1) // sums.CHUNK)
-    for lo, hi in spans(0, ts.size - 1, height):
-        total, err = np.full(hi - lo, 1.0 if ell == 0 else 0.0, dtype=complex), 0.0
-        for _ in range(blocks):
-            total, e = two_sum(total, next(results))
-            err += e
-        yield lo, total + err
+    def tiles():
+        for lo, hi in spans(0, ts.size - 1):
+            for ns in chunks(2, N):
+                # formed once for the block's tiles; the one tile of a
+                # pointwise sum forms its own, on the pool
+                coeff = _coefficients(ns, ell, sigma) if hi - lo > height else None
+                for a, b in spans(lo, hi - 1, height):
+                    yield ts[a:b, None].copy(), ns, coeff
+
+    results = ordered_map(tile_sums, tiles(), lambda tile: tile[0].size * tile[1].size)
+    for lo, hi in spans(0, ts.size - 1):
+        block_sums = np.empty((-(-(N - 1) // sums.CHUNK), hi - lo), dtype=complex)
+        for block in block_sums:
+            for a, b in spans(0, hi - lo - 1, height):
+                block[a:b] = next(results)
+        start = np.full(hi - lo, 1.0 if ell == 0 else 0.0, dtype=complex)
+        yield lo, compensated_sum(block_sums, start)
 
 
 def zeta_derivative_truncated(ell: int, sigma: float, t: float, N: int) -> EvalResult:
@@ -341,8 +351,10 @@ def scan_max(
     Work is grid_size * N term evaluations; more than 2e9 of them, a grid of
     more than 1e7 points, or N above 1e8 raises ResourceLimitError before
     any work is done or memory allocated.  Memory is `moduli` (which holds
-    the grid's t until its rows are summed) and a few tiles of about CHUNK
-    terms, whatever N.
+    the grid's t until its rows are summed), a few tiles of about CHUNK
+    terms and the block sums of CHUNK rows, whatever N: at most about 1 MB,
+    since blocks of terms times rows is at most 2e9 / CHUNK + 2e9 / N when
+    N - 1 > CHUNK.
     """
     if not all(map(math.isfinite, (t_lo, t_hi, step))):
         raise ValueError(f"t_lo, t_hi and step must be finite, got {t_lo}, {t_hi}, {step}")

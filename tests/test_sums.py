@@ -53,6 +53,20 @@ def test_csv_bytes_do_not_depend_on_the_block_length(monkeypatch, chunk):
     assert _csv_bytes(scan) == want
 
 
+def test_an_array_entry_sums_as_it_would_alone():
+    # the scan adds its rows' block sums as arrays, the pointwise evaluator
+    # as numbers: each entry gets the same bits either way
+    rng = np.random.default_rng(5)
+    blocks = (rng.standard_normal((40, 6)) * 10.0 ** rng.integers(-8, 9, (40, 6))
+              + 1j * rng.standard_normal((40, 6)))
+    start = rng.standard_normal(6) + 0j
+    rows = sums.compensated_sum(iter(blocks), start)
+    assert rows.tolist() == [sums.compensated_sum(blocks[:, i], complex(start[i]))
+                             for i in range(6)]
+    cancel = [np.array([1e16 + 1e16j]), np.array([1.0 + 1.0j]), np.array([-1e16 - 1e16j])]
+    assert sums.compensated_sum(cancel, np.zeros(1, dtype=complex)).tolist() == [1 + 1j]
+
+
 def _blocks(sizes):
     return [np.arange(size) for size in sizes]
 

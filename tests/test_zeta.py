@@ -442,10 +442,15 @@ def test_scan_rows_equal_pointwise_at_any_block_length(parallel_blocks, monkeypa
     assert r.moduli.tolist() == want
 
 
-def test_scan_temporaries_are_a_few_tiles():
-    # two grid points of 2^20 terms with longdouble phases: a few tiles of
-    # CHUNK terms, where the N-length coefficient and row arrays of a scan
-    # that sums each row in one pass traced 40-60 MB
+@pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pooled"])
+def test_scan_temporaries_are_a_few_tiles(monkeypatch, cpus):
+    # two grid points of 2^20 terms with longdouble phases.  A tile of CHUNK
+    # terms takes 16 CHUNK bytes as complex128 and its phases a few times
+    # that (3.5 of them traced inline, 7-7.6 pooled); one tile is summed at
+    # a time inline, up to three on the pool (two in flight, one drawn).  A
+    # scan that summed each row in one pass over N-length coefficient and
+    # row arrays traced 40-60 MB
+    monkeypatch.setattr(sums, "_cpu_count", lambda: cpus)
     N = 16 * sums.CHUNK + 1
     tracemalloc.start()
     try:
@@ -453,7 +458,32 @@ def test_scan_temporaries_are_a_few_tiles():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (N - 1), peak
+    tiles = 1 if cpus == 1 else 3
+    assert peak <= 6 * tiles * 16 * sums.CHUNK, peak
+
+
+def _truncated_one_pass(ell, sigma, t, N):
+    """(the truncated sum, its magnitude sum) as one set of longdouble
+    arrays with every phase reduced mod 2 pi: a route apart from the tiled
+    kernel's blocks, phases and compensation."""
+    logs = np.log(np.arange(1, N + 1, dtype=np.longdouble))
+    mags = logs**ell * np.exp(-sigma * logs)
+    w = np.remainder(np.longdouble(t) * logs, sums.TWO_PI_LD)
+    return complex(np.sum(mags * np.cos(w)) - 1j * np.sum(mags * np.sin(w))), float(np.sum(mags))
+
+
+@pytest.mark.parametrize("ell, t, N", [(1, 3e5, 2 * 2**16 + 5), (0, 1e7, 3 * 2**16 + 1)])
+def test_scan_rows_and_pointwise_match_a_one_pass_sum(ell, t, N):
+    # several blocks of terms per row, so the block sums and their
+    # compensation are checked against a sum that has neither; the bound is
+    # float64 phases (2 eps t log N per term) plus the block sums' rounding
+    assert N > sums.CHUNK + 1
+    r = zeta.scan_max(ell, t, t + 1.0, 0.5, N)
+    for i, m in enumerate(r.moduli):
+        want, mass = _truncated_one_pass(ell, 1.0, t + 0.5 * i, N)
+        tol = mass * 2.2e-16 * (4 * t * math.log(N) + 64)
+        assert abs(zeta.zeta_derivative_truncated(ell, 1.0, t + 0.5 * i, N).value - want) <= tol
+        assert abs(m - abs(want)) <= tol, (i, m, abs(want), tol)
 
 
 @pytest.mark.parametrize("call", [
