@@ -9,9 +9,11 @@ form
     u * rho(u) = integral_{u-1}^{u} rho(t) dt,
 
 solved interval by interval on [k, k+1] over a Chebyshev interpolant.  The
-equation is linear in the interpolant's node values, so each interval is one
-linear solve (the inverse Vandermonde matrix sets it up), and a second solve
-against the Vandermonde matrix turns the node values into coefficients.
+equation is linear in the interpolant's node values, and its operator (the
+nodes, the Vandermonde matrix and the integration matrix its inverse sets
+up) is the same on every interval, so it is formed once per degree.  Each
+interval is then one linear solve for its node values, and a second solve
+against the Vandermonde matrix turns them into coefficients.
 Because rho has a derivative kink at u = 1 (and progressively weaker kinks
 at the larger integers), intervals are aligned to integer breakpoints so no
 interpolant spans a kink.
@@ -21,14 +23,16 @@ Clenshaw pass over the zero-padded coefficient stack, with one weight call,
 and combines the per-panel row sums by one fsum.
 
 Error certification: if e_k is the absolute error of interpolant k and r_k
-the residual of the integral identity on interval k, the identity gives
-||e_1|| <= ||e_0|| + ||r_1|| (Gronwall; e_0 = 0 for the exact piece 1 on
-[0, 1]) and ||e_k|| <= (||e_{k-1}|| + ||r_k||)/(k-1) for k >= 2, so errors
-are contracted rather than amplified.  A DickmanTable derives that chain
-from its own pieces when it is made, built or loaded: sup |r_k| is bounded
-by the absolute Chebyshev coefficients of r_k, formed exactly from the
-stored floats (each an integer over a power of two), and every link is
-rounded up to a float.
+the residual of the integral identity on interval k, the identity
+u e(u) = int_{u-1}^k e_{k-1} + int_k^u e_k + r_k(u), read at the u* in
+[k, k+1] where |e_k| peaks, gives u* ||e_k|| <= (k+1-u*) ||e_{k-1}|| +
+(u*-k) ||e_k|| + ||r_k||, so ||e_k|| <= (||e_{k-1}|| + ||r_k||)/k for every
+k >= 1 (e_0 is the first piece's distance from rho = 1, 0 for the exact
+piece): errors are contracted rather than amplified.  A DickmanTable
+derives that chain from its own pieces when it is made, built or loaded:
+sup |r_k| is bounded by the absolute Chebyshev coefficients of r_k, formed
+exactly from the stored floats (each an integer over a power of two), and
+every link is rounded up to a float.
 DickmanTable.tail_bound uses the rigorous consequence rho(u) <= rho(u-1)/u of
 the integral form: the table value at U certifies all of int_U^infty u^ell rho
 by a geometric series.
@@ -88,7 +92,7 @@ class DickmanTable:
         for k in range(1, len(self.intervals)):
             (p, q), (r, s) = (tols[-1].as_integer_ratio(),
                               _residual_bound(k, *self.intervals[k - 1:k + 1]).as_integer_ratio())
-            tols.append(_round_up(p * s + r * q, q * s * max(k - 1, 1)))
+            tols.append(_round_up(p * s + r * q, q * s * k))
         object.__setattr__(self, "interval_tols", tuple(tols))
         object.__setattr__(self, "tol", max(*tols, 1e-16))
 
@@ -142,33 +146,6 @@ class DickmanTable:
         vals = C.chebval(2.0 * (us - k) - 1.0, self.coeff_stack[:, k], tensor=False) * weight(us)
         vals *= _GL_WEIGHTS
         return math.fsum(half * vals.sum(axis=1))
-
-
-def _interval_antiderivative(coeffs: np.ndarray) -> np.ndarray:
-    # d/dx -> d/du scaling: unit interval has half-width 1/2.
-    return C.chebint(coeffs, m=1, scl=0.5)
-
-
-def _build_interval(k: int, prev_coeffs: np.ndarray, degree: int) -> np.ndarray:
-    """Solve u*rho(u) = A(u) + int_k^u rho on [k, k+1]; return the coefficients.
-
-    A(u) = int_{u-1}^{k} rho_{k-1}; the point u-1 has the same local
-    coordinate in interval k-1 as u has in interval k, so A evaluates from
-    the previous antiderivative at the node coordinates directly.
-    """
-    m = degree + 1
-    xs = np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m))  # first-kind nodes
-    xs = np.sort(xs)
-    us = (k + 0.5) + 0.5 * xs
-
-    phi_prev = _interval_antiderivative(prev_coeffs)
-    a_vals = C.chebval(1.0, phi_prev) - C.chebval(xs, phi_prev)
-
-    # K maps node values to int_k^{u_i} of their interpolant
-    vander = C.chebvander(xs, degree)
-    K = C.chebvander(xs, m) - C.chebvander(-1.0, m)
-    K = K @ _interval_antiderivative(np.linalg.inv(vander))
-    return np.linalg.solve(vander, np.linalg.solve(np.diag(us) - K, a_vals))
 
 
 def _as_integers(pieces, n: int, factor: int = 1) -> tuple[list, int]:
@@ -234,9 +211,23 @@ def build_rho_table(max_u: float, tol: float) -> DickmanTable:
         raise ValueError(f"tol below the certifiable floor 1e-14: {tol}")
 
     for degree in range(DEFAULT_DEGREE, _MAX_DEGREE + 1, 8):
+        m = degree + 1
+        xs = np.sort(np.cos(np.pi * (2 * np.arange(m) + 1) / (2 * m)))  # first-kind nodes
+        vander = C.chebvander(xs, degree)
+        # K maps node values to int_k^{u_i} of their interpolant; scl = 1/2
+        # turns d/dx into d/du on a unit interval
+        K = C.chebvander(xs, m) - C.chebvander(-1.0, m)
+        K = K @ C.chebint(np.linalg.inv(vander), scl=0.5)
         intervals = [np.array([1.0])]  # rho = 1 on [0, 1]
         for k in range(1, math.ceil(max_u)):
-            intervals.append(_build_interval(k, intervals[k - 1], degree))
+            # u rho(u) = A(u) + int_k^u rho at the nodes u = k + 1/2 + x/2, with
+            # A(u) = int_{u-1}^k rho_{k-1}: u - 1 has the same local coordinate
+            # in interval k - 1 as u has in interval k, so A evaluates from the
+            # previous antiderivative at the node coordinates directly
+            prev = C.chebint(intervals[-1], scl=0.5)
+            a_vals = C.chebval(1.0, prev) - C.chebval(xs, prev)
+            node_vals = np.linalg.solve(np.diag(k + 0.5 + 0.5 * xs) - K, a_vals)
+            intervals.append(np.linalg.solve(vander, node_vals))
         table = DickmanTable(float(max_u), degree, tuple(intervals))
         if table.tol <= tol:
             return table

@@ -492,23 +492,23 @@ def resonance_quotient(ell: int, q: int, spec) -> ResonanceQuotient:
     orthogonality closed form (main term over the support mass) and a
     certified scale for the difference are returned alongside.  Because a
     weighted average cannot exceed the maximum, v2_over_v1 is a lower bound
-    for max_chi |L^(ell)(1, chi; N)|.
+    for max_chi |L^(ell)(1, chi; N)|.  (ell, N) is checked by
+    `check_sum_args`, as for every truncated L sum, before the table is built.
     """
     from .resonator import ResonatorSpec, divisors_up_to
 
     if not isinstance(spec, ResonatorSpec):
         raise ValueError(f"spec must be a ResonatorSpec, got {type(spec).__name__}")
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
     q = int(q)
     if q > _QUOTIENT_MAX_Q:
         raise ResourceLimitError(
             f"q={q} beyond exact character-sum budget {_QUOTIENT_MAX_Q}")
     if spec.y >= q:
         raise ValueError(f"spec with y={spec.y} >= q={q} is incompatible")
-    table = shared_character_table(q)
     A = q ** 0.25
     N = math.ceil(q ** 0.75)
+    check_sum_args(ell, N)
+    table = shared_character_table(q)
 
     support = divisors_up_to(spec, A)  # all < q, all coprime to q
     S = len(support)

@@ -159,14 +159,19 @@ def _divisors(spec: ResonatorSpec, bound: float = math.inf) -> Iterator[tuple]:
 
 def ratio_direct(spec: ResonatorSpec, ell: int) -> float:
     """Resonance ratio by full enumeration of the divisor set, summed as it
-    is enumerated."""
+    is enumerated.  Each term wt (log k)^ell / k is formed as wt (log k
+    e^(-log k / ell))^ell, whose power is the term over wt: no power
+    overflows unless a term does, and a ratio beyond float64 range raises
+    PrecisionUnreachableError."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
     if spec.w * math.log(spec.b) > math.log(_DIRECT_BUDGET):
         raise ResourceLimitError(
             f"b^w = {spec.b}^{spec.w} exceeds direct enumeration budget {_DIRECT_BUDGET}"
         )
-    return math.fsum(wt * lk**ell * math.exp(-lk) for _, lk, wt in _divisors(spec))
+    return float_result(f"the direct resonance ratio at ell={ell}", lambda: math.fsum(
+        wt * (lk * math.exp(-lk / ell)) ** ell if ell else wt * math.exp(-lk)
+        for _, lk, wt in _divisors(spec)))
 
 
 def divisors_up_to(spec: ResonatorSpec, bound: float) -> list[int]:

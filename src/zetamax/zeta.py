@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import LEMMA_WINDOW_FACTOR
-from .errors import PrecisionUnreachableError, ResourceLimitError
+from .errors import PrecisionUnreachableError, ResourceLimitError, float_result
 from . import sums
 from .sums import (EM_BERNOULLI_TERMS, MAX_TERMS, TWO_PI_LD, chunks, compensated_sum, em_tail,
                    ordered_map, spans, unit_powers)
@@ -93,7 +93,8 @@ def _epsilon_for(N: int) -> float:
 
 def truncation_error_estimate(ell: int, sigma: float, N: int) -> float:
     eps = _epsilon_for(N)
-    return math.factorial(ell) / eps**ell * N ** (-sigma + eps)
+    return float_result(f"the truncation error estimate at ell={ell}",
+                        lambda: math.factorial(ell) / eps**ell * N ** (-sigma + eps))
 
 
 def _coefficients(ns: np.ndarray, ell: int, sigma: float) -> np.ndarray:
@@ -103,7 +104,8 @@ def _coefficients(ns: np.ndarray, ell: int, sigma: float) -> np.ndarray:
     np.log(logs, out=logs)
     coeff = -sigma * logs
     np.exp(coeff, out=coeff)
-    logs **= ell
+    with np.errstate(over="ignore"):  # a row that is not finite raises once summed
+        logs **= ell
     coeff *= logs
     return coeff
 
@@ -138,15 +140,17 @@ def _truncated_rows(ell: int, sigma: float, ts: np.ndarray, N: int):
     `sums.compensated_sum` on arrays, so a t gets the same bits alone or on
     a grid.  A tile copies its rows when drawn, and a block of rows is
     yielded after all its tiles are drawn, so the caller may overwrite
-    those rows of ts.
+    those rows of ts.  A block with a row that float64 cannot hold raises
+    PrecisionUnreachableError.
     """
     height = -(-sums.CHUNK // min(N - 1, sums.CHUNK))
 
     def tile_sums(tile):
         rows, ns, coeff = tile
         vals = unit_powers(ns, rows)
-        vals *= _coefficients(ns, ell, sigma) if coeff is None else coeff
-        return vals.sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals *= _coefficients(ns, ell, sigma) if coeff is None else coeff
+            return vals.sum(axis=1)
 
     def tiles():
         for lo, hi in spans(0, ts.size - 1):
@@ -164,13 +168,18 @@ def _truncated_rows(ell: int, sigma: float, ts: np.ndarray, N: int):
             for a, b in spans(0, hi - lo - 1, height):
                 block[a:b] = next(results)
         start = np.full(hi - lo, 1.0 if ell == 0 else 0.0, dtype=complex)
-        yield lo, compensated_sum(block_sums, start)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = compensated_sum(block_sums, start)
+        if not np.isfinite(values).all():
+            raise PrecisionUnreachableError(f"the sum at ell={ell}, N={N} exceeds float64 range")
+        yield lo, values
 
 
 def zeta_derivative_truncated(ell: int, sigma: float, t: float, N: int) -> EvalResult:
     """sum_{n <= N} (log n)^ell / n^(sigma + i t), compensated and chunked:
     `_truncated_rows` on the one row t, as `scan_max` sums each grid point.
-    N above 1e8 raises ResourceLimitError before any work.
+    N above 1e8 raises ResourceLimitError before any work, and a sum or
+    error estimate beyond float64 range PrecisionUnreachableError.
 
     The attached error_estimate (ell!/eps^ell) N^(-sigma+eps) is meaningful
     inside the window t in [N, 6.28 N]; outside it the sum is exploratory.
@@ -350,11 +359,12 @@ def scan_max(
 
     Work is grid_size * N term evaluations; more than 2e9 of them, a grid of
     more than 1e7 points, or N above 1e8 raises ResourceLimitError before
-    any work is done or memory allocated.  Memory is `moduli` (which holds
-    the grid's t until its rows are summed), a few tiles of about CHUNK
-    terms and the block sums of CHUNK rows, whatever N: at most about 1 MB,
-    since blocks of terms times rows is at most 2e9 / CHUNK + 2e9 / N when
-    N - 1 > CHUNK.
+    any work is done or memory allocated; a grid point whose sum float64
+    cannot hold raises PrecisionUnreachableError.  Memory is `moduli`
+    (which holds the grid's t until its rows are summed), a few tiles of
+    about CHUNK terms and the block sums of CHUNK rows, whatever N: at most
+    about 1 MB, since blocks of terms times rows is at most 2e9 / CHUNK +
+    2e9 / N when N - 1 > CHUNK.
     """
     if not all(map(math.isfinite, (t_lo, t_hi, step))):
         raise ValueError(f"t_lo, t_hi and step must be finite, got {t_lo}, {t_hi}, {step}")

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from cli_json import strict_loads
 from zetamax import cli, dickman, dirichlet, zeta
 from zetamax.errors import PrecisionUnreachableError
 
@@ -20,7 +21,7 @@ def run_cli(*args):
 def test_moments_json_exact():
     r = run_cli("moments", "--ell", "3")
     assert r.returncode == 0
-    doc = json.loads(r.stdout)
+    doc = strict_loads(r.stdout)
     assert doc["numerator"] == 17
     assert doc["denominator"] == 6
     assert doc["ell"] == 3
@@ -31,7 +32,7 @@ def test_moments_json_exact():
 def test_psi_exact_count():
     r = run_cli("psi", "--x", "10", "--y", "2")
     assert r.returncode == 0
-    assert json.loads(r.stdout)["exact_count"] == 4
+    assert strict_loads(r.stdout)["exact_count"] == 4
 
 
 def test_rho_and_table_roundtrip(tmp_path):
@@ -40,7 +41,7 @@ def test_rho_and_table_roundtrip(tmp_path):
     assert r1.returncode == 0
     r2 = run_cli("rho", "--u", "2.0", "--table", path)
     assert r2.returncode == 0
-    assert json.loads(r1.stdout)["rho"] == json.loads(r2.stdout)["rho"]
+    assert strict_loads(r1.stdout)["rho"] == strict_loads(r2.stdout)["rho"]
 
 
 def test_unknown_flag_exits_2_without_output():
@@ -146,7 +147,7 @@ def test_inconsistent_table_file_exits_2(tmp_path):
 
     for edit in (renumber_last_interval, drop_coeffs, empty_piece, nested_piece,
                  nan_in_piece, piece_beyond_degree, degree_beyond_builder):
-        doc = json.loads(saved.read_text())
+        doc = strict_loads(saved.read_text())
         edit(doc)
         path = tmp_path / f"{edit.__name__}.json"
         path.write_text(json.dumps(doc))
@@ -165,8 +166,10 @@ def test_forged_table_file_prints_a_certificate_that_covers_its_error(tmp_path):
     path.write_text(json.dumps(doc))
     r = run_cli("rho", "--u", "3.5", "--table", str(path))
     assert r.returncode == 0, r.stderr.decode()
-    out = json.loads(r.stdout)
-    fresh = dickman.rho(3.5, dickman.build_rho_table(8.0, 1e-12))
+    out = strict_loads(r.stdout)
+    # the certificate exceeds the forged error by about 3.5e-15, so the
+    # oracle is a table certified to 1.2e-15
+    fresh = dickman.rho(3.5, dickman.build_rho_table(8.0, 1e-14))
     assert out["table_tol"] >= abs(out["rho"] - fresh) >= 1e-3 - 1e-12
 
 
@@ -212,7 +215,7 @@ def test_character_twist_beyond_int64_exits_0():
     r = run_cli("twisted-sum", "--x", "1e20", "--y", "3", "--twist", "character",
                 "--q", "7", "--j", "1")
     assert r.returncode == 0, r.stderr.decode()
-    assert json.loads(r.stdout)["schema_version"] == 1
+    assert strict_loads(r.stdout)["schema_version"] == 1
 
 
 def test_composite_modulus_rejected():
@@ -240,7 +243,7 @@ def test_char_table_sample_is_checked_before_the_table_is_built(monkeypatch, cap
 @pytest.mark.parametrize("sample, size", [("0", 0), ("100000", 10)])
 def test_char_table_sample_within_budget(capsys, sample, size):
     assert cli.main(["char-table", "--q", "11", "--sample", sample]) == 0
-    assert len(json.loads(capsys.readouterr().out)["sample"]) == size
+    assert len(strict_loads(capsys.readouterr().out)["sample"]) == size
 
 
 @pytest.mark.parametrize("args", [
@@ -266,7 +269,7 @@ def test_subcommands_byte_deterministic(args):
     assert a.returncode == 0, a.stderr.decode()
     assert a.stdout == b.stdout
     for line in a.stdout.decode().strip().split("\n"):
-        assert json.loads(line)["schema_version"] == 1
+        assert strict_loads(line)["schema_version"] == 1
 
 
 def test_error_profile_csv_format():
@@ -289,7 +292,7 @@ def test_zeta_scan_csv_out(tmp_path):
     assert len(lines) == 4
     # the CSV and the reported maximum come from one modulus array
     best = max(float(line.split(",")[1]) for line in lines[1:])
-    assert best == json.loads(r.stdout)["value_modulus"]
+    assert best == strict_loads(r.stdout)["value_modulus"]
 
 
 # the subcommands that print a library result record as it is: a field added
@@ -310,7 +313,7 @@ def test_zeta_scan_csv_out(tmp_path):
 def test_record_subcommands_print_exactly_the_record_fields(argv, keys):
     r = run_cli(*argv)
     assert r.returncode == 0, r.stderr.decode()
-    docs = [json.loads(line) for line in r.stdout.decode().splitlines()]
+    docs = [strict_loads(line) for line in r.stdout.decode().splitlines()]
     assert docs
     for doc in docs:
         assert set(doc) == keys | {"schema_version"}
@@ -318,7 +321,7 @@ def test_record_subcommands_print_exactly_the_record_fields(argv, keys):
 
 def test_l_max_prediction_field():
     r = run_cli("l-max", "--q", "101", "--ell", "1", "--N", "300")
-    doc = json.loads(r.stdout)
+    doc = strict_loads(r.stdout)
     assert {"q", "ell", "N", "j_star", "modulus", "y_ell_prediction"} <= set(doc)
 
 
@@ -376,11 +379,7 @@ def test_non_finite_float_option_exits_cleanly(argv, capsys):
     assert code in (0, 2, 3)
     if code == 0:
         for line in capsys.readouterr().out.splitlines():
-            json.loads(line, parse_constant=_reject_constant)
-
-
-def _reject_constant(token):
-    raise ValueError(f"non-JSON token {token}")
+            strict_loads(line)
 
 
 # results that float64 cannot hold, with the quantity each error names
@@ -392,6 +391,12 @@ BEYOND_FLOAT64 = [
     (["proof-bookkeeping", "--ell", "200", "--log10-T", "1e100", "--max-u", "60"],
      "(log k)^200/k"),
     (["psi", "--x", "1e300", "--y", "2"], "relative_error"),
+    (["zeta-eval", "--ell", "200", "--sigma", "1", "--t", "100", "--N", "100"],
+     "truncation error estimate"),
+    (["zeta-scan", "--ell", "400", "--t-lo", "100", "--t-hi", "101", "--step", "1",
+      "--N", "100000"], "sum at ell=400"),
+    (["resonator-ratio", "--y", "3", "--b", "100", "--ell", "200", "--method", "direct"],
+     "direct resonance ratio"),
 ]
 # their neighbours, which float64 still holds
 WITHIN_FLOAT64 = [
@@ -399,6 +404,8 @@ WITHIN_FLOAT64 = [
     ["proof-bookkeeping", "--ell", "120", "--log10-T", "1e8", "--max-u", "60"],
     ["proof-bookkeeping", "--ell", "100", "--log10-T", "1e14", "--max-u", "60"],
     ["psi", "--x", "1e30", "--y", "2"],
+    # (log k)^150 is beyond float64 for the largest divisors, not the terms
+    ["resonator-ratio", "--y", "3", "--b", "100", "--ell", "150", "--method", "direct"],
 ]
 
 
@@ -415,7 +422,7 @@ def test_result_beyond_float64_exits_3(argv, quantity, capsys):
 def test_result_within_float64_is_strict_json(argv, capsys):
     assert cli.main(argv) == 0
     for line in capsys.readouterr().out.splitlines():
-        json.loads(line, parse_constant=_reject_constant)
+        strict_loads(line)
 
 
 def test_bookkeeping_names_the_ell_guard_first(capsys):

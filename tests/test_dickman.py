@@ -180,15 +180,30 @@ def test_residual_bound_lies_above_the_sampled_residual(certified_table):
 
 
 def test_interval_tols_follow_the_chain_rounded_up(certified_table):
-    # e_0 = 0 for the exact piece 1; e_k = (e_{k-1} + r_k)/max(k - 1, 1),
-    # each link the least float at or above its exact value
+    # e_0 = 0 for the exact piece 1; e_k = (e_{k-1} + r_k)/k, each link the
+    # least float at or above its exact value
     tols = certified_table.interval_tols
     assert tols[0] == 0.0
     for k in range(1, len(tols)):
         bound = dickman._residual_bound(k, *certified_table.intervals[k - 1:k + 1])
-        exact = (Fraction(tols[k - 1]) + Fraction(bound)) / max(k - 1, 1)
+        exact = (Fraction(tols[k - 1]) + Fraction(bound)) / k
         assert Fraction(math.nextafter(tols[k], -math.inf)) < exact <= Fraction(tols[k]), k
     assert certified_table.tol == max(tols)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_chain_certifies_a_shifted_piece_by_its_shift(k):
+    # a constant shift delta of piece k adds u delta - (u - k) delta = k delta
+    # to r_k, which the chain's divisor k turns back into delta, give or
+    # take the honest table's own certificate
+    delta = 2.0**-30
+    table = dickman.build_rho_table(8.0, 1e-12)
+    pieces = list(table.intervals)
+    pieces[k] = pieces[k].copy()
+    pieces[k][0] += delta
+    forged = dickman.DickmanTable(table.max_u, table.degree, tuple(pieces))
+    slack = table.interval_tols[k] + 4 * np.finfo(float).eps * delta
+    assert abs(forged.interval_tols[k] - delta) <= slack
 
 
 def test_certificate_bounds_a_perturbed_first_piece():

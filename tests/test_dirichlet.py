@@ -125,7 +125,11 @@ def test_family_arguments_are_checked_before_any_table_is_built(monkeypatch):
             dirichlet.max_over_characters(ell, 101, N)
     with pytest.raises(ValueError, match="y=200"):
         dirichlet.resonance_quotient(0, 101, resonator.make_spec(200, 2))
-    for argv, code in [("l-max --q 9999991 --ell 1 --N 1000000000", 3),
+    # N = ceil(101^(3/4)) = 32, as l-max --q 101 --ell 5 --N 32 reads it
+    with pytest.raises(ValueError, match="log N"):
+        dirichlet.resonance_quotient(1000, 101, resonator.make_spec(3, 2))
+    for argv, code in [("resonance-quotient --q 101 --ell 1000 --y 3 --b 2", 2),
+                       ("l-max --q 9999991 --ell 1 --N 1000000000", 3),
                        ("l-max --q 9999991 --ell 5 --N 100", 2),
                        ("l-max --q 9999991 --ell 0 --N 1", 2),
                        ("l-eval --q 9999991 --j 1 --ell 9 --N 1000", 2),

@@ -89,6 +89,11 @@ def test_strict_moment_inequality():
         assert moments.y_exact(ell).rational_part > F(1, ell + 1)
 
 
+def test_y_exact_float_value_is_finite_for_every_ell():
+    # the guard ell <= 200 keeps every float value in range: Y_200 = 1.69e249
+    assert all(math.isfinite(moments.y_exact(ell).float_value) for ell in range(201))
+
+
 def test_growth_trend():
     vals = {ell: math.log(moments.y_exact(ell).float_value) / (ell * math.log(ell))
             for ell in (10, 20, 30)}

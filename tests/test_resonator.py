@@ -150,6 +150,18 @@ def test_divisors_up_to_matches_brute_force(y, b, monkeypatch):
         resonator.divisors_up_to(spec, 1e3)
 
 
+def test_ratio_direct_forms_no_power_beyond_float64():
+    # (log k)^150 reaches 177^150 = 1e337 here, though every term and the
+    # ratio are in range; at ell = 200 the largest (log k)^ell/k is 1e372
+    spec = resonator.make_spec(3, 100)
+    with mpmath.workdps(30):
+        want = mpmath.fsum(wt * mpmath.log(k) ** 150 / k
+                           for k, _, wt in resonator._divisors(spec) if k > 1)
+    assert resonator.ratio_direct(spec, 150) == pytest.approx(float(want), rel=1e-13)
+    with pytest.raises(PrecisionUnreachableError, match="float64"):
+        resonator.ratio_direct(spec, 200)
+
+
 def test_ratio_direct_streams_the_divisor_set():
     # 10^4 divisors, summed as they are enumerated: no list of them is held
     spec = resonator.make_spec(7, 10)

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from cli_json import strict_loads
 import zetamax
 
 # the namespace of `import zetamax` when it imported every submodule
@@ -72,7 +73,7 @@ def test_help_loads_no_numpy():
 def test_rho_loads_numpy_but_not_mpmath():
     r, modules = _modules_after(_RUN_CLI, "rho", "--u", "2.5", "--max-u", "6")
     assert r.returncode == 0
-    assert json.loads(r.stdout)["u"] == 2.5
+    assert strict_loads(r.stdout)["u"] == 2.5
     assert "numpy" in modules and "zetamax.dickman" in modules
     assert "mpmath" not in modules
     assert "zetamax.resonator" not in modules
@@ -98,7 +99,7 @@ def test_proof_bookkeeping_loads_no_mpmath():
     r, modules = _modules_after(_RUN_CLI, "proof-bookkeeping", "--ell", "1",
                                 "--log10-T", "1e12", "--max-u", "60")
     assert r.returncode == 0, r.stderr
-    assert json.loads(r.stdout)["y"] > 3e7
+    assert strict_loads(r.stdout)["y"] > 3e7
     assert "zetamax.resonator" in modules
     assert "mpmath" not in modules
 

@@ -377,6 +377,21 @@ def test_scan_blocks_do_not_change_row_sums():
     assert single.value_modulus == r.value_modulus
 
 
+def test_results_beyond_float64_raise(parallel_blocks, monkeypatch):
+    # (log 1e5)^400 = 1e424: no NaN or RuntimeWarning gets out of the
+    # blocks, summed on the pool at this block length
+    monkeypatch.setattr(sums, "CHUNK", 4096)
+    with pytest.raises(PrecisionUnreachableError, match="float64"):
+        zeta.zeta_derivative_truncated(400, 1.0, 100.0, 100000)
+    with pytest.raises(PrecisionUnreachableError, match="float64"):
+        zeta.scan_max(400, 100.0, 101.0, 1.0, 100000)
+    assert "pool" in parallel_blocks
+    # the sum at ell = 200, N = 100 is about 1e132, its error estimate
+    # 200!/eps^200 N^(eps - 1) is not in range
+    with pytest.raises(PrecisionUnreachableError, match="estimate at ell=200"):
+        zeta.zeta_derivative_truncated(200, 1.0, 100.0, 100)
+
+
 def test_scan_budget_guard():
     with pytest.raises(ResourceLimitError):
         zeta.scan_max(1, 1e4, 2e4, 0.05, 10**6)
