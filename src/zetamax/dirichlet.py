@@ -32,6 +32,12 @@ N < CHUNK), so each block of the sum is one slice of it and chi is
 evaluated q + CHUNK times, not N times; otherwise a block reads its runs,
 at most two when q >= CHUNK.
 
+The sums take their coefficients (log k)^ell / k from `sums.log_weights`,
+the kernel the zeta^(ell) sums share.  The family sums are the plain sums,
+as zeta's are: only `l_derivative_truncated` applies the sign (-1)^ell, once,
+to its finished value; `max_over_characters` reads moduli, and
+`resonance_quotient` weighs the plain sums (-1)^ell L^(ell).
+
 Family-wide evaluation of sum_k chi_j(k) c_k for all j at once adds the
 real coefficients c_k into one sum per residue, scatters those into
 discrete-log class order once, and transforms the q - 1 class sums,
@@ -60,7 +66,7 @@ import numpy as np
 from .errors import PrincipalCharacterError, ResourceLimitError
 from .primes import is_prime, prime_factors
 from . import sums
-from .sums import MAX_TERMS, chunks, cis, compensated_sum, ordered_map, spans
+from .sums import MAX_TERMS, chunks, cis, compensated_sum, log_weights, ordered_map, spans
 
 _MAX_Q = 10**7
 _QUOTIENT_MAX_Q = 10**5
@@ -255,19 +261,12 @@ def check_sum_args(ell: int, N: int) -> None:
     check before building a character table."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    if N < 2:
-        raise ValueError("N must be >= 2")
+    if not isinstance(N, (int, np.integer)) or N < 2:
+        raise ValueError(f"N must be an integer >= 2, got {N!r}")
     if N > MAX_TERMS:
         raise ResourceLimitError(f"N={N} exceeds budget {MAX_TERMS}")
     if ell > math.log(N):
         raise ValueError(f"need ell <= log N, got ell={ell}, log N={math.log(N):.3f}")
-
-
-def _weights(ns: np.ndarray, ell: int) -> np.ndarray:
-    """(-log n)^ell / n, the coefficients of the truncated L-derivative sums."""
-    if ell == 0:
-        return 1.0 / ns  # the general form's log(n)^0 is exactly 1.0: same bits
-    return (-1.0) ** ell * np.log(ns.astype(np.float64)) ** ell / ns
 
 
 def _period_table(table: CharacterTable, j: int, N: int) -> np.ndarray | None:
@@ -290,7 +289,9 @@ def _period_table(table: CharacterTable, j: int, N: int) -> np.ndarray | None:
 
 
 def l_derivative_truncated(ell: int, table: CharacterTable, j: int, N: int) -> LSeriesValue:
-    """sum_{k <= N} chi_j(k) (-log k)^ell / k with compensated accumulation.
+    """L^(ell)(1, chi_j; N) = (-1)^ell sum_{k <= N} chi_j(k) (log k)^ell / k
+    with compensated accumulation: the plain sum, negated once (exactly)
+    when ell is odd.
 
     Approximates the ell-th derivative of L(s, chi_j) at s = 1 with the
     Polya-Vinogradov error scale attached.  Non-principal characters only.
@@ -311,16 +312,17 @@ def l_derivative_truncated(ell: int, table: CharacterTable, j: int, N: int) -> L
         else:
             r = lo % table.q
             chi = period[r : r + hi - lo]
-        return np.sum(np.multiply(chi, _weights(ns, ell)))
+        return np.sum(np.multiply(chi, log_weights(ns, ell)))
 
     value = compensated_sum(ordered_map(block_sum, chunks(1, N)))
-    return LSeriesValue(value=value, ell=ell, q=table.q, j=j, N=int(N),
+    return LSeriesValue(value=-value if ell % 2 else value, ell=ell, q=table.q, j=j, N=int(N),
                         error_scale=_pv_error_scale(table.q, ell, N))
 
 
 def _l_values_all_characters(ell: int, table: CharacterTable, N: int) -> np.ndarray:
-    """sum_{k<=N} chi_j(k) (-log k)^ell / k for j = 0..(q-1)/2 at once;
-    character q-1-j is the conjugate of character j.
+    """The plain sums sum_{k<=N} chi_j(k) (log k)^ell / k, without the sign
+    (-1)^ell of L^(ell), for j = 0..(q-1)/2 at once; character q-1-j is the
+    conjugate of character j.
 
     Sums the coefficients by residue, scatters the residue sums into dlog
     class order and applies `_family_transform` (a half-length FFT with one
@@ -337,7 +339,7 @@ def _l_values_all_characters(ell: int, table: CharacterTable, N: int) -> np.ndar
     q = table.q
     by_residue = np.zeros(q, dtype=np.float64)  # entry r: the terms with k = r mod q
     for ns in chunks(1, N):
-        _add_by_residue(by_residue, int(ns[0]) % q, _weights(ns, ell))
+        _add_by_residue(by_residue, int(ns[0]) % q, log_weights(ns, ell))
     class_sums = np.empty(table.order, dtype=np.float64)
     class_sums[table.dlog[1:]] = by_residue[1:]  # residue 0 has no class: chi(0) = 0
     del by_residue
@@ -424,7 +426,7 @@ class MaxCharResult:
 
 
 def max_over_characters(ell: int, q: int, N: int) -> MaxCharResult:
-    """Family maximum of |sum_{k<=N} chi(k)(-log k)^ell/k| over the q-2
+    """Family maximum of |sum_{k<=N} chi(k)(log k)^ell/k| over the q-2
     non-principal characters; deterministic smallest-j tie-break.  chi_j
     and chi_(q-1-j) are conjugate, so the moduli for j <= (q-1)/2 are
     mirrored onto the rest, exactly, and j_star <= (q-1)/2.  (ell, N) are
@@ -519,8 +521,8 @@ def resonance_quotient(ell: int, q: int, spec) -> ResonanceQuotient:
                          minlength=order).astype(np.float64)
     R2 = np.abs(_mirrored(_family_transform(counts))) ** 2
 
-    # (-1)^ell L^(ell)(1,chi;N) for every chi
-    ml = _mirrored(_l_values_all_characters(ell, table, N)) * (-1.0) ** ell
+    # (-1)^ell L^(ell)(1,chi;N) for every chi: the plain sums
+    ml = _mirrored(_l_values_all_characters(ell, table, N))
     v1 = float(np.sum(R2[1:]))
     v2 = complex(np.sum(ml[1:] * R2[1:]))
 
@@ -530,11 +532,8 @@ def resonance_quotient(ell: int, q: int, spec) -> ResonanceQuotient:
     for n in support:
         for m in support:
             if n % m == 0:
-                k = n // m
-                if k == 1:
-                    main_terms.append(1.0 if ell == 0 else 0.0)
-                else:
-                    main_terms.append(math.log(k) ** ell / k)
+                k = n // m  # at k = 1, log(1)^ell is 1.0 at ell = 0 and 0.0 above
+                main_terms.append(math.log(k) ** ell / k)
     main_sum = math.fsum(main_terms)
     closed = main_sum / S
 

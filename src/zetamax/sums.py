@@ -27,6 +27,10 @@ than two full blocks, or any sum in a process allowed one CPU, runs
 inline; the pool is made when a sum draws its second full block, so only
 a process that draws one imports concurrent.futures.
 
+`log_weights` forms the coefficients (log n)^ell / n^sigma of one block,
+the one float64 coefficient kernel of the zeta^(ell) and L^(ell) sums;
+their callers apply the sign (-1)^ell, if at all, to the finished sum.
+
 `em_tail` gives the Euler-Maclaurin terms at a cutoff for the sums of
 (log n)^ell n^(-s): the zeta reference and `resonator.log_power_sum` take
 their Bernoulli corrections from it.
@@ -191,6 +195,24 @@ def unit_powers(ns: np.ndarray, t) -> np.ndarray:
     theta = phases(ns, t)
     np.negative(theta, out=theta)
     return cis(theta)
+
+
+def log_weights(ns: np.ndarray, ell: int, sigma: float = 1.0) -> np.ndarray:
+    """(log n)^ell / n^sigma for one block of positive integers ns, in float64.
+
+    1 / n^sigma at ell = 0, with no log taken; otherwise (log n)^ell is
+    formed in place in one array and divided by n (by np.power(ns, sigma)
+    when sigma != 1).  A coefficient beyond float64 range reads inf or nan,
+    which its sum then carries."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        denominator = ns if sigma == 1.0 else np.power(ns, float(sigma))
+        if ell == 0:
+            return 1.0 / denominator
+        w = ns.astype(np.float64)
+        np.log(w, out=w)
+        w **= ell
+        w /= denominator
+        return w
 
 
 def phases(ns: np.ndarray, t) -> np.ndarray:

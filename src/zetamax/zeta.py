@@ -4,7 +4,8 @@ the 1-line, an independent Euler-Maclaurin reference, and window scans.
 The pointwise evaluator and the scan sum through one kernel,
 `_truncated_rows`: tiles of about CHUNK terms (a block of n against a block
 of rows of t) on the shared block pool, each block of n's coefficients
-formed once for its tiles, and each row's block sums added in block order
+(log n)^ell / n^sigma formed once for its tiles by `sums.log_weights`, the
+kernel the L^(ell) sums share, and each row's block sums added in block order
 by `sums.compensated_sum`.  So a grid modulus is the modulus of the
 pointwise value at that t, bit for bit, and memory is a few tiles and the
 block sums of CHUNK rows (about 1 MB) whatever N.  The
@@ -26,11 +27,12 @@ f(u) = (log u)^ell u^(-s): the integral beyond the cutoff M is
 M^(1-s) sum_i ell!/(ell-i)! (log M)^(ell-i) / (s-1)^(i+1), and f(M)/2 and
 the Bernoulli corrections B_2j/(2j)! f^(2j-1)(M) come from `sums.em_tail`,
 which forms the derivatives of f by a recursion on polynomials in log M,
-and M^(-s) with its phase reduced mod 2 pi in longdouble.  The main term is
-summed in longdouble over `sums.chunks` blocks of half the usual length,
-two at a time (`sums.ordered_map`, on the shared block pool), and
-combined in block order by `sums.compensated_sum`, so memory is O(CHUNK)
-whatever the cutoff.
+and M^(-s) with its phase reduced mod 2 pi in longdouble.  The main term
+forms its own coefficients in longdouble, apart from `sums.log_weights`,
+since it is the independent route.  It is summed over `sums.chunks` blocks
+of half the usual length, two at a time (`sums.ordered_map`, on the shared
+block pool), and combined in block order by `sums.compensated_sum`, so
+memory is O(CHUNK) whatever the cutoff.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .constants import LEMMA_WINDOW_FACTOR
 from .errors import PrecisionUnreachableError, ResourceLimitError, float_result
 from . import sums
 from .sums import (EM_BERNOULLI_TERMS, MAX_TERMS, TWO_PI_LD, chunks, compensated_sum, em_tail,
-                   ordered_map, spans, unit_powers)
+                   log_weights, ordered_map, spans, unit_powers)
 
 _SCAN_BUDGET = 2 * 10**9  # grid_size * N term evaluations
 # scan_max keeps one float64 modulus per grid point (80 MB at this size)
@@ -92,22 +94,11 @@ def _epsilon_for(N: int) -> float:
 
 
 def truncation_error_estimate(ell: int, sigma: float, N: int) -> float:
+    """(ell!/eps^ell) N^(-sigma+eps), formed through its logarithm, so a
+    large ell costs no exact factorial."""
     eps = _epsilon_for(N)
-    return float_result(f"the truncation error estimate at ell={ell}",
-                        lambda: math.factorial(ell) / eps**ell * N ** (-sigma + eps))
-
-
-def _coefficients(ns: np.ndarray, ell: int, sigma: float) -> np.ndarray:
-    """(log n)^ell n^(-sigma) over one block of terms."""
-    # in place, in the order of logs**ell * exp(-sigma logs)
-    logs = ns.astype(np.float64)
-    np.log(logs, out=logs)
-    coeff = -sigma * logs
-    np.exp(coeff, out=coeff)
-    with np.errstate(over="ignore"):  # a row that is not finite raises once summed
-        logs **= ell
-    coeff *= logs
-    return coeff
+    return float_result(f"the truncation error estimate at ell={ell}", lambda: math.exp(
+        math.lgamma(ell + 1) - ell * math.log(eps) + (eps - sigma) * math.log(N)))
 
 
 def check_truncated_args(ell: int, sigma: float, t: float, N: int) -> None:
@@ -149,7 +140,7 @@ def _truncated_rows(ell: int, sigma: float, ts: np.ndarray, N: int):
         rows, ns, coeff = tile
         vals = unit_powers(ns, rows)
         with np.errstate(over="ignore", invalid="ignore"):
-            vals *= _coefficients(ns, ell, sigma) if coeff is None else coeff
+            vals *= log_weights(ns, ell, sigma) if coeff is None else coeff
             return vals.sum(axis=1)
 
     def tiles():
@@ -157,7 +148,7 @@ def _truncated_rows(ell: int, sigma: float, ts: np.ndarray, N: int):
             for ns in chunks(2, N):
                 # formed once for the block's tiles; the one tile of a
                 # pointwise sum forms its own, on the pool
-                coeff = _coefficients(ns, ell, sigma) if hi - lo > height else None
+                coeff = log_weights(ns, ell, sigma) if hi - lo > height else None
                 for a, b in spans(lo, hi - 1, height):
                     yield ts[a:b, None].copy(), ns, coeff
 

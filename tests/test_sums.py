@@ -11,6 +11,7 @@ import threading
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -32,6 +33,19 @@ def test_spans_read_the_block_length_when_drawn(monkeypatch):
     monkeypatch.setattr(sums, "CHUNK", 4)
     assert list(walk) == [(1, 5), (5, 9), (9, 11)]
     assert [ns.tolist() for ns in blocks] == [[1, 2, 3, 4], [5, 6]]
+
+
+@pytest.mark.parametrize("sigma", [0.6, 1.0, 2.5])
+def test_log_weights_are_within_a_few_ulps(sigma):
+    # against 50 digits: each coefficient is within (ell + 2) eps relative
+    ns = np.random.default_rng(400).integers(2, 10**8, 400, endpoint=True)
+    with mpmath.workdps(50):
+        logs = [mpmath.log(int(n)) for n in ns]
+        powers = [mpmath.power(int(n), mpmath.mpf(sigma)) for n in ns]
+        for ell in range(7):
+            got = sums.log_weights(ns, ell, sigma)
+            want = np.array([float(lg**ell / p) for lg, p in zip(logs, powers)])
+            assert np.all(np.abs(got - want) <= (ell + 2) * np.finfo(float).eps * want), ell
 
 
 def _csv_bytes(scan):

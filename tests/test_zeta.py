@@ -1,5 +1,7 @@
 import io
+import itertools
 import math
+import time
 import tracemalloc
 
 import mpmath
@@ -74,6 +76,21 @@ def test_error_estimate_monotone_in_N():
             est = zeta.truncation_error_estimate(ell, 1.0, n)
             assert est < prev, (ell, n)
             prev = est
+
+
+def test_error_estimate_agrees_with_the_factorial_form():
+    for ell, sigma, n in itertools.product(range(40), (0.6, 1.0, 2.5), (2, 1000, 10**6, 10**8)):
+        eps = zeta._epsilon_for(n)
+        want = math.factorial(ell) / eps**ell * n ** (-sigma + eps)
+        assert zeta.truncation_error_estimate(ell, sigma, n) == pytest.approx(want, rel=1e-13)
+
+
+def test_error_estimate_at_a_huge_ell_fails_at_once():
+    # ell! is not formed exactly: ell = 10^6 took seconds when it was
+    start = time.perf_counter()
+    with pytest.raises(PrecisionUnreachableError):
+        zeta.truncation_error_estimate(10**6, 1.0, 2)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_doubling_consistency():
