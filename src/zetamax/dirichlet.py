@@ -38,19 +38,21 @@ as zeta's are: only `l_derivative_truncated` applies the sign (-1)^ell, once,
 to its finished value; `max_over_characters` reads moduli, and
 `resonance_quotient` weighs the plain sums (-1)^ell L^(ell).
 
-Family-wide evaluation of sum_k chi_j(k) c_k for all j at once adds the
-real coefficients c_k into one sum per residue, scatters those into
-discrete-log class order once, and transforms the q - 1 class sums,
-turning the naive q*N work into N + q log q.  A block of consecutive k adds
-its runs of residues as slices and its whole periods as one axis-0
-reduction, so each residue gets its terms one at a time in ascending k, as
-`np.add.at` would.  The class sums are real and q - 1 = 2h is even, so
-the transform is one length-h complex FFT of the packed pairs, untangled
-into the characters j = 0..h; the others are their exact conjugates, which
-`max_over_characters` mirrors as moduli and `resonance_quotient` fills in
-as values.  That FFT takes one Cooley-Tukey step at the largest prime
-factor P of h, so a large prime factor of q - 1 costs a Bluestein
-transform of length P, not of length q - 1.
+Family-wide evaluation of sum_a chi_j(a) w_a for all j at once goes through
+one kernel, `_family_sums(table, by_residue)`, from real weights indexed by
+residue: the L sums add their coefficients (log k)^ell / k into one sum per
+residue, turning the naive q*N work into N + q log q, and
+`resonance_quotient` puts 1 at each residue of its support.  A block of
+consecutive k adds its runs of residues as slices and its whole periods as
+one axis-0 reduction, so each residue gets its terms one at a time in
+ascending k, as `np.add.at` would.  q - 1 = 2h is even, so the kernel
+scatters the weights in one store into the packed input of one length-h
+complex FFT, seen as float64 in discrete-log class order, and untangles its
+output into the characters j = 0..h; the others are their exact
+conjugates, which `max_over_characters` mirrors as moduli and
+`resonance_quotient` fills in as values.  That FFT takes one Cooley-Tukey
+step at the largest prime factor P of h, so a large prime factor of q - 1
+costs a Bluestein transform of length P, not of length q - 1.
 `moduli_to_csv` streams its rows in blocks.
 """
 
@@ -66,7 +68,7 @@ import numpy as np
 from .errors import PrincipalCharacterError, ResourceLimitError
 from .primes import is_prime, prime_factors
 from . import sums
-from .sums import MAX_TERMS, chunks, cis, compensated_sum, log_weights, ordered_map, spans
+from .sums import check_terms, chunks, cis, compensated_sum, log_weights, ordered_map, spans
 
 _MAX_Q = 10**7
 _QUOTIENT_MAX_Q = 10**5
@@ -261,10 +263,7 @@ def check_sum_args(ell: int, N: int) -> None:
     check before building a character table."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise ValueError(f"N must be an integer >= 2, got {N!r}")
-    if N > MAX_TERMS:
-        raise ResourceLimitError(f"N={N} exceeds budget {MAX_TERMS}")
+    check_terms(N)
     if ell > math.log(N):
         raise ValueError(f"need ell <= log N, got ell={ell}, log N={math.log(N):.3f}")
 
@@ -324,11 +323,9 @@ def _l_values_all_characters(ell: int, table: CharacterTable, N: int) -> np.ndar
     (-1)^ell of L^(ell), for j = 0..(q-1)/2 at once; character q-1-j is the
     conjugate of character j.
 
-    Sums the coefficients by residue, scatters the residue sums into dlog
-    class order and applies `_family_transform` (a half-length FFT with one
-    Cooley-Tukey step); entry j equals the direct sum for character j
-    (exactly the same quantity, different association order).  The caller
-    checks (ell, N).
+    Sums the coefficients by residue and applies `_family_sums`; entry j
+    equals the direct sum for character j (exactly the same quantity,
+    different association order).  The caller checks (ell, N).
 
     The residue sums are plain float sums of about N/q terms each, so their
     rounding grows with N/q.  Against residue sums by fsum, combined with
@@ -336,14 +333,10 @@ def _l_values_all_characters(ell: int, table: CharacterTable, N: int) -> np.ndar
     (q, N, ell) = (5, 1e7, 1) and by 2.5e-12 at (101, 1e7, 2), where
     `l_derivative_truncated` was off by 6.5e-15 and 1.7e-13.
     """
-    q = table.q
-    by_residue = np.zeros(q, dtype=np.float64)  # entry r: the terms with k = r mod q
+    by_residue = np.zeros(table.q, dtype=np.float64)  # entry r: the terms with k = r mod q
     for ns in chunks(1, N):
-        _add_by_residue(by_residue, int(ns[0]) % q, log_weights(ns, ell))
-    class_sums = np.empty(table.order, dtype=np.float64)
-    class_sums[table.dlog[1:]] = by_residue[1:]  # residue 0 has no class: chi(0) = 0
-    del by_residue
-    return _family_transform(class_sums)
+        _add_by_residue(by_residue, int(ns[0]) % table.q, log_weights(ns, ell))
+    return _family_sums(table, by_residue)
 
 
 def _add_by_residue(totals: np.ndarray, r0: int, w: np.ndarray) -> None:
@@ -369,23 +362,30 @@ def _add_by_residue(totals: np.ndarray, r0: int, w: np.ndarray) -> None:
     totals[:tail] += w[w.size - tail :]
 
 
-def _family_transform(x: np.ndarray) -> np.ndarray:
-    """sum_d x_d omega^(+jd) for j = 0..h, omega = e^(2 pi i/n), for real x
-    of even length n = q - 1 = 2h; this is conj(fft(x))[:h+1], and entry
-    n-j of the full spectrum is the conjugate of entry j (`_mirrored`).
+def _family_sums(table: CharacterTable, by_residue: np.ndarray) -> np.ndarray:
+    """sum_a chi_j(a) w_a for j = 0..h, h = (q-1)/2, from real float64
+    weights w indexed by residue; w_0 is never read (chi(0) = 0), and
+    character 2h-j is the conjugate of character j (`_mirrored`).
 
-    The pairs pack into z_m = x_2m + i x_2m+1, whose length-h FFT Z is
-    untangled into F = fft(x) at k = 0..h with the twiddle e^(-2 pi i k/n).
-    Z takes one Cooley-Tukey step: h = n1 P with P the largest prime factor
-    of h, a length-n1 FFT down the columns of z.reshape(n1, P), twiddles
-    from the exact integer exponents m2 k1 mod h, then a length-P FFT along
-    the rows, so numpy's Bluestein fallback for a large prime runs at length
-    P, not at length q - 1.
+    In class order, x_dlog[a] = w_a, this is sum_d x_d omega^(+jd) with
+    omega = e^(2 pi i/2h), that is conj(fft(x))[:h+1].  The pairs pack into
+    z_m = x_2m + i x_2m+1: class d is part d % 2 of z_(d // 2), so z seen as
+    float64 is class order and the scatter is one store into it, each entry
+    written once since dlog is a bijection (`_verify_table`).  The length-h
+    FFT Z of z is untangled into F = fft(x) at k = 0..h with the twiddle
+    e^(-2 pi i k/2h).  Z takes one Cooley-Tukey step: h = n1 P with P the
+    largest prime factor of h, a length-n1 FFT down the columns of
+    z.reshape(n1, P), twiddles from the exact integer exponents m2 k1 mod
+    h, then a length-P FFT along the rows, so numpy's Bluestein fallback for
+    a large prime runs at length P, not at length q - 1.
     """
-    h = x.size // 2
+    h = table.order // 2
     P = max(prime_factors(h), default=1)
     n1 = h // P
-    y = np.fft.fft((x[0::2] + 1j * x[1::2]).reshape(n1, P), axis=0)
+    z = np.empty(h, dtype=np.complex128)
+    z.view(np.float64)[table.dlog[1:]] = by_residue[1:]
+    y = np.fft.fft(z.reshape(n1, P), axis=0)
+    del z
     y *= cis((-2 * np.pi / h) * (np.outer(np.arange(n1), np.arange(P)) % h))
     np.fft.fft(y, axis=1, out=y)
     Z = np.empty(h + 1, dtype=np.complex128)
@@ -512,14 +512,13 @@ def resonance_quotient(ell: int, q: int, spec) -> ResonanceQuotient:
     check_sum_args(ell, N)
     table = shared_character_table(q)
 
-    support = divisors_up_to(spec, A)  # all < q, all coprime to q
+    support = divisors_up_to(spec, A)  # distinct, all < q, all coprime to q
     S = len(support)
 
-    # R_chi for every chi via the family transform over dlog classes of the support
-    order = table.order
-    counts = np.bincount(table.dlog[np.array(support, dtype=np.int64) % q],
-                         minlength=order).astype(np.float64)
-    R2 = np.abs(_mirrored(_family_transform(counts))) ** 2
+    # R_chi for every chi: the family sums of the support's indicator
+    by_residue = np.zeros(q, dtype=np.float64)
+    by_residue[support] = 1.0
+    R2 = np.abs(_mirrored(_family_sums(table, by_residue))) ** 2
 
     # (-1)^ell L^(ell)(1,chi;N) for every chi: the plain sums
     ml = _mirrored(_l_values_all_characters(ell, table, N))
@@ -528,13 +527,8 @@ def resonance_quotient(ell: int, q: int, spec) -> ResonanceQuotient:
 
     # orthogonality closed form: sum_{mk=n<=A} (log k)^ell r(m) r(n) / k over
     # sum r (k = n/m <= A <= N, so every divisor pair contributes)
-    main_terms = []
-    for n in support:
-        for m in support:
-            if n % m == 0:
-                k = n // m  # at k = 1, log(1)^ell is 1.0 at ell = 0 and 0.0 above
-                main_terms.append(math.log(k) ** ell / k)
-    main_sum = math.fsum(main_terms)
+    ks = [n // m for n in support for m in support if n % m == 0]
+    main_sum = math.fsum(log_weights(np.array(ks, dtype=np.int64), ell))
     closed = main_sum / S
 
     # |V2/V1 - main/S| = S |main_sum - ML0 * S| / V1 exactly; bound both terms.

@@ -37,7 +37,7 @@ from .dickman import DickmanTable, rho
 from .errors import OutOfRegimeError, ResourceLimitError, float_result
 from .moments import y_exact
 from .primes import sieve_primes
-from .sums import em_tail
+from .sums import em_tail, log_weights
 
 _DIRECT_BUDGET = 10**7
 _FACTORIZED_BUDGET = 10**7  # sum_p (A_p + 1)(ell + 1) alpha terms
@@ -281,8 +281,7 @@ def log_power_sum(ell: int, y: float) -> float:
     what = f"sum of (log k)^{ell}/k to y"
     n = math.floor(y)
     if n < _EM_START:
-        return float_result(what, lambda: math.fsum(math.log(k) ** ell / k
-                                                    for k in range(1, n + 1)))
+        return float_result(what, lambda: math.fsum(log_weights(np.arange(1, n + 1), ell)))
     log_n, log_start = np.log(np.longdouble(n)), np.log(np.longdouble(_EM_START))
     with np.errstate(over="ignore", invalid="ignore"):  # a sum beyond float64 is caught below
         _, half_start, corr_start, _ = em_tail(ell, 1.0, log_start)
@@ -290,7 +289,7 @@ def log_power_sum(ell: int, y: float) -> float:
         integral = (log_n ** (ell + 1) - log_start ** (ell + 1)) / (ell + 1)
 
     def total() -> float:
-        parts = [*(math.log(k) ** ell / k for k in range(1, _EM_START)), float(integral),
+        parts = [*log_weights(np.arange(1, _EM_START), ell), float(integral),
                  half_start.real, half_n.real,
                  *(-c.real for c in corr_start), *(c.real for c in corr_n)]
         return math.fsum(parts) if all(map(math.isfinite, parts)) else math.inf

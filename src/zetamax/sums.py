@@ -12,9 +12,9 @@ size a complex128 temporary of a block takes 1 MB, and so does a
 clongdouble one of the Euler-Maclaurin main term, whose blocks hold
 CHUNK / 2 integers, so a sum holds a few MB however long it is; at 2^20
 each took 16-32 MB.  Long sums of unit-modulus complex terms (up to
-MAX_TERMS = 1e8 of them, the package's budget) lose digits under naive
-accumulation; the Neumaier variant of the two-sum error-free
-transformation keeps the running error O(1) ulp.
+MAX_TERMS = 1e8 of them, the package's budget, which `check_terms`
+enforces) lose digits under naive accumulation; the Neumaier variant of
+the two-sum error-free transformation keeps the running error O(1) ulp.
 
 `ordered_map` evaluates the blocks of a long sum two at a time on a shared
 two-worker thread pool (numpy releases the GIL inside its loops) and hands
@@ -46,6 +46,8 @@ from collections import deque
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
+
+from .errors import ResourceLimitError
 
 CHUNK = 1 << 16
 
@@ -92,6 +94,15 @@ class NeumaierSum:
     @property
     def value(self) -> float:
         return self._s + self._c
+
+
+def check_terms(N) -> None:
+    """ValueError unless N is an integer >= 2, and ResourceLimitError for N
+    beyond MAX_TERMS: the term count of a truncated sum over n <= N."""
+    if not isinstance(N, (int, np.integer)) or N < 2:
+        raise ValueError(f"N must be an integer >= 2, got {N!r}")
+    if N > MAX_TERMS:
+        raise ResourceLimitError(f"N = {N} exceeds {MAX_TERMS} terms")
 
 
 def spans(first: int, last: int, length: int | None = None) -> Iterator[tuple[int, int]]:

@@ -46,7 +46,7 @@ import numpy as np
 from .constants import LEMMA_WINDOW_FACTOR
 from .errors import PrecisionUnreachableError, ResourceLimitError, float_result
 from . import sums
-from .sums import (EM_BERNOULLI_TERMS, MAX_TERMS, TWO_PI_LD, chunks, compensated_sum, em_tail,
+from .sums import (EM_BERNOULLI_TERMS, TWO_PI_LD, check_terms, chunks, compensated_sum, em_tail,
                    log_weights, ordered_map, spans, unit_powers)
 
 _SCAN_BUDGET = 2 * 10**9  # grid_size * N term evaluations
@@ -111,12 +111,9 @@ def check_truncated_args(ell: int, sigma: float, t: float, N: int) -> None:
         raise ValueError(f"sigma must be finite and >= {_MIN_SIGMA}, got {sigma}")
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise ValueError(f"N must be an integer >= 2, got {N!r}")
     if sigma == 1.0 and t == 0.0:
         raise ValueError("(sigma, t) = (1, 0) is the pole")
-    if N > MAX_TERMS:
-        raise ResourceLimitError(f"N = {N} exceeds {MAX_TERMS} terms")
+    check_terms(N)
 
 
 def _truncated_rows(ell: int, sigma: float, ts: np.ndarray, N: int):

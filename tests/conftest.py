@@ -1,9 +1,23 @@
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import configuration, settings
 
 from zetamax import dickman, dirichlet, sums
+
+# When a Hypothesis test fails, its pytest plugin writes the failing example
+# as a patch through libcst, whose first import warns through
+# mypy_extensions.  pyproject turns every DeprecationWarning into an error,
+# so that import would end the run in INTERNALERROR, with no falsifying
+# example printed.  Importing libcst once here, that warning ignored, leaves
+# the later import nothing to warn about.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 # Fixed examples and no example database keep runs repeatable.  Hypothesis
 # still caches the constants it reads from local source files; that cache

@@ -367,7 +367,7 @@ def _family_reference(ell, table, N):
         r = ns % table.q
         keep = r != 0
         np.add.at(class_sums, table.dlog[r[keep]], sums.log_weights(ns[keep], ell))
-    return dirichlet._family_transform(class_sums)
+    return dirichlet._family_sums(table, class_sums[table.dlog])
 
 
 def _chi_vector_in_place(table, j, ns):
@@ -501,18 +501,63 @@ def test_period_table_and_residue_runs_give_the_same_bits(monkeypatch, chi101):
 @pytest.mark.parametrize("q", [3, 5, 101, 1019, 10007, 1000003])
 def test_family_transform_matches_numpy_fft(q):
     # h = (q-1)/2 = 1, smooth, a safe prime (1019, 10007: one row, n1 = 1),
-    # and 2 * 3 * 166667, where numpy's full-length FFT runs Bluestein
+    # and 2 * 3 * 166667, where numpy's full-length FFT runs Bluestein; x is
+    # in class order, fed by residue as x[dlog]
     x = np.random.default_rng(q).standard_normal(q - 1)
     h = (q - 1) // 2
     full = np.conj(np.fft.fft(x))
     want = full[: h + 1]
-    got = dirichlet._family_transform(x)
+    table = dirichlet.shared_character_table(q)
+    got = dirichlet._family_sums(table, x[table.dlog])
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     mirrored = dirichlet._mirrored(got)
     assert mirrored.shape == full.shape
     assert np.array_equal(mirrored[: h + 1], got)
     assert np.array_equal(mirrored[:h:-1], np.conj(mirrored[1:h]))  # entry q-1-j is conj(entry j)
+
+
+_PI_LD = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def _family_oracle(table, w):
+    # the direct DFT sum_a w_a omega^(j dlog[a]) in long double, from the
+    # exact exponents j dlog[a] mod q-1, a block of j at a time
+    n = table.order
+    d = table.dlog[1:]
+    wl = w[1:].astype(np.longdouble)
+    angle = (2 * _PI_LD / n) * np.arange(n, dtype=np.longdouble)
+    cos_t, sin_t = np.cos(angle), np.sin(angle)
+    out = np.empty(n // 2 + 1, dtype=np.clongdouble)
+    for lo, hi in sums.spans(0, n // 2, 128):
+        e = np.outer(np.arange(lo, hi), d) % n
+        out.real[lo:hi] = (cos_t[e] * wl).sum(axis=1)
+        out.imag[lo:hi] = (sin_t[e] * wl).sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("q", [101, 1009, 4099])
+def test_family_sums_match_a_long_double_dft(q):
+    # h = 50, 504 = 8 * 63, and 2049 = 3 * 683, whose length-683 step runs
+    # Bluestein; the inputs are the L coefficients (log k)/k and the 0/1
+    # divisor support of resonance_quotient at q
+    assert np.finfo(np.longdouble).nmant >= 63  # the oracle needs 80-bit long double
+    table = dirichlet.build_character_table(q)
+    coefficients = np.zeros(q)
+    coefficients[1:] = sums.log_weights(np.arange(1, q), 1)
+    support = np.zeros(q)
+    support[resonator.divisors_up_to(resonator.make_spec(7, 5), q ** 0.25)] = 1.0
+    for w in (coefficients, support):
+        err = np.abs(dirichlet._family_sums(table, w) - _family_oracle(table, w))
+        assert np.max(err) <= 8 * 2.0**-53 * np.sum(np.abs(w[1:]))
+
+
+def test_family_sums_never_read_residue_zero(chi101):
+    w = np.random.default_rng(0).standard_normal(101)
+    w[0] = 0.0
+    want = dirichlet._family_sums(chi101, w)
+    w[0] = np.nan
+    assert dirichlet._family_sums(chi101, w).tobytes() == want.tobytes()
 
 
 def test_max_over_characters_rejects_negative_ell(monkeypatch):
