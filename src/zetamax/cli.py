@@ -45,7 +45,7 @@ def _build_table(args):
 
 
 def _twist_from_args(args):
-    from . import dirichlet, smooth
+    from . import smooth
 
     if args.twist == "trivial":
         return smooth.Trivial()
@@ -56,6 +56,8 @@ def _twist_from_args(args):
     if args.twist == "character":
         if args.q is None or args.j is None:
             raise ValueError("character twist needs --q and --j")
+        from . import dirichlet
+
         return smooth.Character(dirichlet.shared_character_table(args.q), args.j)
     raise ValueError(f"unknown twist {args.twist!r}")
 

@@ -22,12 +22,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .constants import BOUND_KINDS, EXP_GAMMA
-from .dickman import DickmanTable, rho  # noqa: F401 - perfbench rebinds moments.rho
 from .errors import TailNotCertifiedError, float_result
 
+if TYPE_CHECKING:
+    from .dickman import DickmanTable
+
 _MAX_ELL = 200
+
+
+def __getattr__(name: str):
+    # `moments.rho` is `dickman.rho`, read on every access, for perfbench's
+    # rebinding pin only; ROADMAP item 1, step A, deletes it
+    if name == "rho":
+        from . import dickman
+        return dickman.rho
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -28,22 +28,33 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from .constants import EXP_GAMMA
-from .dickman import DickmanTable, rho
 from .errors import OutOfRegimeError, ResourceLimitError, float_result
 from .moments import y_exact
 from .primes import sieve_primes
 from .sums import em_tail, log_weights
+
+if TYPE_CHECKING:
+    from .dickman import DickmanTable
 
 _DIRECT_BUDGET = 10**7
 _FACTORIZED_BUDGET = 10**7  # sum_p (A_p + 1)(ell + 1) alpha terms
 _MAX_ELL_FACTORIZED = 60
 _MAX_SPEC_Y = 10**8
 PRECISION_BITS = 256  # working precision of ratio_factorized
+
+
+def __getattr__(name: str):
+    # `resonator.rho` is `dickman.rho`, read on every access, for
+    # perfbench's rebinding pin only; ROADMAP item 1, step A, deletes it
+    if name == "rho":
+        from . import dickman
+        return dickman.rho
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -342,6 +353,8 @@ def proof_bookkeeping(ell: int, table: DickmanTable, *, log_T: float) -> Bookkee
     Any of S1, S2, K2_bound and predicted beyond float64 raises
     PrecisionUnreachableError.
     """
+    from . import dickman
+
     y_ell = y_exact(ell).float_value  # rejects ell < 0 and ell > 200 before any sum
     log_T = _log_scale(log_T)
     if log_T < math.exp(math.e):
@@ -361,7 +374,7 @@ def proof_bookkeeping(ell: int, table: DickmanTable, *, log_T: float) -> Bookkee
     s1 = log_power_sum(ell, y)
     i_ell = table.integrate(lambda us: us**ell, 1.0, u_R)
     i_low = table.integrate(lambda us: us ** (ell - 1), 1.0, u_R) if ell > 0 else 0.0
-    s2 = float_result("S2" + at, lambda: log_R**ell * rho(u_R, table) - log_y**ell
+    s2 = float_result("S2" + at, lambda: log_R**ell * dickman.rho(u_R, table) - log_y**ell
                       + log_y ** (ell + 1) * i_ell - ell * log_y**ell * i_low)
     k2 = float_result("K2_bound" + at, lambda: EXP_GAMMA**2 * l2 ** (ell - 1) * l3 ** (ell + 1))
     predicted = float_result("predicted" + at,

@@ -34,22 +34,33 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import TYPE_CHECKING, Iterator, Union
 
 import numpy as np
 
-from .dickman import DickmanTable, build_rho_table, log_rho_asymptotic_main, rho
-from .dirichlet import CharacterTable
 from .errors import ResourceLimitError, float_result
 from .primes import sieve_primes
 from . import sums
 from .sums import MAX_TERMS, chunks, compensated_sum, ordered_map, spans, unit_powers
+
+if TYPE_CHECKING:
+    from .dickman import DickmanTable
+    from .dirichlet import CharacterTable
 
 _SIEVE_LIMIT = 10**8
 _SIEVE_SEGMENT = 1 << 18  # int32 entries: 1 MB, an L2-sized segment
 _ENUM_PRIME_BOUND = 20  # the enumeration engages when pi(y) <= 20
 _ENUM_Y_CAP = 73  # the 21st prime: pi(min(y, 73)) <= 20 exactly when pi(y) <= 20
 _ENUM_NODE_BUDGET = 10**7
+
+
+def __getattr__(name: str):
+    # `smooth.rho` is `dickman.rho`, read on every access, for perfbench's
+    # rebinding pin only; ROADMAP item 1, step A, deletes it
+    if name == "rho":
+        from . import dickman
+        return dickman.rho
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -246,7 +257,9 @@ def _enumerated(x: float, y: float) -> np.ndarray | None:
 
 @functools.cache
 def _density_table() -> DickmanTable:
-    return build_rho_table(40.0, 1e-12)
+    from . import dickman
+
+    return dickman.build_rho_table(40.0, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +303,13 @@ def psi_count(x: float, y: float) -> SmoothCountResult:
     float64 leaves the relative error beyond it, which raises
     PrecisionUnreachableError.
     """
+    from . import dickman
+
     count = _exact_count(x, y)
     u = math.log(x) / math.log(y)
     t = _density_table()
-    approx = x * (rho(u, t) if u <= t.max_u else math.exp(log_rho_asymptotic_main(u)))
+    approx = x * (dickman.rho(u, t) if u <= t.max_u
+                  else math.exp(dickman.log_rho_asymptotic_main(u)))
     rel = float_result(f"relative_error of x rho(u) at u={u:.6g}",
                        lambda: count / approx - 1.0 if approx > 0 else math.inf)
     return SmoothCountResult(x=float(x), y=float(y), exact_count=count, dickman_approx=approx,
