@@ -32,14 +32,22 @@ def _emit_json(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _complex_fields(z: complex, prefix: str = "value") -> dict:
-    return {f"{prefix}_re": z.real, f"{prefix}_im": z.imag, f"{prefix}_abs": abs(z)}
+def _emit_record(record, **extra) -> None:
+    """A library result record as it is, with any `extra` fields.  dataclasses
+    is imported here, so that `--help` does not load it."""
+    from dataclasses import asdict
+
+    _emit_json({**asdict(record), **extra})
+
+
+def _complex_fields(z: complex) -> dict:
+    return {"value_re": z.real, "value_im": z.imag, "value_abs": abs(z)}
 
 
 def _build_table(args):
     from . import dickman
 
-    if getattr(args, "table", None):
+    if args.table:
         return dickman.load_table(args.table)
     return dickman.build_rho_table(args.max_u, args.tol)
 
@@ -53,13 +61,12 @@ def _twist_from_args(args):
         if args.t is None:
             raise ValueError("unimodular twist needs --t")
         return smooth.Unimodular(args.t)
-    if args.twist == "character":
-        if args.q is None or args.j is None:
-            raise ValueError("character twist needs --q and --j")
-        from . import dirichlet
+    # "character": --twist's choices let no other value through
+    if args.q is None or args.j is None:
+        raise ValueError("character twist needs --q and --j")
+    from . import dirichlet
 
-        return smooth.Character(dirichlet.shared_character_table(args.q), args.j)
-    raise ValueError(f"unknown twist {args.twist!r}")
+    return smooth.Character(dirichlet.shared_character_table(args.q), args.j)
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +128,9 @@ def _cmd_bound(args) -> None:
 
 
 def _cmd_psi(args) -> None:
-    from dataclasses import asdict
-
     from . import smooth
 
-    _emit_json(asdict(smooth.psi_count(args.x, args.y)))
+    _emit_record(smooth.psi_count(args.x, args.y))
 
 
 def _cmd_twisted_sum(args) -> None:
@@ -143,8 +148,6 @@ def _cmd_twisted_sum(args) -> None:
 
 
 def _cmd_error_profile(args) -> None:
-    from dataclasses import asdict
-
     from . import smooth
 
     twist = _twist_from_args(args)
@@ -154,7 +157,7 @@ def _cmd_error_profile(args) -> None:
         sys.stdout.write(smooth.profile_to_csv(records))
     else:
         for r in records:
-            _emit_json(asdict(r))
+            _emit_record(r)
 
 
 def _cmd_zeta_eval(args) -> None:
@@ -212,14 +215,12 @@ def _cmd_resonator_ratio(args) -> None:
 
 
 def _cmd_proof_bookkeeping(args) -> None:
-    from dataclasses import asdict
-
     from . import resonator
 
     table = _build_table(args)
     r = resonator.proof_bookkeeping(args.ell, table, log_T=args.log10_T * math.log(10.0))
-    _emit_json({**asdict(r), "sum_over_predicted": (r.S1 + r.S2) / r.predicted,
-                "k2_over_predicted": r.K2_bound / r.predicted})
+    _emit_record(r, sum_over_predicted=(r.S1 + r.S2) / r.predicted,
+                 k2_over_predicted=r.K2_bound / r.predicted)
 
 
 def _cmd_char_table(args) -> None:
@@ -259,19 +260,29 @@ def _cmd_l_max(args) -> None:
 
 
 def _cmd_resonance_quotient(args) -> None:
-    from dataclasses import asdict
-
     from . import dirichlet, resonator
 
     spec = resonator.make_spec(args.y, args.b)
-    _emit_json(asdict(dirichlet.resonance_quotient(args.ell, args.q, spec)))
+    _emit_record(dirichlet.resonance_quotient(args.ell, args.q, spec))
 
 
 # ---------------------------------------------------------------------------
 # parser
 
+# the type of each plain required option: one with no default, choices,
+# nargs or help text
+_PLAIN = {"--ell": int, "--q": int, "--N": int, "--b": int, "--j": int,
+          "--x": float, "--y": float, "--t": float, "--sigma": float, "--scale": float,
+          "--t-lo": float, "--t-hi": float, "--step": float}
+
+
+def _add_plain(p, *opts: str) -> None:
+    for opt in opts:
+        p.add_argument(opt, type=_PLAIN[opt], required=True)
+
+
 def _add_table_opts(p, max_u_default: float) -> None:
-    p.add_argument("--max-u", dest="max_u", type=float, default=max_u_default,
+    p.add_argument("--max-u", type=float, default=max_u_default,
                    help="rho table domain end (ignored with --table)")
     p.add_argument("--tol", type=float, default=1e-12, help="rho table tolerance")
     p.add_argument("--table", type=str, default=None, help="load a saved rho table")
@@ -296,108 +307,88 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rho", help="evaluate the Dickman function")
     p.add_argument("--u", type=float, nargs="+", required=True)
     _add_table_opts(p, 20.0)
-    p.add_argument("--save-table", dest="save_table", type=str, default=None)
+    p.add_argument("--save-table", type=str, default=None)
     p.set_defaults(func=_cmd_rho)
 
     p = sub.add_parser("laplace-check", help="both sides of the Laplace identity")
     p.add_argument("--s", type=float, nargs="+", required=True)
-    p.add_argument("--quad-tol", dest="quad_tol", type=float, default=1e-10,
+    p.add_argument("--quad-tol", type=float, default=1e-10,
                    help="tolerance of the left-side quadrature; the right side "
                         "is a float64 closed form")
     _add_table_opts(p, 40.0)
     p.set_defaults(func=_cmd_laplace_check)
 
     p = sub.add_parser("moments", help="moment constants Y_ell")
-    p.add_argument("--ell", type=int, required=True)
+    _add_plain(p, "--ell")
     p.add_argument("--method", choices=["bell", "quadrature", "both"], default="bell")
-    p.add_argument("--quad-tol", dest="quad_tol", type=float, default=1e-9)
+    p.add_argument("--quad-tol", type=float, default=1e-9)
     _add_table_opts(p, 60.0)
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("bound", help="theorem-level bound constants")
     p.add_argument("--kind", choices=list(BOUND_KINDS), required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--scale", type=float, required=True)
+    _add_plain(p, "--ell", "--scale")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("psi", help="smooth-number count Psi(x, y)")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
+    _add_plain(p, "--x", "--y")
     p.set_defaults(func=_cmd_psi)
 
     p = sub.add_parser("twisted-sum", help="smooth or full twisted sum")
-    p.add_argument("--x", type=float, required=True)
+    _add_plain(p, "--x")
     p.add_argument("--y", type=float, default=None,
                    help="smoothness bound; omit for the full sum over n <= x")
     _add_twist_opts(p)
     p.set_defaults(func=_cmd_twisted_sum)
 
     p = sub.add_parser("error-profile", help="full-vs-smooth discrepancy profile")
-    p.add_argument("--x", type=float, required=True)
+    _add_plain(p, "--x")
     _add_twist_opts(p)
-    p.add_argument("--y-grid", dest="y_grid", type=str, required=True,
+    p.add_argument("--y-grid", type=str, required=True,
                    help="comma-separated smoothness bounds")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_error_profile)
 
     p = sub.add_parser("zeta-eval", help="truncated zeta-derivative series")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--N", type=int, required=True)
+    _add_plain(p, "--ell", "--sigma", "--t", "--N")
     p.add_argument("--reference", action="store_true",
                    help="also run the Euler-Maclaurin oracle")
-    p.add_argument("--ref-tol", dest="ref_tol", type=float, default=1e-8)
+    p.add_argument("--ref-tol", type=float, default=1e-8)
     p.set_defaults(func=_cmd_zeta_eval)
 
     p = sub.add_parser("zeta-scan", help="grid argmax of the truncated modulus")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--t-lo", dest="t_lo", type=float, required=True)
-    p.add_argument("--t-hi", dest="t_hi", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--csv-out", dest="csv_out", type=str, default=None)
+    _add_plain(p, "--ell", "--t-lo", "--t-hi", "--step", "--N")
+    p.add_argument("--csv-out", type=str, default=None)
     p.set_defaults(func=_cmd_zeta_scan)
 
     p = sub.add_parser("resonator-ratio", help="divisor-resonator resonance ratio")
-    p.add_argument("--y", type=float, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
+    _add_plain(p, "--y", "--b", "--ell")
     p.add_argument("--method", choices=["direct", "factorized", "both"],
                    default="factorized")
     p.set_defaults(func=_cmd_resonator_ratio)
 
     p = sub.add_parser("proof-bookkeeping", help="S1/S2/K2 decomposition on the log scale")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--log10-T", dest="log10_T", type=float, required=True,
-                   help="log10 of the scale T")
+    _add_plain(p, "--ell")
+    p.add_argument("--log10-T", type=float, required=True, help="log10 of the scale T")
     _add_table_opts(p, 40.0)
     p.set_defaults(func=_cmd_proof_bookkeeping)
 
     p = sub.add_parser("char-table", help="character group table mod prime q")
-    p.add_argument("--q", type=int, required=True)
+    _add_plain(p, "--q")
     p.add_argument("--sample", type=int, default=8)
     p.set_defaults(func=_cmd_char_table)
 
     p = sub.add_parser("l-eval", help="truncated L-derivative value at s = 1")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
+    _add_plain(p, "--q", "--j", "--ell", "--N")
     p.set_defaults(func=_cmd_l_eval)
 
     p = sub.add_parser("l-max", help="family maximum over non-principal characters")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--csv-out", dest="csv_out", type=str, default=None)
+    _add_plain(p, "--q", "--ell", "--N")
+    p.add_argument("--csv-out", type=str, default=None)
     p.set_defaults(func=_cmd_l_max)
 
     p = sub.add_parser("resonance-quotient", help="V2/V1 resonance quotient")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--y", type=float, required=True)
-    p.add_argument("--b", type=int, required=True)
+    _add_plain(p, "--q", "--ell", "--y", "--b")
     p.set_defaults(func=_cmd_resonance_quotient)
 
     return ap

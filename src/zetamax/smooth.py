@@ -408,7 +408,10 @@ def full_twisted_sum(x: float, twist: TwistSpec) -> complex:
 
 def nonsmooth_twisted_sum(x: float, y: float, twist: TwistSpec) -> complex:
     """sum over n <= x with P+(n) > y of f(n) -- the third, independent
-    summation used to validate full = smooth + nonsmooth."""
+    summation used to validate full = smooth + nonsmooth.  Any y but NaN is
+    meaningful: y < 2 keeps every n >= 2, and y = inf keeps none."""
+    if y != y:  # NaN; an int y beyond float range is fine
+        raise ValueError(f"y must be a number, got {y}")
     xi = _floor(x)
     if xi < 2:
         return 0j

@@ -347,11 +347,15 @@ FLOAT_OPTION_BASES = [
 ]
 
 
+def _subparsers():
+    """{subcommand: its parser}, as build_parser() declares them."""
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _float_options():
     """(subcommand, option string) for every float option of the parser."""
-    subs = next(a for a in cli.build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction))
-    return {(name, opt) for name, p in subs.choices.items()
+    return {(name, opt) for name, p in _subparsers().items()
             for a in p._actions if a.type is float for opt in a.option_strings}
 
 
@@ -369,6 +373,130 @@ def test_non_finite_cases_cover_every_float_option():
     covered = {(argv[0], tok.split("=")[0]) for argv in _non_finite_cases()
                for tok in argv if "=" in tok}
     assert covered == _float_options()
+
+
+# every option of every subcommand besides -h, in declaration order:
+# (option, type, required, default, choices, nargs, action)
+OPTION_LEDGER = {
+    "rho": [
+        ("--u", float, True, None, None, "+", "Store"),
+        ("--max-u", float, False, 20.0, None, None, "Store"),
+        ("--tol", float, False, 1e-12, None, None, "Store"),
+        ("--table", str, False, None, None, None, "Store"),
+        ("--save-table", str, False, None, None, None, "Store"),
+    ],
+    "laplace-check": [
+        ("--s", float, True, None, None, "+", "Store"),
+        ("--quad-tol", float, False, 1e-10, None, None, "Store"),
+        ("--max-u", float, False, 40.0, None, None, "Store"),
+        ("--tol", float, False, 1e-12, None, None, "Store"),
+        ("--table", str, False, None, None, None, "Store"),
+    ],
+    "moments": [
+        ("--ell", int, True, None, None, None, "Store"),
+        ("--method", None, False, "bell", ["bell", "quadrature", "both"], None, "Store"),
+        ("--quad-tol", float, False, 1e-9, None, None, "Store"),
+        ("--max-u", float, False, 60.0, None, None, "Store"),
+        ("--tol", float, False, 1e-12, None, None, "Store"),
+        ("--table", str, False, None, None, None, "Store"),
+    ],
+    "bound": [
+        ("--kind", None, True, None, ["lower", "rh-upper", "conjectural-asymptotic"], None,
+         "Store"),
+        ("--ell", int, True, None, None, None, "Store"),
+        ("--scale", float, True, None, None, None, "Store"),
+    ],
+    "psi": [
+        ("--x", float, True, None, None, None, "Store"),
+        ("--y", float, True, None, None, None, "Store"),
+    ],
+    "twisted-sum": [
+        ("--x", float, True, None, None, None, "Store"),
+        ("--y", float, False, None, None, None, "Store"),
+        ("--twist", None, True, None, ["trivial", "character", "unimodular"], None, "Store"),
+        ("--q", int, False, None, None, None, "Store"),
+        ("--j", int, False, None, None, None, "Store"),
+        ("--t", float, False, None, None, None, "Store"),
+    ],
+    "error-profile": [
+        ("--x", float, True, None, None, None, "Store"),
+        ("--twist", None, True, None, ["trivial", "character", "unimodular"], None, "Store"),
+        ("--q", int, False, None, None, None, "Store"),
+        ("--j", int, False, None, None, None, "Store"),
+        ("--t", float, False, None, None, None, "Store"),
+        ("--y-grid", str, True, None, None, None, "Store"),
+        ("--format", None, False, "json", ["json", "csv"], None, "Store"),
+    ],
+    "zeta-eval": [
+        ("--ell", int, True, None, None, None, "Store"),
+        ("--sigma", float, True, None, None, None, "Store"),
+        ("--t", float, True, None, None, None, "Store"),
+        ("--N", int, True, None, None, None, "Store"),
+        ("--reference", None, False, False, None, 0, "StoreTrue"),
+        ("--ref-tol", float, False, 1e-8, None, None, "Store"),
+    ],
+    "zeta-scan": [
+        ("--ell", int, True, None, None, None, "Store"),
+        ("--t-lo", float, True, None, None, None, "Store"),
+        ("--t-hi", float, True, None, None, None, "Store"),
+        ("--step", float, True, None, None, None, "Store"),
+        ("--N", int, True, None, None, None, "Store"),
+        ("--csv-out", str, False, None, None, None, "Store"),
+    ],
+    "resonator-ratio": [
+        ("--y", float, True, None, None, None, "Store"),
+        ("--b", int, True, None, None, None, "Store"),
+        ("--ell", int, True, None, None, None, "Store"),
+        ("--method", None, False, "factorized", ["direct", "factorized", "both"], None,
+         "Store"),
+    ],
+    "proof-bookkeeping": [
+        ("--ell", int, True, None, None, None, "Store"),
+        ("--log10-T", float, True, None, None, None, "Store"),
+        ("--max-u", float, False, 40.0, None, None, "Store"),
+        ("--tol", float, False, 1e-12, None, None, "Store"),
+        ("--table", str, False, None, None, None, "Store"),
+    ],
+    "char-table": [
+        ("--q", int, True, None, None, None, "Store"),
+        ("--sample", int, False, 8, None, None, "Store"),
+    ],
+    "l-eval": [
+        ("--q", int, True, None, None, None, "Store"),
+        ("--j", int, True, None, None, None, "Store"),
+        ("--ell", int, True, None, None, None, "Store"),
+        ("--N", int, True, None, None, None, "Store"),
+    ],
+    "l-max": [
+        ("--q", int, True, None, None, None, "Store"),
+        ("--ell", int, True, None, None, None, "Store"),
+        ("--N", int, True, None, None, None, "Store"),
+        ("--csv-out", str, False, None, None, None, "Store"),
+    ],
+    "resonance-quotient": [
+        ("--q", int, True, None, None, None, "Store"),
+        ("--ell", int, True, None, None, None, "Store"),
+        ("--y", float, True, None, None, None, "Store"),
+        ("--b", int, True, None, None, None, "Store"),
+    ],
+}
+
+
+def test_option_ledger():
+    # how each option parses; the handlers read each value under the name
+    # that argparse derives from the option string
+    recorded = {}
+    for name, p in _subparsers().items():
+        recorded[name] = []
+        for a in p._actions:
+            if isinstance(a, argparse._HelpAction):
+                continue
+            (opt,) = a.option_strings
+            assert a.dest == opt.lstrip("-").replace("-", "_")
+            recorded[name].append((opt, a.type, a.required, a.default, a.choices, a.nargs,
+                                   type(a).__name__[1:-len("Action")]))
+    assert list(recorded) == list(OPTION_LEDGER)  # the order of the top-level --help
+    assert recorded == OPTION_LEDGER
 
 
 @pytest.mark.parametrize("argv", list(_non_finite_cases()), ids=" ".join)

@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -113,6 +114,39 @@ def test_ratio_monotone_in_b():
                 v = resonator.ratio_direct(resonator.make_spec(y, b), ell)
                 assert v >= prev - 1e-12, (y, b, ell)
                 prev = v
+
+
+def _smooth_log_sums(y):
+    """[S_0, S_1, S_2] at y, S_ell(y) = sum over the y-smooth n of
+    (log n)^ell / n: the finite Euler product prod_{p <= y} (1 - p^-s)^-1
+    and its first two derivatives in -s at s = 1.  Shares no arithmetic with
+    either ratio method; S_0 is exact."""
+    primes = [p for p in range(2, int(y) + 1) if all(p % d for d in range(2, p))]
+    s0 = math.prod(Fraction(p, p - 1) for p in primes)
+    k1 = math.fsum(math.log(p) / (p - 1) for p in primes)
+    k2 = math.fsum(math.log(p) ** 2 * p / (p - 1) ** 2 for p in primes)
+    return [s0, s0 * k1, s0 * (k1 * k1 + k2)]
+
+
+def test_smooth_log_sum_is_exact_at_7():
+    assert _smooth_log_sums(7)[0] == Fraction("4.375")
+
+
+@pytest.mark.parametrize("y", [2, 3, 7, 11, 30, 100])
+def test_ratio_rises_below_the_smooth_log_sum(y):
+    # the ratio weighs a subset of the y-smooth n by 1 - alpha/b <= 1, a
+    # subset and weights that grow with b: so it never falls as b grows and
+    # stays below S_ell(y), with no tolerance
+    for ell, bound in enumerate(_smooth_log_sums(y)):
+        for method in (resonator.ratio_direct, resonator.ratio_factorized):
+            prev = 0.0
+            for b in (2, 3, 5, 50, 500, 5000):
+                spec = resonator.make_spec(y, b)
+                if method is resonator.ratio_direct and b ** spec.w > 10**6:
+                    break  # b^w divisors: 5-10 s a call near the budget 10^7
+                value = method(spec, ell)
+                assert prev <= value <= bound, (method.__name__, ell, b)
+                prev = value
 
 
 def test_direct_budget_guard():

@@ -158,6 +158,15 @@ def test_twisted_sums_below_one_are_empty():
             smooth.smooth_twisted_sum(300, y, Unimodular(1.5))
 
 
+def test_nonsmooth_sum_rejects_only_a_nan_y():
+    with pytest.raises(ValueError, match="y must be"):
+        smooth.nonsmooth_twisted_sum(300, math.nan, Trivial())
+    with pytest.raises(ValueError, match="y must be"):
+        smooth.nonsmooth_twisted_sum(0.5, math.nan, Trivial())
+    assert smooth.nonsmooth_twisted_sum(300, 1.5, Trivial()) == 299
+    assert smooth.nonsmooth_twisted_sum(300, math.inf, Trivial()) == 0j
+
+
 def test_enumeration_matches_sieve_everywhere():
     limit = 20000
     spf = smooth.spf_sieve(limit)
